@@ -8,7 +8,6 @@ dataset and shows the before/after demographic-parity bias, the risk
 from scorecalib import (
     BiasMetricKind,
     GroupId,
-    ScoredPair,
     ScoreDataset,
     calibrate,
     calibrate_dataset,
@@ -22,11 +21,13 @@ rows = [
     (0.65, "a"), (0.37, "b"), (0.97, "b"), (0.35, "b"), (0.39, "a"),
     (0.31, "b"), (0.28, "a"), (0.25, "b"), (0.22, "b"), (0.18, "b"),
 ]
-pairs = tuple(
-    ScoredPair(f"p{i + 1}", s, GroupId.MINORITY if g == "a" else GroupId.MAJORITY)
-    for i, (s, g) in enumerate(rows)
+# a dataset is a set of read-only columns: ids, scores, minority flags
+# (and optional labels, -1 where missing)
+d = ScoreDataset(
+    [f"p{i + 1}" for i in range(len(rows))],
+    [s for s, _ in rows],
+    [g == "a" for _, g in rows],
 )
-d = ScoreDataset(pairs)
 
 model = fit(d, sigma=0.0, seed=0)
 gs = model.group_scores

@@ -30,11 +30,9 @@ from .conditional import (
 from .dataset import (
     GroupId,
     GroupVocabulary,
-    RecordPairRaw,
     Schema,
     ScoreDataset,
     ScoredPair,
-    derive_pair_group,
     dump_dataset,
     load_dataset,
 )
@@ -51,13 +49,11 @@ from .empirical import (
     pr_curve,
     w1_distance,
 )
-from .report import BiasReport
 from .synth import BetaParams, SynthSpec, generate
 
 __all__ = [
     "BetaParams",
     "BiasMetricKind",
-    "BiasReport",
     "CalibModel",
     "CondCalibModel",
     "DEFAULT_SIGMA",
@@ -65,7 +61,6 @@ __all__ = [
     "GroupScores",
     "GroupVocabulary",
     "MeanshiftConfig",
-    "RecordPairRaw",
     "Schema",
     "ScoreDataset",
     "ScoredPair",
@@ -81,7 +76,6 @@ __all__ = [
     "cond_calibrate_dataset",
     "cond_calibrate_scores",
     "conditional_curve",
-    "derive_pair_group",
     "dump_dataset",
     "fit",
     "fit_conditional",

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import GroupId, ScoreDataset
+from .dataset import GroupId, ScoreDataset, minority_mask
 from .empirical import GroupScores, build_group_scores
 from .errors import ScoreOutOfRangeError
 
@@ -62,7 +62,10 @@ def _rank_positions(n_own: int, n_other: int, greater: np.ndarray):
 def calibrate_scores(
     model: CalibModel, scores: Sequence[float], groups: Sequence[GroupId]
 ) -> np.ndarray:
-    """Vectorized calibration of many (score, group) queries."""
+    """Vectorized calibration of many (score, group) queries.
+
+    ``groups`` may also be a bool array of minority flags.
+    """
     scores = np.asarray(scores, dtype=float)
     if scores.size == 0:
         return scores.copy()
@@ -70,7 +73,7 @@ def calibrate_scores(
         raise ScoreOutOfRangeError("query scores must lie in [0, 1]")
     gs = model.group_scores
     alpha = gs.alpha
-    is_minority = np.array([g is GroupId.MINORITY for g in groups], dtype=bool)
+    is_minority = minority_mask(groups)
     if is_minority.size != scores.size:
         raise ValueError("scores and groups must have equal length")
 
@@ -99,7 +102,7 @@ def calibrate(model: CalibModel, score: float, group: GroupId) -> float:
 
 def calibrate_dataset(model: CalibModel, d: ScoreDataset) -> ScoreDataset:
     """Replace every pair's score by its calibrated value."""
-    return d.with_scores(calibrate_scores(model, d.scores(), d.groups()))
+    return d.with_scores(calibrate_scores(model, d.scores(), d.is_minority))
 
 
 def model_to_dict(model: CalibModel) -> dict:

@@ -17,8 +17,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import bias as bias_mod
-from .bias import BiasMetricKind, risk_estimate, score_bias, threshold_bias
+from .bias import BiasMetricKind, group_curves, risk_estimate, score_bias, threshold_bias
 from .calibration import calibrate_dataset, fit, model_to_dict
 from .conditional import (
     MeanshiftConfig,
@@ -29,21 +28,21 @@ from .conditional import (
 from .dataset import (
     GroupId,
     GroupVocabulary,
-    PAIR_HEADER,
-    RECORD_HEADER,
     Schema,
     ScoreDataset,
+    csv_writer,
     dataset_from_rows,
+    dump_dataset,
     parse_rows,
 )
 from .empirical import DEFAULT_SIGMA, StepCurve, auc
 from .errors import (
     AlgorithmError,
     InputError,
+    InvalidParameterError,
     ScoreCalibError,
     SingleModeError,
 )
-from .report import BiasReport
 from .svgplot import render_gap_svg
 from .synth import BetaParams, SynthSpec, generate
 
@@ -65,26 +64,35 @@ def _pct(value) -> str:
 def _load_config(path: str | None) -> dict:
     if not path:
         return {}
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise InvalidParameterError(f"--config {path}: {exc}") from None
     if not isinstance(data, dict):
-        raise InputError("--config file must contain a JSON object")
+        raise InvalidParameterError("--config file must contain a JSON object")
     return data
 
 
-def _opt(args, config: dict, key: str, default=None):
+def _opt(args, config: dict, key: str, default=None, cast=None):
+    """Flag value, else config value, else default; ``cast`` applies to the
+    first two and turns a bad value into :class:`InvalidParameterError`."""
     value = getattr(args, key, None)
-    if value is not None:
+    if value is None:
+        value = config.get(key)
+    if value is None:
+        return default
+    if cast is None:
         return value
-    if key in config:
-        return config[key]
-    return default
+    try:
+        return cast(value)
+    except (TypeError, ValueError):
+        raise InvalidParameterError(f"invalid {key} {value!r}") from None
 
 
-def _load_input(args, config) -> tuple[ScoreDataset, Schema, list[list[str]]]:
-    path = _opt(args, config, "input")
+def _load_input(args, config, path) -> tuple[ScoreDataset, Schema, list[list[str]]]:
     if not path:
         raise InputError("--input is required")
-    schema = Schema(_opt(args, config, "schema", "pair"))
+    schema = _opt(args, config, "schema", Schema.PAIR_LEVEL, Schema)
     vocab = GroupVocabulary(
         _opt(args, config, "minority_token", "minority"),
         _opt(args, config, "majority_token"),
@@ -94,29 +102,28 @@ def _load_input(args, config) -> tuple[ScoreDataset, Schema, list[list[str]]]:
 
 
 def _metric_kinds(args, config) -> list[BiasMetricKind]:
-    names = _opt(args, config, "metric", ["dp"])
     kinds = []
+    # a single metric name in --config means a one-item list
+    names = _opt(
+        args, config, "metric", ["dp"], lambda v: [v] if isinstance(v, str) else list(v)
+    )
     for name in names:
-        if name not in _METRICS:
+        kind = _METRICS.get(name) if isinstance(name, str) else None
+        if kind is None:
             raise InputError(f"unknown metric {name!r}")
-        if _METRICS[name] not in kinds:
-            kinds.append(_METRICS[name])
+        if kind not in kinds:
+            kinds.append(kind)
     return kinds
 
 
-def _metric_curve_set(d: ScoreDataset, kind: BiasMetricKind, stage: str):
-    """Curves to dump for one metric: {filename_stem: StepCurve}."""
-    out = {}
-    parts = (
-        [BiasMetricKind.EO, BiasMetricKind.FPR_GAP]
-        if kind is BiasMetricKind.EOD
-        else [kind]
-    )
-    for part in parts:
-        curves = bias_mod.group_curves(d, part)
-        for group, curve in curves.items():
-            out[f"{part.value}_{group.value}_{stage}"] = curve
-    return out
+def _float_list(value) -> list[float]:
+    if isinstance(value, str):  # iterable, but not a list of thresholds
+        raise TypeError("expected a list of numbers")
+    return [float(t) for t in value]
+
+
+def _thresholds(args, config) -> list[float]:
+    return _opt(args, config, "thresholds", list(DEFAULT_THRESHOLDS), _float_list)
 
 
 def _safe_auc(d: ScoreDataset):
@@ -131,52 +138,66 @@ def _bias_report(
     kind: BiasMetricKind,
     calibrated: ScoreDataset | None,
     thresholds,
-) -> tuple[BiasReport, dict]:
-    report = BiasReport(metric=kind, before=score_bias(d, kind))
-    if kind is BiasMetricKind.EOD:
-        report.components = {
-            "eo": {"before": score_bias(d, BiasMetricKind.EO)},
-            "fpr_gap": {"before": score_bias(d, BiasMetricKind.FPR_GAP)},
-        }
-    report.curves = _metric_curve_set(d, kind, "before")
-    if calibrated is not None:
-        report.after = score_bias(calibrated, kind)
-        if kind is BiasMetricKind.EOD:
-            report.components["eo"]["after"] = score_bias(calibrated, BiasMetricKind.EO)
-            report.components["fpr_gap"]["after"] = score_bias(
-                calibrated, BiasMetricKind.FPR_GAP
-            )
-        report.curves.update(_metric_curve_set(calibrated, kind, "after"))
-        report.risk = risk_estimate(d.scores(), calibrated.scores())
-        if d.labeled:
-            report.auc_before = _safe_auc(d)
-            report.auc_after = _safe_auc(calibrated)
-    entry = report.to_dict()
-    entry["threshold_bias"] = {
-        repr(t): threshold_bias(d, kind, t) for t in thresholds
+) -> tuple[dict, dict]:
+    """One metric's report.json entry and its curves, keyed by file stem."""
+    eod = kind is BiasMetricKind.EOD
+    parts = (BiasMetricKind.EO, BiasMetricKind.FPR_GAP) if eod else (kind,)
+    entry = {
+        "metric": kind.value,
+        "after": None,
+        "auc_before": None,
+        "auc_after": None,
+        "risk": None,
+        "components": {"eo": {}, "fpr_gap": {}} if eod else None,
     }
+    curves = {}
+    stages = {"before": d} if calibrated is None else {"before": d, "after": calibrated}
+    for stage, data in stages.items():
+        entry[stage] = score_bias(data, kind)
+        if eod:
+            entry["components"]["eo"][stage] = score_bias(data, BiasMetricKind.EO)
+            entry["components"]["fpr_gap"][stage] = score_bias(data, BiasMetricKind.FPR_GAP)
+        key = "threshold_bias" if stage == "before" else "threshold_bias_after"
+        entry[key] = {repr(t): threshold_bias(data, kind, t) for t in thresholds}
+        for part in parts:
+            for group, curve in group_curves(data, part).items():
+                curves[f"{part.value}_{group.value}_{stage}"] = curve
     if calibrated is not None:
-        entry["threshold_bias_after"] = {
-            repr(t): threshold_bias(calibrated, kind, t) for t in thresholds
-        }
-    return report, entry
+        entry["risk"] = risk_estimate(d.scores(), calibrated.scores())
+        entry["auc_before"], entry["auc_after"] = _safe_auc(d), _safe_auc(calibrated)
+    return entry, curves
+
+
+def _report_metrics(out_dir: Path, d, kinds, calibrated, thresholds) -> dict:
+    """Every metric's report.json entry; writes the union of their curves."""
+    entries, curves = {}, {}
+    for kind in kinds:
+        entries[kind.value], kind_curves = _bias_report(d, kind, calibrated, thresholds)
+        curves.update(kind_curves)
+    for stem, curve in sorted(curves.items()):
+        curve.to_csv(out_dir / f"{stem}.csv")
+    return entries
+
+
+def _dataset_summary(d: ScoreDataset) -> dict:
+    return {
+        "n": len(d),
+        "n_minority": d.count(GroupId.MINORITY),
+        "n_majority": d.count(GroupId.MAJORITY),
+        "labeled": d.labeled,
+    }
 
 
 def _auc_by_group(d: ScoreDataset):
     if not d.labeled:
         return None
-    return {
-        group.value: _safe_auc(d.subset(group))
-        for group in GroupId
-    }
+    return {group.value: _safe_auc(d.subset(group)) for group in GroupId}
 
 
-def _dump_curves(out_dir: Path, reports: list[BiasReport]) -> None:
-    seen = {}
-    for report in reports:
-        seen.update(report.curves)
-    for stem, curve in sorted(seen.items()):
-        curve.to_csv(out_dir / f"{stem}.csv")
+def _out_dir(args, config) -> Path:
+    out_dir = Path(_opt(args, config, "out_dir", ".", str))
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir
 
 
 def _print_summary(entries: dict, auc_by_group, header: str) -> None:
@@ -196,40 +217,29 @@ def _print_summary(entries: dict, auc_by_group, header: str) -> None:
 def cmd_generate(args) -> int:
     config = _load_config(args.config)
 
-    def beta_field(key):
-        raw = _opt(args, config, key)
-        if raw is None:
-            raise InputError(f"missing synthetic spec field {key!r}")
-        if isinstance(raw, str):
-            parts = raw.split(",")
-            if len(parts) != 2:
-                raise InputError(f"{key!r} must be 'shape1,shape2', got {raw!r}")
-            raw = [float(p) for p in parts]
-        return BetaParams(float(raw[0]), float(raw[1]))
+    def beta(value) -> BetaParams:
+        shape1, shape2 = value.split(",") if isinstance(value, str) else value
+        return BetaParams(float(shape1), float(shape2))
 
     def required(key, cast):
-        value = _opt(args, config, key)
+        value = _opt(args, config, key, cast=cast)
         if value is None:
             raise InputError(f"missing synthetic spec field {key!r}")
-        return cast(value)
+        return value
 
     spec = SynthSpec(
         n_minority=required("n_minority", int),
         n_majority=required("n_majority", int),
         pos_rate_a=required("pos_rate_a", float),
         pos_rate_b=required("pos_rate_b", float),
-        minority_pos=beta_field("minority_pos"),
-        minority_neg=beta_field("minority_neg"),
-        majority_pos=beta_field("majority_pos"),
-        majority_neg=beta_field("majority_neg"),
-        seed=int(_opt(args, config, "seed", 0)),
+        minority_pos=required("minority_pos", beta),
+        minority_neg=required("minority_neg", beta),
+        majority_pos=required("majority_pos", beta),
+        majority_neg=required("majority_neg", beta),
+        seed=_opt(args, config, "seed", 0, int),
     )
-    out_dir = Path(_opt(args, config, "out_dir", "."))
-    out_dir.mkdir(parents=True, exist_ok=True)
+    dest = _out_dir(args, config) / "dataset.csv"
     dataset = generate(spec)
-    from .dataset import dump_dataset
-
-    dest = out_dir / "dataset.csv"
     dump_dataset(dataset, dest)
     print(
         f"wrote {len(dataset)} pairs ({spec.n_minority} minority, "
@@ -240,57 +250,38 @@ def cmd_generate(args) -> int:
 
 def cmd_measure(args) -> int:
     config = _load_config(args.config)
-    d, _, _ = _load_input(args, config)
+    d, _, _ = _load_input(args, config, _opt(args, config, "input"))
     kinds = _metric_kinds(args, config)
-    thresholds = [float(t) for t in _opt(args, config, "thresholds", DEFAULT_THRESHOLDS)]
-    out_dir = Path(_opt(args, config, "out_dir", "."))
-    out_dir.mkdir(parents=True, exist_ok=True)
+    thresholds = _thresholds(args, config)
+    out_dir = _out_dir(args, config)
 
-    reports, entries = [], {}
-    for kind in kinds:
-        report, entry = _bias_report(d, kind, None, thresholds)
-        reports.append(report)
-        entries[kind.value] = entry
+    entries = _report_metrics(out_dir, d, kinds, None, thresholds)
     auc_groups = _auc_by_group(d)
     payload = {
         "command": "measure",
-        "dataset": {
-            "n": len(d),
-            "n_minority": d.count(GroupId.MINORITY),
-            "n_majority": d.count(GroupId.MAJORITY),
-            "labeled": d.labeled,
-        },
+        "dataset": _dataset_summary(d),
         "metrics": entries,
         "auc_by_group": auc_groups,
     }
     _write_json(out_dir / "report.json", payload)
-    _dump_curves(out_dir, reports)
     _print_summary(entries, auc_groups, f"measured {len(d)} pairs")
     return 0
 
 
 def cmd_calibrate(args) -> int:
     config = _load_config(args.config)
-    d, schema, rows = _load_input(args, config)
+    d, schema, rows = _load_input(args, config, _opt(args, config, "input"))
     kinds = _metric_kinds(args, config)
-    thresholds = [float(t) for t in _opt(args, config, "thresholds", DEFAULT_THRESHOLDS)]
+    thresholds = _thresholds(args, config)
     algorithm = _opt(args, config, "algorithm", "calib")
-    sigma = float(_opt(args, config, "sigma", DEFAULT_SIGMA))
-    seed = int(_opt(args, config, "seed", 0))
-    gamma = _opt(args, config, "gamma")
-    bandwidth = _opt(args, config, "bandwidth")
-    out_dir = Path(_opt(args, config, "out_dir", "."))
-    out_dir.mkdir(parents=True, exist_ok=True)
+    sigma = _opt(args, config, "sigma", DEFAULT_SIGMA, float)
+    seed = _opt(args, config, "seed", 0, int)
+    gamma = _opt(args, config, "gamma", cast=float)
+    bandwidth = _opt(args, config, "bandwidth", cast=float)
+    out_dir = _out_dir(args, config)
 
     fit_sel = _opt(args, config, "fit", "self")
-    if fit_sel == "self":
-        fit_set = d
-    else:
-        vocab = GroupVocabulary(
-            _opt(args, config, "minority_token", "minority"),
-            _opt(args, config, "majority_token"),
-        )
-        fit_set = dataset_from_rows(parse_rows(fit_sel, schema), schema, vocab)
+    fit_set = d if fit_sel == "self" else _load_input(args, config, fit_sel)[0]
 
     model_payload = None
     if algorithm == "none":
@@ -300,13 +291,12 @@ def cmd_calibrate(args) -> int:
         calibrated = calibrate_dataset(model, d)
         model_payload = {"algorithm": "calib", **model_to_dict(model)}
     elif algorithm == "ccalib":
-        cfg = MeanshiftConfig(bandwidth=float(bandwidth)) if bandwidth else MeanshiftConfig()
         model = fit_conditional(
             fit_set,
             sigma,
             seed,
-            gamma_override=None if gamma is None else float(gamma),
-            cfg=cfg,
+            gamma_override=gamma,
+            cfg=MeanshiftConfig() if bandwidth is None else MeanshiftConfig(bandwidth),
             use_true_labels=bool(_opt(args, config, "use_true_labels", False)),
         )
         calibrated = cond_calibrate_dataset(model, d)
@@ -314,21 +304,15 @@ def cmd_calibrate(args) -> int:
     else:
         raise InputError(f"unknown algorithm {algorithm!r}")
 
-    reports, entries = [], {}
-    for kind in kinds:
-        report, entry = _bias_report(d, kind, calibrated, thresholds)
-        reports.append(report)
-        entries[kind.value] = entry
+    entries = _report_metrics(out_dir, d, kinds, calibrated, thresholds)
 
     # emit the calibrated dataset in the input schema, original tokens kept
-    header = PAIR_HEADER if schema is Schema.PAIR_LEVEL else RECORD_HEADER
-    lines = [",".join(header)]
     new_scores = calibrated.scores()
-    for row, score in zip(rows, new_scores):
-        out_row = list(row)
-        out_row[1] = repr(float(score))
-        lines.append(",".join(out_row))
-    (out_dir / "calibrated.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with csv_writer(out_dir / "calibrated.csv") as writer:
+        writer.writerow(schema.header)
+        writer.writerows(
+            [row[0], repr(score), *row[2:]] for row, score in zip(rows, new_scores.tolist())
+        )
 
     risk = risk_estimate(d.scores(), new_scores)
     auc_groups_before = _auc_by_group(d)
@@ -339,16 +323,11 @@ def cmd_calibrate(args) -> int:
         "sigma": sigma,
         "seed": seed,
         "fit": fit_sel,
-        "dataset": {
-            "n": len(d),
-            "n_minority": d.count(GroupId.MINORITY),
-            "n_majority": d.count(GroupId.MAJORITY),
-            "labeled": d.labeled,
-        },
+        "dataset": _dataset_summary(d),
         "metrics": entries,
         "risk": risk,
-        "auc_before": _safe_auc(d) if d.labeled else None,
-        "auc_after": _safe_auc(calibrated) if d.labeled else None,
+        "auc_before": _safe_auc(d),
+        "auc_after": _safe_auc(calibrated),
         "auc_by_group_before": auc_groups_before,
         "auc_by_group_after": auc_groups_after,
         "gamma": model_payload.get("gamma") if model_payload else None,
@@ -356,7 +335,6 @@ def cmd_calibrate(args) -> int:
     _write_json(out_dir / "report.json", payload)
     if model_payload is not None:
         _write_json(out_dir / "model.json", model_payload)
-    _dump_curves(out_dir, reports)
     _print_summary(
         entries, auc_groups_before, f"calibrated {len(d)} pairs with {algorithm}"
     )
@@ -375,8 +353,7 @@ def cmd_plot(args) -> int:
     inputs = _opt(args, config, "input")
     if not inputs or len(inputs) != 2:
         raise InputError("plot requires exactly two --input curve CSVs")
-    out_dir = Path(_opt(args, config, "out_dir", "."))
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args, config)
     curve_a = StepCurve.from_csv(inputs[0])
     curve_b = StepCurve.from_csv(inputs[1])
     title = _opt(args, config, "title", "threshold curves")
@@ -426,11 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--majority-token",
             dest="majority_token",
             help="declare a closed group vocabulary; other tokens are rejected",
-        )
-        p.add_argument(
-            "--labels",
-            choices=["auto"],
-            help="label handling; 'auto' detects labels from the label column",
         )
         p.add_argument(
             "--metric",

@@ -23,11 +23,13 @@ from typing import Sequence
 import numpy as np
 
 from .calibration import CalibModel, calibrate_scores, model_from_dict, model_to_dict
-from .dataset import GroupId, ScoreDataset
-from .empirical import GroupScores, add_jitter
+from .dataset import GroupId, ScoreDataset, minority_mask
+from .empirical import build_group_scores
 from .errors import (
+    EmptyGroupError,
     EmptyGroupInPartitionError,
     EmptyInputError,
+    InvalidParameterError,
     ScoreOutOfRangeError,
     SingleModeError,
 )
@@ -46,16 +48,18 @@ class MeanshiftConfig:
     merge_radius: float | None = None
 
     def __post_init__(self):
-        if self.bandwidth <= 0:
-            raise ValueError("bandwidth must be > 0")
+        if not 0 < self.bandwidth < np.inf:
+            raise InvalidParameterError(
+                f"bandwidth must be finite and > 0, got {self.bandwidth}"
+            )
         if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if self.convergence_tol <= 0:
-            raise ValueError("convergence_tol must be > 0")
+            raise InvalidParameterError("max_iterations must be >= 1")
+        if not self.convergence_tol > 0:
+            raise InvalidParameterError("convergence_tol must be > 0")
         if self.merge_radius is None:
             object.__setattr__(self, "merge_radius", self.bandwidth / 2.0)
-        if self.merge_radius <= 0 or self.merge_radius > self.bandwidth:
-            raise ValueError("merge_radius must be in (0, bandwidth]")
+        if not 0 < self.merge_radius <= self.bandwidth:
+            raise InvalidParameterError("merge_radius must be in (0, bandwidth]")
 
 
 def _mean_shift_modes(data: np.ndarray, cfg: MeanshiftConfig):
@@ -125,26 +129,6 @@ class CondCalibModel:
     meanshift: MeanshiftConfig = MeanshiftConfig()
 
 
-def _partition_group_scores(
-    jittered: np.ndarray,
-    is_minority: np.ndarray,
-    mask: np.ndarray,
-    name: str,
-    sigma: float,
-    seed: int,
-) -> GroupScores:
-    a = jittered[mask & is_minority]
-    b = jittered[mask & ~is_minority]
-    if a.size == 0 or b.size == 0:
-        group = "minority" if a.size == 0 else "majority"
-        raise EmptyGroupInPartitionError(
-            f"{name} partition has no {group} pairs; adjust gamma"
-        )
-    a = np.sort(a)[::-1]
-    b = np.sort(b)[::-1]
-    return GroupScores(a, b, alpha=a.size / (a.size + b.size), sigma=sigma, seed=seed)
-
-
 def fit_conditional(
     d: ScoreDataset,
     sigma: float,
@@ -163,19 +147,16 @@ def fit_conditional(
     """
     raw = d.scores()
     gamma = float(gamma_override) if gamma_override is not None else meanshift_threshold(raw, cfg)
-    jittered = add_jitter(raw, sigma, seed)
-    is_minority = np.array([p.group is GroupId.MINORITY for p in d.pairs], dtype=bool)
-    if use_true_labels:
-        matched_mask = d.labels() == 1
-    else:
-        matched_mask = raw >= gamma
-    matched = _partition_group_scores(
-        jittered, is_minority, matched_mask, "matched", sigma, seed
-    )
-    unmatched = _partition_group_scores(
-        jittered, is_minority, ~matched_mask, "unmatched", sigma, seed
-    )
-    return CondCalibModel(gamma, CalibModel(matched), CalibModel(unmatched), cfg)
+    matched_mask = d.labels() == 1 if use_true_labels else raw >= gamma
+    sides = []
+    for name, mask in (("matched", matched_mask), ("unmatched", ~matched_mask)):
+        try:
+            sides.append(CalibModel(build_group_scores(d, sigma, seed, mask)))
+        except EmptyGroupError as exc:
+            raise EmptyGroupInPartitionError(
+                f"{name} partition has {exc}; adjust gamma"
+            ) from None
+    return CondCalibModel(gamma, *sides, cfg)
 
 
 def cond_calibrate_scores(
@@ -187,14 +168,14 @@ def cond_calibrate_scores(
         return scores.copy()
     if np.isnan(scores).any() or scores.min() < 0.0 or scores.max() > 1.0:
         raise ScoreOutOfRangeError("query scores must lie in [0, 1]")
-    groups = list(groups)
+    is_minority = minority_mask(groups)
+    if is_minority.size != scores.size:
+        raise ValueError("scores and groups must have equal length")
     matched_mask = scores >= model.gamma
     out = np.empty(scores.size, dtype=float)
     for sub, mask in ((model.matched, matched_mask), (model.unmatched, ~matched_mask)):
         if mask.any():
-            out[mask] = calibrate_scores(
-                sub, scores[mask], [g for g, m in zip(groups, mask) if m]
-            )
+            out[mask] = calibrate_scores(sub, scores[mask], is_minority[mask])
     return out
 
 
@@ -203,7 +184,7 @@ def cond_calibrate(model: CondCalibModel, score: float, group: GroupId) -> float
 
 
 def cond_calibrate_dataset(model: CondCalibModel, d: ScoreDataset) -> ScoreDataset:
-    return d.with_scores(cond_calibrate_scores(model, d.scores(), d.groups()))
+    return d.with_scores(cond_calibrate_scores(model, d.scores(), d.is_minority))
 
 
 def model_to_dict_conditional(model: CondCalibModel) -> dict:

@@ -11,16 +11,22 @@ from __future__ import annotations
 import csv
 import enum
 import io
-from dataclasses import dataclass, field
+from array import array
+from contextlib import contextmanager
+from dataclasses import dataclass
+from itertools import compress
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import (
+    InputError,
+    LengthMismatchError,
     MalformedRowError,
     ScoreOutOfRangeError,
     UnknownGroupError,
+    UnlabeledDatasetError,
 )
 
 
@@ -30,8 +36,9 @@ class GroupId(enum.Enum):
     MINORITY = "minority"
     MAJORITY = "majority"
 
-    def other(self) -> "GroupId":
-        return GroupId.MAJORITY if self is GroupId.MINORITY else GroupId.MINORITY
+
+# indexed by an is-minority flag
+_GROUP_OF = (GroupId.MAJORITY, GroupId.MINORITY)
 
 
 class Schema(enum.Enum):
@@ -39,6 +46,10 @@ class Schema(enum.Enum):
 
     PAIR_LEVEL = "pair"
     RECORD_LEVEL = "record"
+
+    @property
+    def header(self) -> tuple[str, ...]:
+        return PAIR_HEADER if self is Schema.PAIR_LEVEL else RECORD_HEADER
 
 
 PAIR_HEADER = ("id", "score", "group", "label")
@@ -70,99 +81,142 @@ class ScoredPair:
             )
 
 
-@dataclass(frozen=True)
-class RecordPairRaw:
-    """A pair before group derivation: one group token per record side."""
-
-    id: str
-    score: float
-    group_left: GroupId
-    group_right: GroupId
-    label: int | None = None
-
-    def __post_init__(self):
-        _check_score(self.score, f" (pair {self.id!r})")
-        if self.label not in (None, 0, 1):
-            raise MalformedRowError(
-                f"label must be 0, 1 or missing, got {self.label!r} (pair {self.id!r})"
-            )
+def _column(values, dtype) -> np.ndarray:
+    col = np.array(values, dtype=dtype)  # a private copy, so read-only holds
+    col.setflags(write=False)
+    return col
 
 
-def derive_pair_group(raw: RecordPairRaw) -> GroupId:
-    """A pair is a minority pair iff either of its records is minority."""
-    if GroupId.MINORITY in (raw.group_left, raw.group_right):
-        return GroupId.MINORITY
-    return GroupId.MAJORITY
+def minority_mask(groups) -> np.ndarray:
+    """Minority flags from bool flags (returned as an array) or GroupIds."""
+    arr = np.asarray(groups)
+    if arr.dtype == bool:
+        return arr
+    flags = arr.tolist()
+    for g in flags:
+        if not isinstance(g, GroupId):
+            raise TypeError(f"group must be a GroupId or a bool flag, got {g!r}")
+    return np.array([g is GroupId.MINORITY for g in flags], dtype=bool)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class ScoreDataset:
-    """Immutable, validated collection of scored pairs.
+    """Immutable, validated scored pairs held as read-only columns.
 
-    ``labeled`` is true iff every pair carries a label; mixed labeling is
-    permitted and simply yields an unlabeled dataset.
+    ``ids`` is a tuple of str and ``is_minority`` a bool array; scores
+    (float64 in [0, 1]) and labels (int8: 0, 1, or -1 for missing) are
+    read through :meth:`scores` and :meth:`labels`.  ``labeled`` is true
+    iff every pair carries a label; mixed labeling is permitted and
+    simply yields an unlabeled dataset.
     """
 
-    pairs: tuple[ScoredPair, ...]
-    labeled: bool = field(init=False)
+    ids: tuple[str, ...]
+    is_minority: np.ndarray
+    labeled: bool
+    _scores: np.ndarray
+    _labels: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "labeled", all(p.label is not None for p in self.pairs)
+    def __init__(self, ids: Iterable[str], scores, is_minority, labels=None):
+        ids = tuple(ids)
+        is_minority = np.asarray(is_minority)
+        if is_minority.size and is_minority.dtype != bool:
+            raise TypeError(f"is_minority must hold bools, got dtype {is_minority.dtype}")
+        raw_labels = np.full(len(ids), -1) if labels is None else np.asarray(labels)
+        if not np.isin(raw_labels, (-1, 0, 1)).all():
+            raise MalformedRowError("labels must be 0, 1 or -1 (missing)")
+        columns = {
+            "ids": ids,
+            "is_minority": _column(is_minority, bool),
+            "_scores": _column(scores, np.float64),
+            "_labels": _column(raw_labels, np.int8),
+        }
+        sizes = {len(col) for col in columns.values()}
+        if len(sizes) > 1:
+            raise LengthMismatchError(f"column lengths differ: {sorted(sizes)}")
+        scores = columns["_scores"]
+        bad = np.flatnonzero(~((scores >= 0.0) & (scores <= 1.0)))
+        if bad.size:
+            i = bad[0]
+            _check_score(scores[i], f" (pair {ids[i]!r})")
+        for name, col in columns.items():
+            object.__setattr__(self, name, col)
+        object.__setattr__(self, "labeled", bool((columns["_labels"] >= 0).all()))
+
+    @classmethod
+    def from_pairs(cls, pairs: Iterable[ScoredPair]) -> "ScoreDataset":
+        pairs = tuple(pairs)
+        return cls(
+            [p.id for p in pairs],
+            [p.score for p in pairs],
+            [p.group is GroupId.MINORITY for p in pairs],
+            [-1 if p.label is None else p.label for p in pairs],
+        )
+
+    @property
+    def pairs(self) -> tuple[ScoredPair, ...]:
+        """The pairs as :class:`ScoredPair` objects, built on each access."""
+        return tuple(
+            ScoredPair(pid, score, _GROUP_OF[m], None if label < 0 else label)
+            for pid, score, m, label in zip(
+                self.ids,
+                self._scores.tolist(),
+                self.is_minority.tolist(),
+                self._labels.tolist(),
+            )
         )
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return len(self.ids)
 
-    def __iter__(self):
-        return iter(self.pairs)
-
-    def scores(self) -> np.ndarray:
-        return np.array([p.score for p in self.pairs], dtype=float)
-
-    def groups(self) -> list[GroupId]:
-        return [p.group for p in self.pairs]
-
-    def labels(self) -> np.ndarray:
-        from .errors import UnlabeledDatasetError
-
-        if not self.labeled:
-            raise UnlabeledDatasetError("dataset has pairs with missing labels")
-        return np.array([p.label for p in self.pairs], dtype=int)
-
-    def group_scores(self, group: GroupId) -> np.ndarray:
-        return np.array([p.score for p in self.pairs if p.group is group], dtype=float)
-
-    def stratum_scores(self, group: GroupId, label: int) -> np.ndarray:
-        from .errors import UnlabeledDatasetError
-
-        if not self.labeled:
-            raise UnlabeledDatasetError("dataset has pairs with missing labels")
-        return np.array(
-            [p.score for p in self.pairs if p.group is group and p.label == label],
-            dtype=float,
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ScoreDataset):
+            return NotImplemented
+        return self.ids == other.ids and all(
+            np.array_equal(getattr(self, c), getattr(other, c))
+            for c in ("_scores", "is_minority", "_labels")
         )
 
+    def _require_labels(self) -> None:
+        if not self.labeled:
+            raise UnlabeledDatasetError("dataset has pairs with missing labels")
+
+    def _mask(self, group: GroupId) -> np.ndarray:
+        return self.is_minority if group is GroupId.MINORITY else ~self.is_minority
+
+    def scores(self) -> np.ndarray:
+        return self._scores
+
+    def groups(self) -> list[GroupId]:
+        return [_GROUP_OF[m] for m in self.is_minority.tolist()]
+
+    def labels(self) -> np.ndarray:
+        self._require_labels()
+        return self._labels
+
+    def group_scores(self, group: GroupId) -> np.ndarray:
+        return self._scores[self._mask(group)]
+
+    def stratum_scores(self, group: GroupId, label: int) -> np.ndarray:
+        self._require_labels()
+        return self._scores[self._mask(group) & (self._labels == label)]
+
     def count(self, group: GroupId) -> int:
-        return sum(1 for p in self.pairs if p.group is group)
+        return int(np.count_nonzero(self._mask(group)))
 
     def subset(self, group: GroupId) -> "ScoreDataset":
-        return ScoreDataset(tuple(p for p in self.pairs if p.group is group))
+        mask = self._mask(group)
+        return ScoreDataset(
+            compress(self.ids, mask),
+            self._scores[mask],
+            self.is_minority[mask],
+            self._labels[mask],
+        )
 
     def with_scores(self, new_scores: Sequence[float]) -> "ScoreDataset":
         """Same pairs (ids, groups, labels) with scores replaced."""
-        from .errors import LengthMismatchError
-
-        if len(new_scores) != len(self.pairs):
-            raise LengthMismatchError(
-                f"{len(new_scores)} scores for {len(self.pairs)} pairs"
-            )
-        return ScoreDataset(
-            tuple(
-                ScoredPair(p.id, float(s), p.group, p.label)
-                for p, s in zip(self.pairs, new_scores)
-            )
-        )
+        if len(new_scores) != len(self):
+            raise LengthMismatchError(f"{len(new_scores)} scores for {len(self)} pairs")
+        return ScoreDataset(self.ids, new_scores, self.is_minority, self._labels)
 
 
 class GroupVocabulary:
@@ -196,24 +250,45 @@ class GroupVocabulary:
         )
 
 
-def _read_text(source) -> str:
-    if isinstance(source, (str, Path)):
-        return Path(source).read_text(encoding="utf-8")
-    if isinstance(source, bytes):
-        return source.decode("utf-8")
-    return source.read()
+def read_text(source) -> str:
+    """Text of a path, bytes, or file object (UTF-8)."""
+    try:
+        if isinstance(source, (str, Path)):
+            return Path(source).read_text(encoding="utf-8")
+        if isinstance(source, bytes):
+            return source.decode("utf-8")
+        return source.read()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"input is not UTF-8 text: {exc}") from None
 
 
-def parse_rows(source, schema: Schema) -> list[list[str]]:
+@contextmanager
+def csv_writer(dest):
+    """A CSV writer on a path (opened and closed here) or an open text file."""
+    if isinstance(dest, (str, Path)):
+        with open(dest, "w", encoding="utf-8", newline="") as f:
+            yield csv.writer(f, lineterminator="\n")
+    else:
+        yield csv.writer(dest, lineterminator="\n")
+
+
+class CsvRows(list):
+    """Data rows of a CSV file, with ``line_nums[i]`` the file line row i ends on."""
+
+    def __init__(self):
+        super().__init__()
+        self.line_nums = array("q")
+
+
+def parse_rows(source, schema: Schema) -> CsvRows:
     """Read and shape-check CSV rows, keeping raw string fields.
 
-    Returns data rows only (header consumed).  Raises
+    Returns data rows only (header consumed; blank rows skipped).  Raises
     :class:`MalformedRowError` on a missing/mismatched header or a row
     with the wrong column count.
     """
-    expected = PAIR_HEADER if schema is Schema.PAIR_LEVEL else RECORD_HEADER
-    text = _read_text(source)
-    reader = csv.reader(io.StringIO(text))
+    expected = schema.header
+    reader = csv.reader(io.StringIO(read_text(source)))
     try:
         header = next(reader)
     except StopIteration:
@@ -222,65 +297,56 @@ def parse_rows(source, schema: Schema) -> list[list[str]]:
         raise MalformedRowError(
             f"expected header {','.join(expected)!r}, got {','.join(header)!r}"
         )
-    rows = []
-    for lineno, row in enumerate(reader, start=2):
+    rows = CsvRows()
+    for row in reader:
         if not row:
             continue
         if len(row) != len(expected):
             raise MalformedRowError(
-                f"line {lineno}: expected {len(expected)} columns, got {len(row)}"
+                f"line {reader.line_num}: expected {len(expected)} columns, got {len(row)}"
             )
         rows.append(row)
+        rows.line_nums.append(reader.line_num)
     return rows
 
 
-def _parse_score(text: str, lineno: int) -> float:
+def _parse_score(text: str) -> float:
     try:
         value = float(text)
     except ValueError:
-        raise MalformedRowError(f"line {lineno}: bad score {text!r}") from None
-    if not (0.0 <= value <= 1.0):
-        raise ScoreOutOfRangeError(f"line {lineno}: score {value!r} outside [0, 1]")
-    return value
+        raise MalformedRowError(f"bad score {text!r}") from None
+    return _check_score(value)
 
 
-def _parse_label(text: str, lineno: int) -> int | None:
+_LABELS = {"": -1, "0": 0, "1": 1}
+
+
+def _parse_label(text: str) -> int:
     text = text.strip()
-    if text == "":
-        return None
-    if text in ("0", "1"):
-        return int(text)
-    raise MalformedRowError(f"line {lineno}: label must be 0, 1 or empty, got {text!r}")
+    if text not in _LABELS:
+        raise MalformedRowError(f"label must be 0, 1 or empty, got {text!r}")
+    return _LABELS[text]
 
 
-def dataset_from_rows(
-    rows: Iterable[Sequence[str]], schema: Schema, vocab: GroupVocabulary
-) -> ScoreDataset:
-    pairs = []
-    for lineno, row in enumerate(rows, start=2):
-        if schema is Schema.PAIR_LEVEL:
-            pid, score, group, label = row
-            pairs.append(
-                ScoredPair(
-                    pid,
-                    _parse_score(score, lineno),
-                    vocab.resolve(group.strip()),
-                    _parse_label(label, lineno),
-                )
-            )
-        else:
-            pid, score, left, right, label = row
-            raw = RecordPairRaw(
-                pid,
-                _parse_score(score, lineno),
-                vocab.resolve(left.strip()),
-                vocab.resolve(right.strip()),
-                _parse_label(label, lineno),
-            )
-            pairs.append(
-                ScoredPair(raw.id, raw.score, derive_pair_group(raw), raw.label)
-            )
-    return ScoreDataset(tuple(pairs))
+def dataset_from_rows(rows: CsvRows, schema: Schema, vocab: GroupVocabulary) -> ScoreDataset:
+    """Fill the dataset's columns from shape-checked rows in one pass.
+
+    Errors name the file line of the offending row.  A record-level
+    pair is minority iff either of its records is.
+    """
+    group_fields = slice(2, len(schema.header) - 1)
+    ids, scores, minority, labels = [], [], [], []
+    line = None
+    try:
+        for line, row in zip(rows.line_nums, rows):
+            ids.append(row[0])
+            scores.append(_parse_score(row[1]))
+            groups = [vocab.resolve(token.strip()) for token in row[group_fields]]
+            minority.append(GroupId.MINORITY in groups)
+            labels.append(_parse_label(row[-1]))
+    except InputError as exc:
+        raise type(exc)(f"line {line}: {exc}") from None
+    return ScoreDataset(ids, scores, minority, labels)
 
 
 def load_dataset(
@@ -300,17 +366,13 @@ def dump_dataset(dataset: ScoreDataset, dest) -> None:
     Round-trips: re-loading with ``minority_token="minority"`` yields an
     identical dataset.  Scores are written at full (repr) precision.
     """
-    close = False
-    if isinstance(dest, (str, Path)):
-        dest = open(dest, "w", encoding="utf-8", newline="")
-        close = True
-    try:
-        writer = csv.writer(dest, lineterminator="\n")
+    with csv_writer(dest) as writer:
         writer.writerow(PAIR_HEADER)
-        for p in dataset.pairs:
-            writer.writerow(
-                [p.id, repr(p.score), p.group.value, "" if p.label is None else p.label]
+        writer.writerows(
+            zip(
+                dataset.ids,
+                map(repr, dataset._scores.tolist()),
+                [_GROUP_OF[m].value for m in dataset.is_minority.tolist()],
+                ["" if label < 0 else label for label in dataset._labels.tolist()],
             )
-    finally:
-        if close:
-            dest.close()
+        )

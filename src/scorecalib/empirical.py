@@ -11,16 +11,16 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .dataset import GroupId, ScoreDataset
+from .dataset import GroupId, ScoreDataset, csv_writer, read_text
 from .errors import (
     EmptyGroupError,
     EmptyInputError,
     EmptyStratumError,
+    InvalidParameterError,
     MalformedCurveError,
     SingleClassError,
     UnlabeledDatasetError,
@@ -35,8 +35,8 @@ def add_jitter(scores: Sequence[float], sigma: float, seed: int) -> np.ndarray:
     Deterministic for a given seed (numpy PCG64).  With ``sigma == 0``
     the input is returned unchanged (as a copy).
     """
-    if sigma < 0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
+    if not 0 <= sigma < np.inf:
+        raise InvalidParameterError(f"sigma must be finite and >= 0, got {sigma}")
     out = np.asarray(scores, dtype=float).copy()
     if sigma == 0 or out.size == 0:
         return out
@@ -89,22 +89,23 @@ class GroupScores:
         return self.scores_b.size
 
 
-def build_group_scores(d: ScoreDataset, sigma: float, seed: int) -> GroupScores:
+def build_group_scores(
+    d: ScoreDataset, sigma: float, seed: int, mask: np.ndarray | None = None
+) -> GroupScores:
     """Jitter all scores (one stream, dataset order), split and sort.
 
-    Raises :class:`EmptyGroupError` if either group has no pairs.
+    ``mask`` keeps only the selected pairs after jittering, so every
+    subset of one dataset sees the same jittered values.  Raises
+    :class:`EmptyGroupError` if either group has no kept pairs.
     """
-    if len(d) == 0:
-        raise EmptyGroupError("empty dataset")
     jittered = add_jitter(d.scores(), sigma, seed)
-    is_minority = np.array([p.group is GroupId.MINORITY for p in d.pairs], dtype=bool)
-    a = jittered[is_minority]
-    b = jittered[~is_minority]
+    is_minority = d.is_minority
+    if mask is not None:
+        jittered, is_minority = jittered[mask], is_minority[mask]
+    a = np.sort(jittered[is_minority])[::-1]
+    b = np.sort(jittered[~is_minority])[::-1]
     if a.size == 0 or b.size == 0:
-        missing = "minority" if a.size == 0 else "majority"
-        raise EmptyGroupError(f"no {missing} pairs in dataset")
-    a = np.sort(a)[::-1]
-    b = np.sort(b)[::-1]
+        raise EmptyGroupError(f"no {'minority' if a.size == 0 else 'majority'} pairs")
     return GroupScores(a, b, alpha=a.size / (a.size + b.size), sigma=sigma, seed=seed)
 
 
@@ -146,29 +147,16 @@ class StepCurve:
 
     def to_csv(self, dest) -> None:
         """Write ``theta,value`` rows: one for theta=0, one per breakpoint."""
-        close = False
-        if isinstance(dest, (str, Path)):
-            dest = open(dest, "w", encoding="utf-8", newline="")
-            close = True
-        try:
-            writer = csv.writer(dest, lineterminator="\n")
+        with csv_writer(dest) as writer:
             writer.writerow(("theta", "value"))
             writer.writerow(("0", repr(float(self.values[0]))))
-            for bp, val in zip(self.breakpoints, self.values[1:]):
-                writer.writerow((repr(float(bp)), repr(float(val))))
-        finally:
-            if close:
-                dest.close()
+            writer.writerows(
+                zip(map(repr, self.breakpoints.tolist()), map(repr, self.values[1:].tolist()))
+            )
 
     @classmethod
     def from_csv(cls, source) -> "StepCurve":
-        if isinstance(source, (str, Path)):
-            text = Path(source).read_text(encoding="utf-8")
-        elif isinstance(source, bytes):
-            text = source.decode("utf-8")
-        else:
-            text = source.read()
-        reader = csv.reader(io.StringIO(text))
+        reader = csv.reader(io.StringIO(read_text(source)))
         rows = [row for row in reader if row]
         if not rows or tuple(rows[0]) != ("theta", "value"):
             raise MalformedCurveError("curve CSV must start with header 'theta,value'")
@@ -179,6 +167,8 @@ class StepCurve:
             values = [float(r[1]) for r in rows[1:]]
         except (ValueError, IndexError):
             raise MalformedCurveError("curve CSV has a malformed row") from None
+        if not np.isfinite(thetas + values).all():
+            raise MalformedCurveError("curve CSV holds a NaN or infinite number")
         if thetas[0] != 0.0:
             raise MalformedCurveError("first curve row must be for theta=0")
         try:

@@ -63,6 +63,10 @@ class InvalidSpecError(InputError):
     """A synthetic-data specification is invalid."""
 
 
+class InvalidParameterError(InputError, ValueError):
+    """A parameter (argument, flag or config value) is invalid."""
+
+
 class MalformedCurveError(InputError):
     """A step-curve CSV failed to parse."""
 

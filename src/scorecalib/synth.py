@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import GroupId, ScoredPair, ScoreDataset
+from .dataset import ScoreDataset
 from .errors import InvalidSpecError
 
 
@@ -78,19 +78,24 @@ class SynthSpec:
 def generate(spec: SynthSpec) -> ScoreDataset:
     """Draw a labeled dataset; identical spec (incl. seed) => identical data."""
     rng = np.random.default_rng(spec.seed)
-    pairs: list[ScoredPair] = []
-    width = len(str(spec.n_minority + spec.n_majority))
-    plan = (
-        (GroupId.MINORITY, spec.n_minority, spec.pos_rate_a, spec.minority_pos, spec.minority_neg),
-        (GroupId.MAJORITY, spec.n_majority, spec.pos_rate_b, spec.majority_pos, spec.majority_neg),
+    n = spec.n_minority + spec.n_majority
+    width = len(str(n))
+    scores, labels = [], []
+    for count, rate, pos, neg in (
+        (spec.n_minority, spec.pos_rate_a, spec.minority_pos, spec.minority_neg),
+        (spec.n_majority, spec.pos_rate_b, spec.majority_pos, spec.majority_neg),
+    ):
+        drawn = rng.random(count) < rate
+        labels.append(drawn)
+        scores.append(
+            rng.beta(
+                np.where(drawn, pos.shape1, neg.shape1),
+                np.where(drawn, pos.shape2, neg.shape2),
+            )
+        )
+    return ScoreDataset(
+        [f"p{serial:0{width}d}" for serial in range(1, n + 1)],
+        np.concatenate(scores),
+        np.arange(n) < spec.n_minority,
+        np.concatenate(labels),
     )
-    serial = 0
-    for group, n, rate, pos, neg in plan:
-        labels = (rng.random(n) < rate).astype(int)
-        shape1 = np.where(labels == 1, pos.shape1, neg.shape1)
-        shape2 = np.where(labels == 1, pos.shape2, neg.shape2)
-        scores = rng.beta(shape1, shape2)
-        for label, score in zip(labels, scores):
-            serial += 1
-            pairs.append(ScoredPair(f"p{serial:0{width}d}", float(score), group, int(label)))
-    return ScoreDataset(tuple(pairs))

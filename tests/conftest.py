@@ -36,7 +36,7 @@ def make_dataset(scored, labels=None):
         group = GroupId.MINORITY if token == "a" else GroupId.MAJORITY
         label = None if labels is None else labels[i]
         pairs.append(ScoredPair(f"p{i + 1}", score, group, label))
-    return ScoreDataset(tuple(pairs))
+    return ScoreDataset.from_pairs(pairs)
 
 
 def random_dataset(rng, n_a, n_b, beta_a=(2, 2), beta_b=(2, 2), labeled=False,

@@ -85,7 +85,7 @@ def test_calibrate_dataset_empty(example_dataset):
     model = fit(example_dataset, sigma=0.0, seed=0)
     from scorecalib.dataset import ScoreDataset
 
-    out = calibrate_dataset(model, ScoreDataset(()))
+    out = calibrate_dataset(model, ScoreDataset.from_pairs(()))
     assert len(out) == 0
 
 
@@ -150,6 +150,10 @@ def test_batch_matches_scalar(example_dataset):
     batch = calibrate_scores(model, scores, groups)
     single = [calibrate(model, float(s), g) for s, g in zip(scores, groups)]
     assert batch.tolist() == single
+    flags = [g is MIN for g in groups]  # a plain list of bools is a minority mask
+    assert calibrate_scores(model, scores, flags).tolist() == single
+    with pytest.raises(TypeError):
+        calibrate_scores(model, scores, [int(f) for f in flags])
 
 
 def test_self_fit_bias_collapse():

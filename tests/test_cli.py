@@ -1,7 +1,10 @@
+import csv
 import json
 import re
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from scorecalib.bias import BiasMetricKind, score_bias
 from scorecalib.cli import main
@@ -317,3 +320,77 @@ def test_end_to_end_determinism(tmp_path):
             p.name: p.read_bytes() for p in sorted(out.iterdir())
         })
     assert outputs[0] == outputs[1]
+
+
+@given(st.lists(st.text(max_size=6), min_size=2, max_size=6))
+def test_calibrated_csv_round_trips_any_id(tmp_path_factory, ids):
+    # ids needing quotes ("a,1", c"x, line breaks) must survive calibrate
+    work = tmp_path_factory.mktemp("ids")
+    with open(work / "in.csv", "w", encoding="utf-8", newline="") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(["id", "score", "group", "label"])
+        for i, pid in enumerate(ids):
+            writer.writerow([pid, (i + 1) / 10, "ab"[i % 2], ""])
+    args = ["--minority-token", "a", "--out-dir", work / "out"]
+    assert run("calibrate", "--input", work / "in.csv", "--sigma", 0, *args) == 0
+    d_in = load_dataset(work / "in.csv", Schema.PAIR_LEVEL, "a")
+    d_out = load_dataset(work / "out" / "calibrated.csv", Schema.PAIR_LEVEL, "a")
+    assert d_out.ids == d_in.ids
+    assert d_out.groups() == d_in.groups()
+    assert run("measure", "--input", work / "out" / "calibrated.csv", *args) == 0
+
+
+@pytest.mark.parametrize(
+    "extra,config",
+    [
+        pytest.param(["--sigma", -1], None, id="sigma-negative"),
+        pytest.param(["--sigma", "nan"], None, id="sigma-nan"),
+        pytest.param(["--algorithm", "ccalib", "--bandwidth", -1], None, id="bandwidth-neg"),
+        pytest.param(["--algorithm", "ccalib", "--bandwidth", 0], None, id="bandwidth-zero"),
+        pytest.param([], b"{not json", id="config-not-json"),
+        pytest.param([], b'{"sigma": "\xff"}', id="config-not-utf8"),
+        pytest.param([], {"thresholds": 0.5}, id="config-threshold-scalar"),
+        pytest.param([], {"thresholds": "0.5"}, id="config-threshold-text"),
+        pytest.param([], {"thresholds": [0.5, [0.2]]}, id="config-threshold-nested"),
+        pytest.param([], {"metric": ["dp", ["eo"]]}, id="config-metric-nested"),
+        pytest.param([], {"sigma": "wide"}, id="config-sigma-text"),
+        pytest.param([], {"schema": "triples"}, id="config-schema-unknown"),
+    ],
+)
+def test_cli_boundary_errors_exit_2(tmp_path, capsys, extra, config):
+    csv_path = tmp_path / "scores.csv"
+    write_example_csv(csv_path)
+    argv = ["calibrate", "--input", csv_path, "--minority-token", "a", *extra]
+    if config is not None:
+        cfg_path = tmp_path / "run.json"
+        raw = config if isinstance(config, bytes) else json.dumps(config).encode()
+        cfg_path.write_bytes(raw)
+        argv += ["--config", cfg_path]
+    assert run(*argv, "--out-dir", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_non_utf8_input_exit_2(tmp_path, capsys):
+    csv_path = tmp_path / "scores.csv"
+    csv_path.write_bytes(b"id,score,group,label\np\xe91,0.5,a,\n")
+    assert run("measure", "--input", csv_path, "--out-dir", tmp_path / "out") == 2
+    assert "not UTF-8" in capsys.readouterr().err
+
+
+def test_config_scalar_metric_means_one_item_list(tmp_path):
+    csv_path = tmp_path / "scores.csv"
+    write_example_csv(csv_path)
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(
+        json.dumps({"metric": "dp", "thresholds": [0.5]}), encoding="utf-8"
+    )
+    out = tmp_path / "out"
+    code = run(
+        "measure", "--input", csv_path, "--minority-token", "a",
+        "--config", cfg_path, "--out-dir", out,
+    )
+    assert code == 0
+    report = json.loads((out / "report.json").read_text())
+    assert list(report["metrics"]) == ["dp"]
+    assert list(report["metrics"]["dp"]["threshold_bias"]) == ["0.5"]

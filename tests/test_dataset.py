@@ -1,5 +1,6 @@
 import io
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -7,14 +8,15 @@ from hypothesis import strategies as st
 from scorecalib.dataset import (
     GroupId,
     GroupVocabulary,
-    RecordPairRaw,
     Schema,
+    ScoreDataset,
     ScoredPair,
-    derive_pair_group,
     dump_dataset,
     load_dataset,
+    minority_mask,
 )
 from scorecalib.errors import (
+    LengthMismatchError,
     MalformedRowError,
     ScoreOutOfRangeError,
     UnknownGroupError,
@@ -23,6 +25,14 @@ from scorecalib.errors import (
 from conftest import EXAMPLE_PAIRS_RAW, make_dataset
 
 MIN, MAJ = GroupId.MINORITY, GroupId.MAJORITY
+TOKEN = {MIN: "f", MAJ: "m"}
+
+
+def load_records(*sides):
+    """Record-level dataset with one pair per (left, right) group pair."""
+    lines = ["id,score,group_left,group_right,label"]
+    lines += [f"r{i},0.5,{TOKEN[a]},{TOKEN[b]}," for i, (a, b) in enumerate(sides)]
+    return load_dataset(io.StringIO("\n".join(lines)), Schema.RECORD_LEVEL, "f")
 
 
 @pytest.mark.parametrize(
@@ -35,14 +45,14 @@ MIN, MAJ = GroupId.MINORITY, GroupId.MAJORITY
     ],
 )
 def test_derive_pair_group(left, right, expected):
-    assert derive_pair_group(RecordPairRaw("r", 0.5, left, right)) is expected
+    # a record-level pair is minority iff either record is
+    assert load_records((left, right)).groups() == [expected]
 
 
 @pytest.mark.parametrize("left", [MIN, MAJ])
 @pytest.mark.parametrize("right", [MIN, MAJ])
 def test_derive_pair_group_symmetric(left, right):
-    fwd = derive_pair_group(RecordPairRaw("r", 0.5, left, right))
-    rev = derive_pair_group(RecordPairRaw("r", 0.5, right, left))
+    fwd, rev = load_records((left, right), (right, left)).groups()
     assert fwd is rev
 
 
@@ -113,6 +123,30 @@ def test_load_malformed(csv):
         load_dataset(io.StringIO(csv), Schema.PAIR_LEVEL, minority_token="a")
 
 
+@pytest.mark.parametrize(
+    "csv,line",
+    [
+        # blank rows are skipped but still counted
+        ("id,score,group,label\np1,0.5,a,\n\n\np2,abc,a,\n", 5),
+        # a quoted id spanning two lines shifts every later row
+        ('id,score,group,label\n"p\n1",0.5,a,\np2,abc,a,\n', 4),
+        ('id,score,group,label\n"p\n1",0.5,a,\np2,0.5,a,7\n', 4),
+        ('id,score,group,label\n"p\n1",0.5,a,\n\np2,0.5,a\n', 5),
+    ],
+)
+def test_load_malformed_names_file_line(csv, line):
+    with pytest.raises(MalformedRowError, match=f"^line {line}: "):
+        load_dataset(io.StringIO(csv), Schema.PAIR_LEVEL, minority_token="a")
+
+
+def test_unknown_group_names_file_line():
+    csv = "id,score,group,label\np1,0.5,a,\n\np2,0.5,x,\n"
+    with pytest.raises(UnknownGroupError, match="^line 4: group token 'x'"):
+        load_dataset(
+            io.StringIO(csv), Schema.PAIR_LEVEL, minority_token="a", majority_token="b"
+        )
+
+
 def test_unknown_group_with_closed_vocabulary():
     csv = "id,score,group,label\np1,0.5,x,\n"
     with pytest.raises(UnknownGroupError):
@@ -142,6 +176,52 @@ def test_mixed_labels_not_an_error():
     csv = "id,score,group,label\np1,0.5,a,1\np2,0.6,b,\n"
     d = load_dataset(io.StringIO(csv), Schema.PAIR_LEVEL, minority_token="a")
     assert not d.labeled
+
+
+def test_mixed_labels_survive_dump():
+    csv = "id,score,group,label\np1,0.5,a,1\np2,0.6,b,\np3,0.7,b,0\n"
+    d = load_dataset(io.StringIO(csv), Schema.PAIR_LEVEL, minority_token="a")
+    buf = io.StringIO()
+    dump_dataset(d, buf)
+    assert buf.getvalue().splitlines()[1:] == [
+        "p1,0.5,minority,1", "p2,0.6,majority,", "p3,0.7,majority,0",
+    ]
+
+
+def test_columns_are_read_only_arrays():
+    d = make_dataset([(0.2, "a"), (0.9, "b")], labels=[1, 0])
+    assert d.ids == ("p1", "p2")
+    assert d.scores().dtype == np.float64 and d.scores().tolist() == [0.2, 0.9]
+    assert d.is_minority.tolist() == [True, False]
+    assert d.labels().dtype == np.int8 and d.labels().tolist() == [1, 0]
+    for column in (d.scores(), d.is_minority, d.labels()):
+        with pytest.raises(ValueError):
+            column[0] = 0
+    assert ScoreDataset.from_pairs(d.pairs) == d
+
+
+def test_constructor_validates_columns():
+    with pytest.raises(ScoreOutOfRangeError, match="'p2'"):
+        ScoreDataset(["p1", "p2"], [0.5, float("nan")], [True, False])
+    with pytest.raises(MalformedRowError):
+        ScoreDataset(["p1"], [0.5], [True], [2])
+    with pytest.raises(LengthMismatchError):
+        ScoreDataset(["p1", "p2"], [0.5], [True, False])
+    assert not ScoreDataset(["p1"], [0.5], [True]).labeled
+    # GroupIds are all truthy: a group list is not a minority mask
+    with pytest.raises(TypeError):
+        ScoreDataset(["p1", "p2"], [0.5, 0.6], [GroupId.MINORITY, GroupId.MAJORITY])
+    with pytest.raises(TypeError):
+        ScoreDataset(["p1", "p2"], [0.5, 0.6], [1, 0])
+
+
+def test_minority_mask_accepts_bools_and_group_ids_only():
+    assert minority_mask([True, False]).tolist() == [True, False]
+    assert minority_mask([GroupId.MAJORITY, GroupId.MINORITY]).tolist() == [False, True]
+    assert minority_mask([]).tolist() == []
+    for bad in ([1, 0], np.array([1, 0]), ["minority"], [GroupId.MINORITY, True]):
+        with pytest.raises(TypeError):
+            minority_mask(bad)
 
 
 def test_duplicate_ids_allowed():

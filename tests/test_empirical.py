@@ -204,6 +204,10 @@ def test_step_curve_csv_round_trip():
         "wrong,header\n0,1\n",
         "theta,value\n0.5,1.0\n",  # missing theta=0 row
         "theta,value\n0,1.0\nnot-a-number,0.5\n",
+        "theta,value\n0,1.0\n0.5,nan\n",  # NaN value
+        "theta,value\n0,nan\n",
+        "theta,value\n0,1.0\ninf,0.0\n",  # infinite breakpoint
+        "theta,value\n0,1.0\n0.5,-inf\n",
     ],
 )
 def test_step_curve_csv_malformed(text):

@@ -1,0 +1,128 @@
+"""Golden CLI outputs: the sha256 of every file a fixed set of commands writes.
+
+The commands run on small seeded inputs, so any change to what the CLI
+writes (a float's repr, a curve breakpoint, a JSON key, an SVG
+coordinate) shows up here as a changed digest.  The digests were
+captured before ``ScoreDataset`` became columnar; a refactor that keeps
+outputs byte-identical passes unchanged.
+"""
+
+import hashlib
+
+from scorecalib.cli import main
+
+# every (left, right) token pair, and one row with a missing label
+RECORD_CSV = """\
+id,score,group_left,group_right,label
+r1,0.91,f,m,1
+r2,0.87,m,m,1
+r3,0.42,f,f,
+r4,0.13,m,f,0
+r5,0.66,m,m,1
+r6,0.08,m,m,0
+r7,0.74,f,f,1
+r8,0.29,f,m,0
+r9,0.55,m,m,0
+r10,0.97,m,f,1
+"""
+
+
+def commands(root):
+    """(step, argv) pairs; each step writes into ``root / step``."""
+    gen = root / "generate" / "dataset.csv"
+    measure = root / "measure"
+    calibrate = ["calibrate", "--input", gen, "--seed", 3]
+    return [
+        ("generate", [
+            "generate", "--n-minority", 60, "--n-majority", 90,
+            "--pos-rate-a", 0.4, "--pos-rate-b", 0.4,
+            "--beta-minority-pos", "6,2", "--beta-minority-neg", "2,6",
+            "--beta-majority-pos", "10,2", "--beta-majority-neg", "2,8",
+            "--seed", 7,
+        ]),
+        ("measure", ["measure", "--input", gen, "--metric", "dp", "eod"]),
+        ("calib", [*calibrate, "--algorithm", "calib", "--metric", "dp", "eod"]),
+        ("ccalib_gamma", [*calibrate, "--algorithm", "ccalib", "--gamma", 0.5, "--metric", "eo"]),
+        ("ccalib_meanshift", [*calibrate, "--algorithm", "ccalib", "--metric", "eod"]),
+        ("plot", [
+            "plot", "--input", measure / "dp_minority_before.csv",
+            measure / "dp_majority_before.csv", "--title", "golden",
+        ]),
+        ("record", [
+            "calibrate", "--input", root / "records.csv", "--schema", "record",
+            "--minority-token", "f", "--algorithm", "calib", "--seed", 5,
+        ]),
+    ]
+
+
+def run_all(root) -> dict[str, str]:
+    """Run every command under ``root``; map 'step/file' to its sha256."""
+    (root / "records.csv").write_text(RECORD_CSV, encoding="utf-8")
+    digests = {}
+    for step, argv in commands(root):
+        out = root / step
+        code = main([str(a) for a in argv] + ["--out-dir", str(out)])
+        assert code == 0, f"{step} exited {code}"
+        for path in sorted(out.iterdir()):
+            digests[f"{step}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return digests
+
+
+GOLDEN = {
+    "generate/dataset.csv": "91ebc123c0fd909187f00dc670850adfb498148fdd541737f6598074bc9a7196",
+    "measure/dp_majority_before.csv": "ff0dcd3013b27ff1f024ac669a7f5e385c3fd5067d59d6fdf734e7dea8cf0317",
+    "measure/dp_minority_before.csv": "699955f8e09c9d6b7188ab51838a187abfcc8d943f09122bd4adcc56e9d12492",
+    "measure/eo_majority_before.csv": "6c784b8852527f10999d4142f0940a41b35cb897ec1c6d8718a018b8f7ac4c53",
+    "measure/eo_minority_before.csv": "1d88868fd7d5f7b253fad90869c4eb01cdee8887afc7975087fbc6bd6f8da18b",
+    "measure/fprgap_majority_before.csv": "69d771011fd2fdd4b257d969157258a6b3a4f0915202936a97458e516c4c64e4",
+    "measure/fprgap_minority_before.csv": "2f0ce58b346aad9cf0728286f1d82cc8a9c9d5c9f30afac393fd8670b8aaeb3d",
+    "measure/report.json": "2ba63b10c811ec38dbc34c07604eaafb8136af9fa1ef19fb4dac2218485083cf",
+    "calib/calibrated.csv": "ee0a0e417dd0227cb1faf000c070d46f401f62daa6617fef5876e00e6d5e3015",
+    "calib/dp_majority_after.csv": "92abed2549d231943e389cf9319c399d821cf1cf7705ed184ef2ff0a447cd3af",
+    "calib/dp_majority_before.csv": "ff0dcd3013b27ff1f024ac669a7f5e385c3fd5067d59d6fdf734e7dea8cf0317",
+    "calib/dp_minority_after.csv": "8d3c3d869dd1bbb81de2d930c66a9c0b0e86c63f1f1e07c8a09db113151bd2fc",
+    "calib/dp_minority_before.csv": "699955f8e09c9d6b7188ab51838a187abfcc8d943f09122bd4adcc56e9d12492",
+    "calib/eo_majority_after.csv": "17402f90f46859c6011f41f0caa1569afbe37d59691a27234a93257b4aa50a39",
+    "calib/eo_majority_before.csv": "6c784b8852527f10999d4142f0940a41b35cb897ec1c6d8718a018b8f7ac4c53",
+    "calib/eo_minority_after.csv": "b846bc243e141b994a40f5076890ddc2979d123052a2ec19e6fac8a804ed7382",
+    "calib/eo_minority_before.csv": "1d88868fd7d5f7b253fad90869c4eb01cdee8887afc7975087fbc6bd6f8da18b",
+    "calib/fprgap_majority_after.csv": "b199b07d00734b1e3d30e87388c809eedc0ae90e3ff7eed4a8822c719c6bc56d",
+    "calib/fprgap_majority_before.csv": "69d771011fd2fdd4b257d969157258a6b3a4f0915202936a97458e516c4c64e4",
+    "calib/fprgap_minority_after.csv": "b987136722af0df6f160aa4bf95fb66f08dc3b5e9d8a49cdc8d67401668c13f0",
+    "calib/fprgap_minority_before.csv": "2f0ce58b346aad9cf0728286f1d82cc8a9c9d5c9f30afac393fd8670b8aaeb3d",
+    "calib/model.json": "9272217e07962813ddfe8c7b118dbeba35a0e2432790ffa2d63ac38ef363193e",
+    "calib/report.json": "c7c316ab4e13e40a50bda700c52e5b0ae1d2c6673e473706a30f9af1fe1710e3",
+    "ccalib_gamma/calibrated.csv": "b316a2e9d4973a8bee39bbe9ef6cb82780b20071c3f2294ddfeffecc412d13c1",
+    "ccalib_gamma/eo_majority_after.csv": "4a77c7b87728c1953bd8baf5c42467876c593889b1b41b9c80eaa5228225c429",
+    "ccalib_gamma/eo_majority_before.csv": "6c784b8852527f10999d4142f0940a41b35cb897ec1c6d8718a018b8f7ac4c53",
+    "ccalib_gamma/eo_minority_after.csv": "f7fcb752eff9bedbd0e6913b3acb447f6622a3260eb802bb9c8362311ddd2d75",
+    "ccalib_gamma/eo_minority_before.csv": "1d88868fd7d5f7b253fad90869c4eb01cdee8887afc7975087fbc6bd6f8da18b",
+    "ccalib_gamma/model.json": "ee5b2ea4be109a0553c43555cd918591f7c96739ec93a5dc3d5a594d0f367f87",
+    "ccalib_gamma/report.json": "a87c996c4e5b0c7e43d6efa6293335c58bb777246a4215b043547de4f8c88290",
+    "ccalib_meanshift/calibrated.csv": "b316a2e9d4973a8bee39bbe9ef6cb82780b20071c3f2294ddfeffecc412d13c1",
+    "ccalib_meanshift/eo_majority_after.csv": "4a77c7b87728c1953bd8baf5c42467876c593889b1b41b9c80eaa5228225c429",
+    "ccalib_meanshift/eo_majority_before.csv": "6c784b8852527f10999d4142f0940a41b35cb897ec1c6d8718a018b8f7ac4c53",
+    "ccalib_meanshift/eo_minority_after.csv": "f7fcb752eff9bedbd0e6913b3acb447f6622a3260eb802bb9c8362311ddd2d75",
+    "ccalib_meanshift/eo_minority_before.csv": "1d88868fd7d5f7b253fad90869c4eb01cdee8887afc7975087fbc6bd6f8da18b",
+    "ccalib_meanshift/fprgap_majority_after.csv": "1727423d860b4efe3000379f580876254c7113023b029c73dfdef5e453a36ed4",
+    "ccalib_meanshift/fprgap_majority_before.csv": "69d771011fd2fdd4b257d969157258a6b3a4f0915202936a97458e516c4c64e4",
+    "ccalib_meanshift/fprgap_minority_after.csv": "9a07bb080a11b252502d5594cae342fd534713b2d273009fdbe1fe3facd58a9a",
+    "ccalib_meanshift/fprgap_minority_before.csv": "2f0ce58b346aad9cf0728286f1d82cc8a9c9d5c9f30afac393fd8670b8aaeb3d",
+    "ccalib_meanshift/model.json": "5a64414e98561fbe702ebbf90c82ecce568ed7f709ccbbd18ef82ddfcdfdb07b",
+    "ccalib_meanshift/report.json": "2a5340b1b35e33d7c39ed781cdd36c53ba1b27727d2f07875ece3c2a0b11e4b3",
+    "plot/curves.svg": "104cbde0bef34d8aa264bbe5d2c2052d8ae3d2cb930421cdd08171ed5c2d2670",
+    "record/calibrated.csv": "340c92c7de64b1eb0516de4570e30ca82674b9c77d13fa6542854e320cc052dd",
+    "record/dp_majority_after.csv": "633163e7cfcce075cc8da0d4eff012f324296274b31060715f29ad9785f29862",
+    "record/dp_majority_before.csv": "127d384ddf3b31e35a04d1c862158ca9ae6c01b83839f506340b470a98b05a1b",
+    "record/dp_minority_after.csv": "2b023910620a7e10d8a67f2fe3a71ce4e68063132656c1ef5ce30f7e550e1735",
+    "record/dp_minority_before.csv": "a81f51ea1df11f0e0d230161ee6ca8f8dc90b31876d55eb9b1ca9b33cf137ff1",
+    "record/model.json": "e6739786c88c290c36add61a447d09c3fec219933156ad373bb5f52daa1881be",
+    "record/report.json": "cf78d77fd5a86cfdd89a7b9cb3ddc5efe71de934ceac66d719a05975df2b0518",
+}
+
+
+def test_cli_outputs_match_golden_digests(tmp_path):
+    digests = run_all(tmp_path)
+    names = list(digests) + [n for n in GOLDEN if n not in digests]
+    for name in names:
+        assert digests.get(name) == GOLDEN.get(name), f"first differing output: {name}"
