@@ -62,6 +62,30 @@ class MeanshiftConfig:
             raise InvalidParameterError("merge_radius must be in (0, bandwidth]")
 
 
+# float64 entries in the mean-shift kernel buffer (2 MB): small enough
+# to stay in cache, and memory no longer grows with the distinct count
+_KERNEL_BUDGET = 1 << 18
+
+
+def _row_blocks(rows: int, step: int):
+    """Yield (lo, hi) kernel row blocks of ``step`` rows (a multiple of 4).
+
+    OpenBLAS's dgemv sums a row in one way inside a group of 4 rows and
+    in another for a remainder row or a 1-row call.  Blocks that start
+    at multiples of 4 keep every row in the group it has in one dense
+    product, so each row's sum, and gamma, is bit-identical to it; a
+    lone trailing row joins the previous block instead of forming a
+    1-row call.
+    """
+    lo = 0
+    while lo < rows:
+        hi = min(lo + step, rows)
+        if rows - hi == 1:
+            hi = rows
+        yield lo, hi
+        lo = hi
+
+
 def _mean_shift_modes(data: np.ndarray, cfg: MeanshiftConfig):
     """Run mean shift from every point; return (modes, attracted counts).
 
@@ -69,16 +93,32 @@ def _mean_shift_modes(data: np.ndarray, cfg: MeanshiftConfig):
     over distinct values with multiplicities.  Modes within
     ``merge_radius`` of each other are merged; a merged mode's center
     is the mass-weighted mean of its members.
+
+    Each iteration takes O(distinct x n) time.  Memory is O(n): the
+    (active starts x n) kernel is built in row blocks, in place, inside
+    one buffer of at most ``_KERNEL_BUDGET`` entries, or of 5 rows (a
+    block of 4 plus a folded trailing row) when n exceeds a fifth of it.
     """
     positions, weights_per_start = np.unique(data.astype(float), return_counts=True)
     active = np.ones(positions.size, dtype=bool)
-    inv_two_h2 = 1.0 / (2.0 * cfg.bandwidth**2)
+    neg_inv_two_h2 = -1.0 / (2.0 * cfg.bandwidth**2)
+    n = data.size
+    # rows per block: a multiple of 4 (see _row_blocks), one row short of
+    # the budget so that a folded trailing row still fits the buffer
+    step = max(4, (_KERNEL_BUDGET // n - 1) // 4 * 4)
+    buffer = np.empty(min(step + 1, positions.size) * n)
     for _ in range(cfg.max_iterations):
         if not active.any():
             break
         current = positions[active]
-        kernel = np.exp(-((current[:, None] - data[None, :]) ** 2) * inv_two_h2)
-        shifted = (kernel @ data) / kernel.sum(axis=1)
+        shifted = np.empty_like(current)
+        for lo, hi in _row_blocks(current.size, step):
+            kernel = buffer[: (hi - lo) * n].reshape(hi - lo, n)
+            np.subtract(current[lo:hi, None], data[None, :], out=kernel)
+            np.square(kernel, out=kernel)
+            np.multiply(kernel, neg_inv_two_h2, out=kernel)
+            np.exp(kernel, out=kernel)
+            shifted[lo:hi] = (kernel @ data) / kernel.sum(axis=1)
         moved = np.abs(shifted - current)
         positions[active] = shifted
         active[active] = moved >= cfg.convergence_tol
@@ -103,11 +143,14 @@ def meanshift_threshold(
     """Midpoint between the centers of the two heaviest score modes.
 
     Raises :class:`SingleModeError` when fewer than two modes survive
-    merging; callers may supply a threshold explicitly instead.
+    merging; callers may supply a threshold explicitly instead.  NaN,
+    inf and scores outside [0, 1] raise :class:`ScoreOutOfRangeError`.
     """
     data = np.asarray(scores, dtype=float)
     if data.size == 0:
         raise EmptyInputError("meanshift requires at least two scores")
+    if np.isnan(data).any() or data.min() < 0.0 or data.max() > 1.0:
+        raise ScoreOutOfRangeError("meanshift scores must lie in [0, 1]")
     if data.size < 2:
         raise SingleModeError("meanshift requires at least two scores")
     centers, counts = _mean_shift_modes(data, cfg)
@@ -143,10 +186,16 @@ def fit_conditional(
     stored fit scores only.  Each side's minority weight is computed
     within its own partition.  With ``use_true_labels`` a labeled fit
     set is partitioned by its labels instead of by gamma; queries are
-    still routed by gamma, which is needed either way.
+    still routed by gamma, which is needed either way.  A non-finite
+    ``gamma_override`` raises :class:`InvalidParameterError`.
     """
     raw = d.scores()
-    gamma = float(gamma_override) if gamma_override is not None else meanshift_threshold(raw, cfg)
+    if gamma_override is None:
+        gamma = meanshift_threshold(raw, cfg)
+    else:
+        gamma = float(gamma_override)
+        if not np.isfinite(gamma):
+            raise InvalidParameterError(f"gamma must be finite, got {gamma}")
     matched_mask = d.labels() == 1 if use_true_labels else raw >= gamma
     sides = []
     for name, mask in (("matched", matched_mask), ("unmatched", ~matched_mask)):

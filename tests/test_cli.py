@@ -347,6 +347,8 @@ def test_calibrated_csv_round_trips_any_id(tmp_path_factory, ids):
         pytest.param(["--sigma", "nan"], None, id="sigma-nan"),
         pytest.param(["--algorithm", "ccalib", "--bandwidth", -1], None, id="bandwidth-neg"),
         pytest.param(["--algorithm", "ccalib", "--bandwidth", 0], None, id="bandwidth-zero"),
+        pytest.param(["--algorithm", "ccalib", "--gamma", "nan"], None, id="gamma-nan"),
+        pytest.param(["--algorithm", "ccalib", "--gamma", "inf"], None, id="gamma-inf"),
         pytest.param([], b"{not json", id="config-not-json"),
         pytest.param([], b'{"sigma": "\xff"}', id="config-not-utf8"),
         pytest.param([], {"thresholds": 0.5}, id="config-threshold-scalar"),
@@ -354,6 +356,7 @@ def test_calibrated_csv_round_trips_any_id(tmp_path_factory, ids):
         pytest.param([], {"thresholds": [0.5, [0.2]]}, id="config-threshold-nested"),
         pytest.param([], {"metric": ["dp", ["eo"]]}, id="config-metric-nested"),
         pytest.param([], {"sigma": "wide"}, id="config-sigma-text"),
+        pytest.param([], {"algorithm": "ccalib", "gamma": float("inf")}, id="config-gamma-inf"),
         pytest.param([], {"schema": "triples"}, id="config-schema-unknown"),
     ],
 )

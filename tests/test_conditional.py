@@ -1,9 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from scorecalib import conditional
 from scorecalib.bias import BiasMetricKind, score_bias
 from scorecalib.conditional import (
     MeanshiftConfig,
+    _mean_shift_modes,
+    _row_blocks,
     cond_calibrate,
     cond_calibrate_dataset,
     cond_calibrate_scores,
@@ -17,6 +22,7 @@ from scorecalib.dataset import GroupId
 from scorecalib.errors import (
     EmptyGroupInPartitionError,
     EmptyInputError,
+    InvalidParameterError,
     ScoreOutOfRangeError,
     SingleModeError,
     UnlabeledDatasetError,
@@ -57,6 +63,108 @@ def test_meanshift_unbalanced_spikes_pick_heaviest_two():
     assert gamma == pytest.approx(0.5, abs=0.02)
 
 
+@pytest.mark.parametrize(
+    "scores",
+    [
+        [float("nan"), 0.1, 0.9, 0.85],
+        [0.1, 0.12, float("inf"), 0.9],
+        [0.1, 0.12, -float("inf"), 0.9],
+        [0.1, 0.12, 1.2, 0.9],
+        [-0.1, 0.12, 0.8, 0.9],
+    ],
+)
+def test_meanshift_rejects_scores_outside_unit_interval(scores):
+    with pytest.raises(ScoreOutOfRangeError):
+        meanshift_threshold(scores)
+
+
+def _dense_mean_shift_modes(data, cfg):
+    """Reference: the full (active starts x n) kernel on every iteration."""
+    positions, weights_per_start = np.unique(data.astype(float), return_counts=True)
+    active = np.ones(positions.size, dtype=bool)
+    inv_two_h2 = 1.0 / (2.0 * cfg.bandwidth**2)
+    for _ in range(cfg.max_iterations):
+        if not active.any():
+            break
+        current = positions[active]
+        kernel = np.exp(-((current[:, None] - data[None, :]) ** 2) * inv_two_h2)
+        shifted = (kernel @ data) / kernel.sum(axis=1)
+        moved = np.abs(shifted - current)
+        positions[active] = shifted
+        active[active] = moved >= cfg.convergence_tol
+
+    order = np.argsort(positions, kind="stable")
+    centers, counts = [], []
+    for pos, mass in zip(positions[order], weights_per_start[order]):
+        if centers and pos - centers[-1] <= cfg.merge_radius:
+            total = counts[-1] + mass
+            centers[-1] = (centers[-1] * counts[-1] + pos * mass) / total
+            counts[-1] = total
+        else:
+            centers.append(float(pos))
+            counts.append(int(mass))
+    return np.array(centers), np.array(counts)
+
+
+def _two_cluster_scores(n, seed):
+    rng = np.random.default_rng(seed)
+    return np.concatenate([rng.beta(2, 8, n // 2), rng.beta(8, 2, n - n // 2)])
+
+
+def _lone_trailing_row_scores():
+    # 4000 points give 64-row kernel blocks, and 961 = 15 * 64 + 1
+    # distinct starts leave one row after the last full block
+    rng = np.random.default_rng(23)
+    values = rng.choice(np.unique(np.round(_two_cluster_scores(1200, 23), 6)), 961, replace=False)
+    data = np.concatenate([values, rng.choice(values, 4000 - 961)])
+    assert np.unique(data).size == 961
+    assert list(_row_blocks(961, 64))[-1] == (896, 961)
+    return data
+
+
+@pytest.mark.parametrize(
+    "make_scores",
+    [
+        pytest.param(lambda: _two_cluster_scores(3000, 5), id="distinct-3k"),
+        pytest.param(lambda: np.round(_two_cluster_scores(8000, 9), 3), id="tied-8k"),
+        pytest.param(_lone_trailing_row_scores, id="lone-trailing-row"),
+    ],
+)
+def test_blocked_kernel_matches_dense_oracle(monkeypatch, make_scores):
+    # the two agree bit for bit with one BLAS thread; with more, OpenBLAS
+    # splits the dense product differently and the last bit may move
+    data = make_scores()
+    cfg = MeanshiftConfig()
+    centers, counts = _mean_shift_modes(data, cfg)
+    ref_centers, ref_counts = _dense_mean_shift_modes(data, cfg)
+    assert counts.tolist() == ref_counts.tolist()
+    np.testing.assert_allclose(centers, ref_centers, rtol=0, atol=1e-12)
+    gamma = meanshift_threshold(data, cfg)
+    monkeypatch.setattr(conditional, "_mean_shift_modes", lambda *_: (ref_centers, ref_counts))
+    assert abs(gamma - meanshift_threshold(data, cfg)) <= 1e-12
+
+
+@pytest.mark.parametrize("rows,step", [(1, 8), (5, 4), (8, 4), (9, 4), (10, 4), (961, 64), (962, 64)])
+def test_row_blocks_are_aligned_and_never_one_row(rows, step):
+    blocks = list(_row_blocks(rows, step))
+    assert [lo for lo, _ in blocks] == [0] + [hi for _, hi in blocks[:-1]]
+    assert blocks[-1][1] == rows
+    assert all((hi - lo) == step for lo, hi in blocks[:-1])
+    last = blocks[-1][1] - blocks[-1][0]
+    assert last <= step + 1 and (last > 1 or rows == 1)
+
+
+def test_meanshift_memory_is_bounded():
+    data = _two_cluster_scores(3000, 5)
+    tracemalloc.start()
+    try:
+        meanshift_threshold(data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
 def test_meanshift_config_validation():
     with pytest.raises(ValueError):
         MeanshiftConfig(bandwidth=0.0)
@@ -93,6 +201,12 @@ def test_fit_conditional_balanced_partitions():
     model = fit_conditional(make_dataset(rows), sigma=0.0, seed=0, gamma_override=0.5)
     assert model.matched.alpha == 0.5
     assert model.unmatched.alpha == 0.5
+
+
+@pytest.mark.parametrize("gamma", [float("nan"), float("inf"), -float("inf")])
+def test_fit_conditional_rejects_non_finite_gamma(example_dataset, gamma):
+    with pytest.raises(InvalidParameterError):
+        fit_conditional(example_dataset, sigma=0.0, seed=0, gamma_override=gamma)
 
 
 def test_fit_conditional_names_offending_partition(example_dataset):
