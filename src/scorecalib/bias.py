@@ -40,6 +40,13 @@ class BiasMetricKind(enum.Enum):
     FPR_GAP = "fprgap"
     EOD = "eod"
 
+    @property
+    def parts(self) -> tuple["BiasMetricKind", ...]:
+        """The curve kinds whose biases sum to this one's: EOD = EO + FPR_GAP."""
+        if self is BiasMetricKind.EOD:
+            return (BiasMetricKind.EO, BiasMetricKind.FPR_GAP)
+        return (self,)
+
 
 def group_curves(d: ScoreDataset, kind: BiasMetricKind) -> dict[GroupId, StepCurve]:
     """The two per-group metric curves for a non-composite kind."""
@@ -58,28 +65,32 @@ def group_curves(d: ScoreDataset, kind: BiasMetricKind) -> dict[GroupId, StepCur
     return curves
 
 
+def curve_bias(curves: dict[GroupId, StepCurve]) -> float:
+    """Integral over thresholds of |minority - majority| for one curve pair."""
+    return integrate_abs_difference(curves[GroupId.MINORITY], curves[GroupId.MAJORITY])
+
+
+def curve_gaps(curves: dict[GroupId, StepCurve], thetas: Sequence[float]) -> np.ndarray:
+    """|minority - majority| of one curve pair at each threshold in [0, 1]."""
+    for theta in thetas:
+        if not (0.0 <= theta <= 1.0):
+            raise ThetaOutOfRangeError(f"theta {theta!r} outside [0, 1]")
+    at = np.array(thetas, dtype=float)
+    return np.abs(curves[GroupId.MINORITY](at) - curves[GroupId.MAJORITY](at))
+
+
 def score_bias(d: ScoreDataset, kind: BiasMetricKind) -> float:
     """Integral over thresholds of the absolute gap between group curves.
 
     Exact (merged-breakpoint) integration; in [0, 1] for DP/EO/FPR_GAP
     and [0, 2] for EOD.
     """
-    if kind is BiasMetricKind.EOD:
-        return score_bias(d, BiasMetricKind.EO) + score_bias(d, BiasMetricKind.FPR_GAP)
-    curves = group_curves(d, kind)
-    return integrate_abs_difference(curves[GroupId.MINORITY], curves[GroupId.MAJORITY])
+    return sum(curve_bias(group_curves(d, part)) for part in kind.parts)
 
 
 def threshold_bias(d: ScoreDataset, kind: BiasMetricKind, theta: float) -> float:
     """Absolute gap between the group curves at one threshold."""
-    if not (0.0 <= theta <= 1.0):
-        raise ThetaOutOfRangeError(f"theta {theta!r} outside [0, 1]")
-    if kind is BiasMetricKind.EOD:
-        return threshold_bias(d, BiasMetricKind.EO, theta) + threshold_bias(
-            d, BiasMetricKind.FPR_GAP, theta
-        )
-    curves = group_curves(d, kind)
-    return float(abs(curves[GroupId.MINORITY](theta) - curves[GroupId.MAJORITY](theta)))
+    return sum(float(curve_gaps(group_curves(d, part), [theta])[0]) for part in kind.parts)
 
 
 def risk_estimate(original: Sequence[float], calibrated: Sequence[float]) -> float:

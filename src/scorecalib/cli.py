@@ -17,7 +17,7 @@ import json
 import sys
 from pathlib import Path
 
-from .bias import BiasMetricKind, group_curves, risk_estimate, score_bias, threshold_bias
+from .bias import BiasMetricKind, curve_bias, curve_gaps, group_curves, risk_estimate
 from .calibration import calibrate_dataset, fit, model_to_dict
 from .conditional import (
     MeanshiftConfig,
@@ -89,6 +89,14 @@ def _opt(args, config: dict, key: str, default=None, cast=None):
         raise InvalidParameterError(f"invalid {key} {value!r}") from None
 
 
+def _int(value) -> int:
+    """An integer from a flag or config value; a bool or a non-integral
+    number (1.7, NaN, inf) is rejected rather than truncated."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise TypeError(f"not an integer: {value!r}")
+    return int(value)
+
+
 def _load_input(args, config, path) -> tuple[ScoreDataset, Schema, list[list[str]]]:
     if not path:
         raise InputError("--input is required")
@@ -133,47 +141,34 @@ def _safe_auc(d: ScoreDataset):
         return None
 
 
-def _bias_report(
-    d: ScoreDataset,
-    kind: BiasMetricKind,
-    calibrated: ScoreDataset | None,
-    thresholds,
-) -> tuple[dict, dict]:
-    """One metric's report.json entry and its curves, keyed by file stem."""
-    eod = kind is BiasMetricKind.EOD
-    parts = (BiasMetricKind.EO, BiasMetricKind.FPR_GAP) if eod else (kind,)
-    entry = {
-        "metric": kind.value,
-        "after": None,
-        "auc_before": None,
-        "auc_after": None,
-        "risk": None,
-        "components": {"eo": {}, "fpr_gap": {}} if eod else None,
-    }
-    curves = {}
-    stages = {"before": d} if calibrated is None else {"before": d, "after": calibrated}
+def _report_metrics(out_dir: Path, kinds, thresholds, stages: dict, run: dict) -> dict:
+    """Every metric's report.json entry, read off one pair of group curves
+    per (curve kind, stage); writes those curves once every entry is built.
+
+    ``stages`` maps "before" (and "after") to a dataset.  ``run`` holds
+    the run's risk and overall AUCs, which every entry repeats.
+    """
+    curves, bias, gaps = {}, {}, {}
     for stage, data in stages.items():
-        entry[stage] = score_bias(data, kind)
-        if eod:
-            entry["components"]["eo"][stage] = score_bias(data, BiasMetricKind.EO)
-            entry["components"]["fpr_gap"][stage] = score_bias(data, BiasMetricKind.FPR_GAP)
-        key = "threshold_bias" if stage == "before" else "threshold_bias_after"
-        entry[key] = {repr(t): threshold_bias(data, kind, t) for t in thresholds}
-        for part in parts:
-            for group, curve in group_curves(data, part).items():
+        for part in dict.fromkeys(part for kind in kinds for part in kind.parts):
+            pair = group_curves(data, part)
+            bias[part, stage] = curve_bias(pair)
+            gaps[part, stage] = curve_gaps(pair, thresholds)
+            for group, curve in pair.items():
                 curves[f"{part.value}_{group.value}_{stage}"] = curve
-    if calibrated is not None:
-        entry["risk"] = risk_estimate(d.scores(), calibrated.scores())
-        entry["auc_before"], entry["auc_after"] = _safe_auc(d), _safe_auc(calibrated)
-    return entry, curves
-
-
-def _report_metrics(out_dir: Path, d, kinds, calibrated, thresholds) -> dict:
-    """Every metric's report.json entry; writes the union of their curves."""
-    entries, curves = {}, {}
+    entries = {}
     for kind in kinds:
-        entries[kind.value], kind_curves = _bias_report(d, kind, calibrated, thresholds)
-        curves.update(kind_curves)
+        entry = entries[kind.value] = {"metric": kind.value, "after": None, **run}
+        for stage in stages:
+            entry[stage] = sum(bias[part, stage] for part in kind.parts)
+            key = "threshold_bias" if stage == "before" else "threshold_bias_after"
+            values = sum(gaps[part, stage] for part in kind.parts).tolist()
+            entry[key] = dict(zip(map(repr, thresholds), values))
+        # EOD's components, keyed "eo" and "fpr_gap"
+        entry["components"] = None if len(kind.parts) == 1 else {
+            part.name.lower(): {stage: bias[part, stage] for stage in stages}
+            for part in kind.parts
+        }
     for stem, curve in sorted(curves.items()):
         curve.to_csv(out_dir / f"{stem}.csv")
     return entries
@@ -228,15 +223,15 @@ def cmd_generate(args) -> int:
         return value
 
     spec = SynthSpec(
-        n_minority=required("n_minority", int),
-        n_majority=required("n_majority", int),
+        n_minority=required("n_minority", _int),
+        n_majority=required("n_majority", _int),
         pos_rate_a=required("pos_rate_a", float),
         pos_rate_b=required("pos_rate_b", float),
         minority_pos=required("minority_pos", beta),
         minority_neg=required("minority_neg", beta),
         majority_pos=required("majority_pos", beta),
         majority_neg=required("majority_neg", beta),
-        seed=_opt(args, config, "seed", 0, int),
+        seed=_opt(args, config, "seed", 0, _int),
     )
     dest = _out_dir(args, config) / "dataset.csv"
     dataset = generate(spec)
@@ -255,7 +250,8 @@ def cmd_measure(args) -> int:
     thresholds = _thresholds(args, config)
     out_dir = _out_dir(args, config)
 
-    entries = _report_metrics(out_dir, d, kinds, None, thresholds)
+    no_after = dict.fromkeys(("risk", "auc_before", "auc_after"))
+    entries = _report_metrics(out_dir, kinds, thresholds, {"before": d}, no_after)
     auc_groups = _auc_by_group(d)
     payload = {
         "command": "measure",
@@ -275,7 +271,7 @@ def cmd_calibrate(args) -> int:
     thresholds = _thresholds(args, config)
     algorithm = _opt(args, config, "algorithm", "calib")
     sigma = _opt(args, config, "sigma", DEFAULT_SIGMA, float)
-    seed = _opt(args, config, "seed", 0, int)
+    seed = _opt(args, config, "seed", 0, _int)
     gamma = _opt(args, config, "gamma", cast=float)
     bandwidth = _opt(args, config, "bandwidth", cast=float)
     out_dir = _out_dir(args, config)
@@ -304,17 +300,22 @@ def cmd_calibrate(args) -> int:
     else:
         raise InputError(f"unknown algorithm {algorithm!r}")
 
-    entries = _report_metrics(out_dir, d, kinds, calibrated, thresholds)
+    new_scores = calibrated.scores()
+    run = {
+        "risk": risk_estimate(d.scores(), new_scores),
+        "auc_before": _safe_auc(d),
+        "auc_after": _safe_auc(calibrated),
+    }
+    stages = {"before": d, "after": calibrated}
+    entries = _report_metrics(out_dir, kinds, thresholds, stages, run)
 
     # emit the calibrated dataset in the input schema, original tokens kept
-    new_scores = calibrated.scores()
     with csv_writer(out_dir / "calibrated.csv") as writer:
         writer.writerow(schema.header)
         writer.writerows(
             [row[0], repr(score), *row[2:]] for row, score in zip(rows, new_scores.tolist())
         )
 
-    risk = risk_estimate(d.scores(), new_scores)
     auc_groups_before = _auc_by_group(d)
     auc_groups_after = _auc_by_group(calibrated)
     payload = {
@@ -325,9 +326,7 @@ def cmd_calibrate(args) -> int:
         "fit": fit_sel,
         "dataset": _dataset_summary(d),
         "metrics": entries,
-        "risk": risk,
-        "auc_before": _safe_auc(d),
-        "auc_after": _safe_auc(calibrated),
+        **run,
         "auc_by_group_before": auc_groups_before,
         "auc_by_group_after": auc_groups_after,
         "gamma": model_payload.get("gamma") if model_payload else None,
@@ -338,7 +337,7 @@ def cmd_calibrate(args) -> int:
     _print_summary(
         entries, auc_groups_before, f"calibrated {len(d)} pairs with {algorithm}"
     )
-    print(f"  risk: {_pct(risk)}")
+    print(f"  risk: {_pct(run['risk'])}")
     if payload["auc_before"] is not None and payload["auc_after"] is not None:
         delta = payload["auc_after"] - payload["auc_before"]
         print(

@@ -52,6 +52,14 @@ class MeanshiftConfig:
             raise InvalidParameterError(
                 f"bandwidth must be finite and > 0, got {self.bandwidth}"
             )
+        # the kernel scales squared distances by 1 / (2 * bandwidth**2)
+        with np.errstate(over="ignore", divide="ignore"):
+            scale = 1.0 / (2.0 * np.float64(self.bandwidth) ** 2)
+        if not 0 < scale < np.inf:
+            raise InvalidParameterError(
+                f"bandwidth {self.bandwidth} is too small or too large: "
+                f"1/(2*bandwidth**2) = {scale}"
+            )
         if self.max_iterations < 1:
             raise InvalidParameterError("max_iterations must be >= 1")
         if not self.convergence_tol > 0:
@@ -186,8 +194,9 @@ def fit_conditional(
     stored fit scores only.  Each side's minority weight is computed
     within its own partition.  With ``use_true_labels`` a labeled fit
     set is partitioned by its labels instead of by gamma; queries are
-    still routed by gamma, which is needed either way.  A non-finite
-    ``gamma_override`` raises :class:`InvalidParameterError`.
+    still routed by gamma, which is needed either way.  A
+    ``gamma_override`` outside [0, 1] (NaN and inf included) raises
+    :class:`InvalidParameterError`.
     """
     raw = d.scores()
     if gamma_override is None:
@@ -196,6 +205,8 @@ def fit_conditional(
         gamma = float(gamma_override)
         if not np.isfinite(gamma):
             raise InvalidParameterError(f"gamma must be finite, got {gamma}")
+        if not 0.0 <= gamma <= 1.0:
+            raise InvalidParameterError(f"gamma must lie in [0, 1], got {gamma}")
     matched_mask = d.labels() == 1 if use_true_labels else raw >= gamma
     sides = []
     for name, mask in (("matched", matched_mask), ("unmatched", ~matched_mask)):

@@ -227,21 +227,28 @@ def auc(d: ScoreDataset) -> float:
     return float(wins / (pos.size * neg.size))
 
 
+def merged_grid(c1: StepCurve, c2: StepCurve) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Both curves on their merged breakpoint grid.
+
+    Returns the merged breakpoints followed by 1.0, and each curve's
+    value on the interval that ends at each of those points.
+    """
+    grid = np.concatenate((np.union1d(c1.breakpoints, c2.breakpoints), [1.0]))
+    return grid, c1(grid), c2(grid)
+
+
 def integrate_abs_difference(c1: StepCurve, c2: StepCurve) -> float:
     """Exact integral of |c1 - c2| over [0, 1] via merged breakpoints."""
-    merged = np.union1d(c1.breakpoints, c2.breakpoints)
-    edges = np.concatenate((merged, [1.0])) if (merged.size == 0 or merged[-1] < 1.0) else merged
-    widths = np.diff(np.concatenate(([0.0], edges)))
-    gaps = np.abs(c1(edges) - c2(edges))
-    return float(np.sum(gaps * widths))
+    grid, v1, v2 = merged_grid(c1, c2)
+    if grid.size > 1 and grid[-2] == 1.0:  # a breakpoint at 1 ends the last interval
+        grid, v1, v2 = grid[:-1], v1[:-1], v2[:-1]
+    return float(np.sum(np.abs(v1 - v2) * np.diff(grid, prepend=0.0)))
 
 
 def gap_curve(c1: StepCurve, c2: StepCurve) -> StepCurve:
     """|c1 - c2| as a step curve on the merged breakpoint grid."""
-    merged = np.union1d(c1.breakpoints, c2.breakpoints)
-    eval_at = np.concatenate((merged, [1.0]))
-    gaps = np.abs(c1(eval_at) - c2(eval_at))
-    return StepCurve(merged, gaps)
+    grid, v1, v2 = merged_grid(c1, c2)
+    return StepCurve(grid[:-1], np.abs(v1 - v2))
 
 
 def w1_distance(x: Sequence[float], y: Sequence[float]) -> float:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .empirical import StepCurve, integrate_abs_difference
+from .empirical import StepCurve, integrate_abs_difference, merged_grid
 
 WIDTH, HEIGHT = 720, 480
 MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, MARGIN_BOTTOM = 64, 20, 44, 52
@@ -55,12 +55,9 @@ def render_gap_svg(
     """SVG document overlaying two step curves with the |gap| shaded."""
     area = integrate_abs_difference(curve_a, curve_b)
 
-    merged = np.union1d(curve_a.breakpoints, curve_b.breakpoints)
-    eval_at = np.concatenate((merged, [1.0]))
-    va = curve_a(eval_at)
-    vb = curve_b(eval_at)
-    upper = _step_points(merged, np.maximum(va, vb))
-    lower = _step_points(merged, np.minimum(va, vb))
+    grid, va, vb = merged_grid(curve_a, curve_b)
+    upper = _step_points(grid[:-1], np.maximum(va, vb))
+    lower = _step_points(grid[:-1], np.minimum(va, vb))
     band = _polyline(upper) + " " + _polyline(lower[::-1])
 
     ticks = []

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from scorecalib.bias import BiasMetricKind, risk_estimate, score_bias, threshold_bias
+from scorecalib.bias import (
+    BiasMetricKind,
+    curve_gaps,
+    group_curves,
+    risk_estimate,
+    score_bias,
+    threshold_bias,
+)
 from scorecalib.dataset import GroupId
 from scorecalib.empirical import gap_curve, pr_curve, w1_distance
 from scorecalib.errors import (
@@ -84,6 +91,22 @@ def test_eod_is_sum_of_components():
     )
 
 
+def test_eod_parts_are_eo_and_fpr_gap():
+    assert BiasMetricKind.EOD.parts == (BiasMetricKind.EO, BiasMetricKind.FPR_GAP)
+    for kind in (BiasMetricKind.DP, BiasMetricKind.EO, BiasMetricKind.FPR_GAP):
+        assert kind.parts == (kind,)
+
+
+def test_eod_is_exact_sum_of_parts_at_every_threshold():
+    rng = np.random.default_rng(8)
+    d = random_dataset(rng, 30, 30, beta_a=(2, 4), beta_b=(4, 2), labeled=True, decimals=2)
+    eo, fpr = BiasMetricKind.EO, BiasMetricKind.FPR_GAP
+    assert score_bias(d, BiasMetricKind.EOD) == score_bias(d, eo) + score_bias(d, fpr)
+    for theta in (0.0, 0.25, 0.5, 0.73, 1.0):
+        want = threshold_bias(d, eo, theta) + threshold_bias(d, fpr, theta)
+        assert threshold_bias(d, BiasMetricKind.EOD, theta) == want
+
+
 def test_label_dependent_kinds_require_labels():
     d = make_dataset([(0.5, "a"), (0.6, "b")])
     for kind in (BiasMetricKind.EO, BiasMetricKind.FPR_GAP, BiasMetricKind.EOD):
@@ -124,6 +147,27 @@ def test_threshold_bias_rejects_bad_theta():
     d = make_dataset([(0.2, "a"), (0.8, "b")])
     with pytest.raises(ThetaOutOfRangeError):
         threshold_bias(d, BiasMetricKind.DP, 1.5)
+
+
+@pytest.mark.parametrize("theta", [1.5, -0.1, float("nan")])
+def test_curve_gaps_rejects_bad_theta(theta):
+    curves = group_curves(make_dataset([(0.2, "a"), (0.8, "b")]), BiasMetricKind.DP)
+    with pytest.raises(ThetaOutOfRangeError, match=f"theta {theta!r} outside"):
+        curve_gaps(curves, [0.5, theta])
+
+
+def test_curve_gaps_equal_scalar_evaluation_exactly():
+    # one vectorised evaluation gives the same floats as one scalar gap per theta
+    rng = np.random.default_rng(4)
+    thetas = [0.0, 0.1, 0.33, 0.5, 0.5, 0.9, 1.0]
+    for _ in range(5):
+        d = random_dataset(rng, 20, 35, beta_a=(2, 5), beta_b=(5, 2), labeled=True,
+                           decimals=2)
+        for kind in (BiasMetricKind.DP, BiasMetricKind.EO, BiasMetricKind.FPR_GAP):
+            curves = group_curves(d, kind)
+            want = [abs(curves[MIN](t) - curves[MAJ](t)) for t in thetas]
+            assert curve_gaps(curves, thetas).tolist() == want
+            assert [threshold_bias(d, kind, t) for t in thetas] == want
 
 
 def test_threshold_bias_integrates_to_score_bias():

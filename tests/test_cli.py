@@ -1,12 +1,14 @@
 import csv
 import json
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from scorecalib.bias import BiasMetricKind, score_bias
+import scorecalib.cli
+from scorecalib.bias import BiasMetricKind, score_bias, threshold_bias
 from scorecalib.cli import main
 from scorecalib.dataset import Schema, load_dataset
 from scorecalib.empirical import StepCurve, pr_curve
@@ -349,6 +351,13 @@ def test_calibrated_csv_round_trips_any_id(tmp_path_factory, ids):
         pytest.param(["--algorithm", "ccalib", "--bandwidth", 0], None, id="bandwidth-zero"),
         pytest.param(["--algorithm", "ccalib", "--gamma", "nan"], None, id="gamma-nan"),
         pytest.param(["--algorithm", "ccalib", "--gamma", "inf"], None, id="gamma-inf"),
+        pytest.param(["--algorithm", "ccalib", "--gamma", 2], None, id="gamma-above-one"),
+        pytest.param(["--algorithm", "ccalib", "--gamma", -1], None, id="gamma-below-zero"),
+        pytest.param(["--algorithm", "ccalib", "--bandwidth", 1e-200], None, id="bandwidth-square-underflow"),
+        pytest.param(["--algorithm", "ccalib", "--bandwidth", 1e300], None, id="bandwidth-square-overflow"),
+        pytest.param(["--thresholds", 1.5], None, id="theta-above-one"),
+        pytest.param(["--thresholds", "nan"], None, id="theta-nan"),
+        pytest.param(["--thresholds", 0.5, -0.1], None, id="theta-below-zero"),
         pytest.param([], b"{not json", id="config-not-json"),
         pytest.param([], b'{"sigma": "\xff"}', id="config-not-utf8"),
         pytest.param([], {"thresholds": 0.5}, id="config-threshold-scalar"),
@@ -357,6 +366,9 @@ def test_calibrated_csv_round_trips_any_id(tmp_path_factory, ids):
         pytest.param([], {"metric": ["dp", ["eo"]]}, id="config-metric-nested"),
         pytest.param([], {"sigma": "wide"}, id="config-sigma-text"),
         pytest.param([], {"algorithm": "ccalib", "gamma": float("inf")}, id="config-gamma-inf"),
+        pytest.param([], {"algorithm": "ccalib", "gamma": 1.5}, id="config-gamma-above-one"),
+        pytest.param([], {"seed": 1.7}, id="config-seed-fraction"),
+        pytest.param([], {"seed": True}, id="config-seed-bool"),
         pytest.param([], {"schema": "triples"}, id="config-schema-unknown"),
     ],
 )
@@ -397,3 +409,111 @@ def test_config_scalar_metric_means_one_item_list(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert list(report["metrics"]) == ["dp"]
     assert list(report["metrics"]["dp"]["threshold_bias"]) == ["0.5"]
+
+
+@pytest.mark.parametrize("count", [5.5, True, float("inf")])
+def test_generate_config_rejects_non_integer_counts(tmp_path, capsys, count):
+    spec = {
+        "n_minority": count, "n_majority": 9, "pos_rate_a": 0.4, "pos_rate_b": 0.4,
+        "minority_pos": "6,2", "minority_neg": "2,6",
+        "majority_pos": "9,2", "majority_neg": "2,8",
+    }
+    cfg_path = tmp_path / "spec.json"
+    cfg_path.write_text(json.dumps(spec), encoding="utf-8")
+    assert run("generate", "--config", cfg_path, "--out-dir", tmp_path / "out") == 2
+    assert "invalid n_minority" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "dataset.csv").exists()
+
+
+def test_config_integral_float_seed_is_accepted(tmp_path):
+    csv_path = tmp_path / "scores.csv"
+    write_example_csv(csv_path)
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"seed": 4.0}), encoding="utf-8")
+    out = tmp_path / "out"
+    assert run("calibrate", "--input", csv_path, "--minority-token", "a",
+               "--config", cfg_path, "--out-dir", out) == 0
+    assert json.loads((out / "report.json").read_text())["seed"] == 4
+
+
+def test_failed_metric_writes_no_file(tmp_path, capsys):
+    # dp succeeds, eo needs labels: no curve CSV of either, and no report
+    csv_path = tmp_path / "scores.csv"
+    write_example_csv(csv_path)
+    out = tmp_path / "out"
+    code = run(
+        "measure", "--input", csv_path, "--minority-token", "a",
+        "--metric", "dp", "eo", "--out-dir", out,
+    )
+    assert code == 2
+    assert "label" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+ALL_METRICS = ["dp", "eo", "fprgap", "eod"]
+LABELS = [1, 1, 1, 1, 1, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0]
+
+
+def test_calibrate_builds_each_curve_pair_once(tmp_path, monkeypatch):
+    counts = {"curves": Counter(), "auc": 0, "risk": 0}
+    group_curves, auc, risk_estimate = (
+        scorecalib.cli.group_curves, scorecalib.cli.auc, scorecalib.cli.risk_estimate
+    )
+
+    def counting_curves(d, kind):
+        counts["curves"][kind, id(d)] += 1
+        return group_curves(d, kind)
+
+    def counting_auc(d):
+        counts["auc"] += 1
+        return auc(d)
+
+    def counting_risk(original, calibrated):
+        counts["risk"] += 1
+        return risk_estimate(original, calibrated)
+
+    monkeypatch.setattr(scorecalib.cli, "group_curves", counting_curves)
+    monkeypatch.setattr(scorecalib.cli, "auc", counting_auc)
+    monkeypatch.setattr(scorecalib.cli, "risk_estimate", counting_risk)
+    csv_path = tmp_path / "scores.csv"
+    write_example_csv(csv_path, LABELS)
+    code = run(
+        "calibrate", "--input", csv_path, "--minority-token", "a", "--algorithm", "calib",
+        "--metric", *ALL_METRICS, "--out-dir", tmp_path / "out",
+    )
+    assert code == 0
+    # dp, eo and fprgap curves (eod reuses the last two), before and after
+    assert len(counts["curves"]) == 6 and set(counts["curves"].values()) == {1}
+    # overall and per-group AUC, before and after; one risk
+    assert counts["auc"] == 6
+    assert counts["risk"] == 1
+
+
+def test_report_equals_library_bias_exactly(tmp_path):
+    csv_path = tmp_path / "scores.csv"
+    write_example_csv(csv_path, LABELS)
+    out = tmp_path / "out"
+    code = run(
+        "calibrate", "--input", csv_path, "--minority-token", "a", "--algorithm", "calib",
+        "--metric", *ALL_METRICS, "--thresholds", 0, 0.3, 0.5, 0.95, 1, "--out-dir", out,
+    )
+    assert code == 0
+    report = json.loads((out / "report.json").read_text())
+    stages = {
+        "before": (load_dataset(csv_path, Schema.PAIR_LEVEL, "a"), "threshold_bias"),
+        "after": (load_dataset(out / "calibrated.csv", Schema.PAIR_LEVEL, "a"),
+                  "threshold_bias_after"),
+    }
+    for name in ALL_METRICS:
+        kind = BiasMetricKind(name)
+        entry = report["metrics"][name]
+        for stage, (d, key) in stages.items():
+            assert entry[stage] == score_bias(d, kind)
+            for theta, value in entry[key].items():
+                assert value == threshold_bias(d, kind, float(theta))
+            if kind is BiasMetricKind.EOD:
+                for component, part in (("eo", "eo"), ("fpr_gap", "fprgap")):
+                    want = score_bias(d, BiasMetricKind(part))
+                    assert entry["components"][component][stage] == want
+        for shared in ("risk", "auc_before", "auc_after"):
+            assert entry[shared] == report[shared]

@@ -13,6 +13,9 @@ from scorecalib.empirical import (
     auc,
     build_group_scores,
     conditional_curve,
+    gap_curve,
+    integrate_abs_difference,
+    merged_grid,
     pr_curve,
     w1_distance,
 )
@@ -282,6 +285,38 @@ def test_auc_matches_brute_force_and_roc_integral():
 
 
 # ---------------------------------------------------------------- W1
+
+def _integral_oracle(c1, c2):
+    """The integral as first written, with its own merged grid and edges."""
+    merged = np.union1d(c1.breakpoints, c2.breakpoints)
+    edges = np.concatenate((merged, [1.0])) if (merged.size == 0 or merged[-1] < 1.0) else merged
+    widths = np.diff(np.concatenate(([0.0], edges)))
+    return float(np.sum(np.abs(c1(edges) - c2(edges)) * widths))
+
+
+def test_merged_grid_evaluates_both_curves():
+    c1, c2 = pr_curve([0.2, 0.8]), pr_curve([0.5])
+    grid, v1, v2 = merged_grid(c1, c2)
+    assert grid.tolist() == [0.2, 0.5, 0.8, 1.0]
+    assert v1.tolist() == [1.0, 0.5, 0.5, 0.0]
+    assert v2.tolist() == [1.0, 1.0, 0.0, 0.0]
+
+
+@given(scores_list, scores_list, st.booleans())
+def test_integral_and_gap_curve_match_oracle_exactly(x, y, at_one):
+    # scores at 1.0 put a breakpoint at 1, which must not add a zero-width term
+    c1, c2 = pr_curve(x + [1.0] if at_one else x), pr_curve(y)
+    assert integrate_abs_difference(c1, c2) == _integral_oracle(c1, c2)
+    gap = gap_curve(c1, c2)
+    assert gap.breakpoints.tolist() == np.union1d(c1.breakpoints, c2.breakpoints).tolist()
+    assert gap(gap.breakpoints).tolist() == np.abs(c1(gap.breakpoints) - c2(gap.breakpoints)).tolist()
+
+
+def test_integral_of_flat_curves():
+    flat = StepCurve(np.array([]), np.array([0.25]))
+    assert integrate_abs_difference(flat, StepCurve(np.array([]), np.array([1.0]))) == 0.75
+    assert gap_curve(flat, flat).values.tolist() == [0.0]
+
 
 def test_w1_identical():
     assert w1_distance([0.1, 0.4, 0.9], [0.1, 0.4, 0.9]) == 0.0

@@ -3,7 +3,9 @@
 The commands run on small seeded inputs, so any change to what the CLI
 writes (a float's repr, a curve breakpoint, a JSON key, an SVG
 coordinate) shows up here as a changed digest.  The digests were
-captured before ``ScoreDataset`` became columnar; a refactor that keeps
+captured before ``ScoreDataset`` became columnar, and those of
+``measure_all`` and ``calib_all`` before the report read every metric off
+one pair of group curves per curve kind and stage; a refactor that keeps
 outputs byte-identical passes unchanged.
 """
 
@@ -41,7 +43,13 @@ def commands(root):
             "--seed", 7,
         ]),
         ("measure", ["measure", "--input", gen, "--metric", "dp", "eod"]),
+        # eo, fprgap and eod read the same EO and FPR curves
+        ("measure_all", [
+            "measure", "--input", gen, "--metric", "dp", "eo", "fprgap", "eod",
+            "--thresholds", 0, 0.3, 0.5, 1,
+        ]),
         ("calib", [*calibrate, "--algorithm", "calib", "--metric", "dp", "eod"]),
+        ("calib_all", [*calibrate, "--algorithm", "calib", "--metric", "dp", "eo", "fprgap", "eod"]),
         ("ccalib_gamma", [*calibrate, "--algorithm", "ccalib", "--gamma", 0.5, "--metric", "eo"]),
         ("ccalib_meanshift", [*calibrate, "--algorithm", "ccalib", "--metric", "eod"]),
         ("plot", [
@@ -77,6 +85,13 @@ GOLDEN = {
     "measure/fprgap_majority_before.csv": "69d771011fd2fdd4b257d969157258a6b3a4f0915202936a97458e516c4c64e4",
     "measure/fprgap_minority_before.csv": "2f0ce58b346aad9cf0728286f1d82cc8a9c9d5c9f30afac393fd8670b8aaeb3d",
     "measure/report.json": "2ba63b10c811ec38dbc34c07604eaafb8136af9fa1ef19fb4dac2218485083cf",
+    "measure_all/dp_majority_before.csv": "ff0dcd3013b27ff1f024ac669a7f5e385c3fd5067d59d6fdf734e7dea8cf0317",
+    "measure_all/dp_minority_before.csv": "699955f8e09c9d6b7188ab51838a187abfcc8d943f09122bd4adcc56e9d12492",
+    "measure_all/eo_majority_before.csv": "6c784b8852527f10999d4142f0940a41b35cb897ec1c6d8718a018b8f7ac4c53",
+    "measure_all/eo_minority_before.csv": "1d88868fd7d5f7b253fad90869c4eb01cdee8887afc7975087fbc6bd6f8da18b",
+    "measure_all/fprgap_majority_before.csv": "69d771011fd2fdd4b257d969157258a6b3a4f0915202936a97458e516c4c64e4",
+    "measure_all/fprgap_minority_before.csv": "2f0ce58b346aad9cf0728286f1d82cc8a9c9d5c9f30afac393fd8670b8aaeb3d",
+    "measure_all/report.json": "e0e30b2359c40f42e8e63e6b1dae1cfec0b27b87f92df10add86584cdff52aa8",
     "calib/calibrated.csv": "ee0a0e417dd0227cb1faf000c070d46f401f62daa6617fef5876e00e6d5e3015",
     "calib/dp_majority_after.csv": "92abed2549d231943e389cf9319c399d821cf1cf7705ed184ef2ff0a447cd3af",
     "calib/dp_majority_before.csv": "ff0dcd3013b27ff1f024ac669a7f5e385c3fd5067d59d6fdf734e7dea8cf0317",
@@ -92,6 +107,21 @@ GOLDEN = {
     "calib/fprgap_minority_before.csv": "2f0ce58b346aad9cf0728286f1d82cc8a9c9d5c9f30afac393fd8670b8aaeb3d",
     "calib/model.json": "9272217e07962813ddfe8c7b118dbeba35a0e2432790ffa2d63ac38ef363193e",
     "calib/report.json": "c7c316ab4e13e40a50bda700c52e5b0ae1d2c6673e473706a30f9af1fe1710e3",
+    "calib_all/calibrated.csv": "ee0a0e417dd0227cb1faf000c070d46f401f62daa6617fef5876e00e6d5e3015",
+    "calib_all/dp_majority_after.csv": "92abed2549d231943e389cf9319c399d821cf1cf7705ed184ef2ff0a447cd3af",
+    "calib_all/dp_majority_before.csv": "ff0dcd3013b27ff1f024ac669a7f5e385c3fd5067d59d6fdf734e7dea8cf0317",
+    "calib_all/dp_minority_after.csv": "8d3c3d869dd1bbb81de2d930c66a9c0b0e86c63f1f1e07c8a09db113151bd2fc",
+    "calib_all/dp_minority_before.csv": "699955f8e09c9d6b7188ab51838a187abfcc8d943f09122bd4adcc56e9d12492",
+    "calib_all/eo_majority_after.csv": "17402f90f46859c6011f41f0caa1569afbe37d59691a27234a93257b4aa50a39",
+    "calib_all/eo_majority_before.csv": "6c784b8852527f10999d4142f0940a41b35cb897ec1c6d8718a018b8f7ac4c53",
+    "calib_all/eo_minority_after.csv": "b846bc243e141b994a40f5076890ddc2979d123052a2ec19e6fac8a804ed7382",
+    "calib_all/eo_minority_before.csv": "1d88868fd7d5f7b253fad90869c4eb01cdee8887afc7975087fbc6bd6f8da18b",
+    "calib_all/fprgap_majority_after.csv": "b199b07d00734b1e3d30e87388c809eedc0ae90e3ff7eed4a8822c719c6bc56d",
+    "calib_all/fprgap_majority_before.csv": "69d771011fd2fdd4b257d969157258a6b3a4f0915202936a97458e516c4c64e4",
+    "calib_all/fprgap_minority_after.csv": "b987136722af0df6f160aa4bf95fb66f08dc3b5e9d8a49cdc8d67401668c13f0",
+    "calib_all/fprgap_minority_before.csv": "2f0ce58b346aad9cf0728286f1d82cc8a9c9d5c9f30afac393fd8670b8aaeb3d",
+    "calib_all/model.json": "9272217e07962813ddfe8c7b118dbeba35a0e2432790ffa2d63ac38ef363193e",
+    "calib_all/report.json": "c83c995eeab57b320f19897282bb7b4d50ac1d5877ffe5430d2ed8acea18e24f",
     "ccalib_gamma/calibrated.csv": "b316a2e9d4973a8bee39bbe9ef6cb82780b20071c3f2294ddfeffecc412d13c1",
     "ccalib_gamma/eo_majority_after.csv": "4a77c7b87728c1953bd8baf5c42467876c593889b1b41b9c80eaa5228225c429",
     "ccalib_gamma/eo_majority_before.csv": "6c784b8852527f10999d4142f0940a41b35cb897ec1c6d8718a018b8f7ac4c53",
