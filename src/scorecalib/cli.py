@@ -97,6 +97,22 @@ def _int(value) -> int:
     return int(value)
 
 
+def _seed(value) -> int:
+    """A random seed: an integer >= 0, as numpy's generators require."""
+    seed = _int(value)
+    if seed < 0:
+        raise ValueError(f"negative seed: {seed}")
+    return seed
+
+
+def _bool(value) -> bool:
+    """Only a JSON boolean (or the flag's True): "false" and 0 are rejected
+    rather than read by their truthiness."""
+    if not isinstance(value, bool):
+        raise TypeError(f"not a boolean: {value!r}")
+    return value
+
+
 def _load_input(args, config, path) -> tuple[ScoreDataset, Schema, list[list[str]]]:
     if not path:
         raise InputError("--input is required")
@@ -231,7 +247,7 @@ def cmd_generate(args) -> int:
         minority_neg=required("minority_neg", beta),
         majority_pos=required("majority_pos", beta),
         majority_neg=required("majority_neg", beta),
-        seed=_opt(args, config, "seed", 0, _int),
+        seed=_opt(args, config, "seed", 0, _seed),
     )
     dest = _out_dir(args, config) / "dataset.csv"
     dataset = generate(spec)
@@ -271,9 +287,10 @@ def cmd_calibrate(args) -> int:
     thresholds = _thresholds(args, config)
     algorithm = _opt(args, config, "algorithm", "calib")
     sigma = _opt(args, config, "sigma", DEFAULT_SIGMA, float)
-    seed = _opt(args, config, "seed", 0, _int)
+    seed = _opt(args, config, "seed", 0, _seed)
     gamma = _opt(args, config, "gamma", cast=float)
     bandwidth = _opt(args, config, "bandwidth", cast=float)
+    use_true_labels = _opt(args, config, "use_true_labels", False, _bool)
     out_dir = _out_dir(args, config)
 
     fit_sel = _opt(args, config, "fit", "self")
@@ -293,7 +310,7 @@ def cmd_calibrate(args) -> int:
             seed,
             gamma_override=gamma,
             cfg=MeanshiftConfig() if bandwidth is None else MeanshiftConfig(bandwidth),
-            use_true_labels=bool(_opt(args, config, "use_true_labels", False)),
+            use_true_labels=use_true_labels,
         )
         calibrated = cond_calibrate_dataset(model, d)
         model_payload = {"algorithm": "ccalib", **model_to_dict_conditional(model)}

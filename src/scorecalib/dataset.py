@@ -263,13 +263,21 @@ def read_text(source) -> str:
 
 
 @contextmanager
-def csv_writer(dest):
-    """A CSV writer on a path (opened and closed here) or an open text file."""
+def text_writer(dest):
+    """``dest`` as a text file to write: a path is opened (and closed) here,
+    an open text file is used as it is."""
     if isinstance(dest, (str, Path)):
         with open(dest, "w", encoding="utf-8", newline="") as f:
-            yield csv.writer(f, lineterminator="\n")
+            yield f
     else:
-        yield csv.writer(dest, lineterminator="\n")
+        yield dest
+
+
+@contextmanager
+def csv_writer(dest):
+    """A CSV writer on a path (opened and closed here) or an open text file."""
+    with text_writer(dest) as f:
+        yield csv.writer(f, lineterminator="\n")
 
 
 class CsvRows(list):

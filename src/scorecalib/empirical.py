@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import GroupId, ScoreDataset, csv_writer, read_text
+from .dataset import GroupId, ScoreDataset, read_text, text_writer
 from .errors import (
     EmptyGroupError,
     EmptyInputError,
@@ -32,11 +32,13 @@ DEFAULT_SIGMA = 0.05
 def add_jitter(scores: Sequence[float], sigma: float, seed: int) -> np.ndarray:
     """Add Gaussian noise N(0, sigma^2) to each score and clamp to [0, 1].
 
-    Deterministic for a given seed (numpy PCG64).  With ``sigma == 0``
+    Deterministic for a given seed >= 0 (numpy PCG64).  With ``sigma == 0``
     the input is returned unchanged (as a copy).
     """
     if not 0 <= sigma < np.inf:
         raise InvalidParameterError(f"sigma must be finite and >= 0, got {sigma}")
+    if seed < 0:
+        raise InvalidParameterError(f"seed must be >= 0, got {seed}")
     out = np.asarray(scores, dtype=float).copy()
     if sigma == 0 or out.size == 0:
         return out
@@ -147,11 +149,11 @@ class StepCurve:
 
     def to_csv(self, dest) -> None:
         """Write ``theta,value`` rows: one for theta=0, one per breakpoint."""
-        with csv_writer(dest) as writer:
-            writer.writerow(("theta", "value"))
-            writer.writerow(("0", repr(float(self.values[0]))))
-            writer.writerows(
-                zip(map(repr, self.breakpoints.tolist()), map(repr, self.values[1:].tolist()))
+        # a float's repr holds no comma or quote, so rows need no CSV quoting
+        with text_writer(dest) as f:
+            f.write(f"theta,value\n0,{float(self.values[0])!r}\n")
+            f.writelines(
+                map("{!r},{!r}\n".format, self.breakpoints.tolist(), self.values[1:].tolist())
             )
 
     @classmethod

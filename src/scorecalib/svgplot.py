@@ -2,8 +2,12 @@
 
 Hand-written SVG keeps output byte-stable across runs: no timestamps,
 no generated ids.  The shaded band between the two group curves has
-area equal to the integrated bias, and that area is recorded in the
-SVG ``<title>`` element.
+area equal to the integrated bias, and that exact area is recorded in
+the SVG ``<title>`` element.
+
+Each staircase is reduced to its pixel columns before any coordinate is
+formatted (M4 aggregation: Jugel et al. 2014, *VLDB*), so the SVG stays
+about 100 KB however many breakpoints the curves have.
 """
 
 from __future__ import annotations
@@ -31,14 +35,36 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
+def _escape(text: str) -> str:
+    """``text`` as XML character data.  Written out rather than imported:
+    importing ``html`` or ``xml.sax.saxutils`` adds 0.7 or 7 MB to the
+    peak memory of every CLI command."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _step_points(breakpoints: np.ndarray, values: np.ndarray) -> list[tuple[float, float]]:
-    """Corner points of the staircase from theta=0 to theta=1."""
-    pts = [(0.0, float(values[0]))]
-    for bp, nxt in zip(breakpoints, values[1:]):
-        pts.append((float(bp), pts[-1][1]))
-        pts.append((float(bp), float(nxt)))
-    pts.append((1.0, pts[-1][1]))
-    return pts
+    """The drawn corner points of the staircase from theta=0 to theta=1.
+
+    The staircase has one corner at theta=0, two (old and new value) at
+    each breakpoint and one at theta=1.  In each pixel column,
+    floor(_x(theta)), the first and the last corner are kept, and the
+    earliest at the column's minimum and at its maximum value (M4), in
+    their original order.  A column of at most 4 corners keeps them all,
+    so a sparse staircase is drawn exactly.
+    """
+    thetas = np.concatenate(([0.0], np.repeat(breakpoints, 2), [1.0]))
+    values = np.repeat(values, 2)
+    col = np.floor(_x(thetas))
+    new_col = np.concatenate(([True], col[1:] != col[:-1]))
+    starts = np.flatnonzero(new_col)
+    sizes = np.diff(np.append(starts, col.size))
+    seg = np.cumsum(new_col) - 1  # column number of each corner
+    keep = new_col | np.repeat(sizes <= 4, sizes)
+    keep[starts + sizes - 1] = True
+    for reduce in (np.minimum, np.maximum):
+        hits = np.flatnonzero(values == reduce.reduceat(values, starts)[seg])
+        keep[hits[np.unique(seg[hits], return_index=True)[1]]] = True
+    return list(zip(thetas[keep].tolist(), values[keep].tolist()))
 
 
 def _polyline(points: list[tuple[float, float]]) -> str:
@@ -59,6 +85,7 @@ def render_gap_svg(
     upper = _step_points(grid[:-1], np.maximum(va, vb))
     lower = _step_points(grid[:-1], np.minimum(va, vb))
     band = _polyline(upper) + " " + _polyline(lower[::-1])
+    title, label_a, label_b = _escape(title), _escape(label_a), _escape(label_b)
 
     ticks = []
     for frac in (0.0, 0.25, 0.5, 0.75, 1.0):

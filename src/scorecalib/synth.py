@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import ScoreDataset
-from .errors import InvalidSpecError
+from .errors import InvalidParameterError, InvalidSpecError
 
 
 @dataclass(frozen=True)
@@ -77,6 +77,8 @@ class SynthSpec:
 
 def generate(spec: SynthSpec) -> ScoreDataset:
     """Draw a labeled dataset; identical spec (incl. seed) => identical data."""
+    if spec.seed < 0:
+        raise InvalidParameterError(f"seed must be >= 0, got {spec.seed}")
     rng = np.random.default_rng(spec.seed)
     n = spec.n_minority + spec.n_majority
     width = len(str(n))

@@ -369,6 +369,8 @@ def test_calibrated_csv_round_trips_any_id(tmp_path_factory, ids):
         pytest.param([], {"algorithm": "ccalib", "gamma": 1.5}, id="config-gamma-above-one"),
         pytest.param([], {"seed": 1.7}, id="config-seed-fraction"),
         pytest.param([], {"seed": True}, id="config-seed-bool"),
+        pytest.param(["--seed", -1], None, id="seed-negative"),
+        pytest.param([], {"seed": -1}, id="config-seed-negative"),
         pytest.param([], {"schema": "triples"}, id="config-schema-unknown"),
     ],
 )
@@ -423,6 +425,51 @@ def test_generate_config_rejects_non_integer_counts(tmp_path, capsys, count):
     assert run("generate", "--config", cfg_path, "--out-dir", tmp_path / "out") == 2
     assert "invalid n_minority" in capsys.readouterr().err
     assert not (tmp_path / "out" / "dataset.csv").exists()
+
+
+def test_generate_negative_seed_exit_2(tmp_path, capsys):
+    # the last --seed wins
+    assert run(*GEN_ARGS, "--seed", -1, "--out-dir", tmp_path) == 2
+    assert "invalid seed -1" in capsys.readouterr().err
+    assert not (tmp_path / "dataset.csv").exists()
+
+
+TRUE_LABELS = [1, 1, 1, 1, 1, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0]
+
+
+def _ccalib_outputs(tmp_path, name, *extra, config=None) -> dict[str, bytes]:
+    csv_path = tmp_path / "scores.csv"
+    write_example_csv(csv_path, TRUE_LABELS)
+    out = tmp_path / name
+    argv = ["calibrate", "--input", csv_path, "--minority-token", "a",
+            "--algorithm", "ccalib", "--gamma", 0.5, "--out-dir", out, *extra]
+    if config is not None:
+        cfg_path = tmp_path / f"{name}.json"
+        cfg_path.write_text(json.dumps(config), encoding="utf-8")
+        argv += ["--config", cfg_path]
+    assert run(*argv) == 0
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+def test_config_use_true_labels_takes_a_json_boolean(tmp_path):
+    plain = _ccalib_outputs(tmp_path, "plain")
+    flag = _ccalib_outputs(tmp_path, "flag", "--use-true-labels")
+    assert plain != flag
+    assert _ccalib_outputs(tmp_path, "false", config={"use_true_labels": False}) == plain
+    assert _ccalib_outputs(tmp_path, "true", config={"use_true_labels": True}) == flag
+
+
+@pytest.mark.parametrize("value", ["false", "true", 1, 0])
+def test_config_use_true_labels_rejects_non_booleans(tmp_path, capsys, value):
+    csv_path = tmp_path / "scores.csv"
+    write_example_csv(csv_path, TRUE_LABELS)
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"use_true_labels": value}), encoding="utf-8")
+    code = run("calibrate", "--input", csv_path, "--minority-token", "a",
+               "--algorithm", "ccalib", "--gamma", 0.5, "--config", cfg_path,
+               "--out-dir", tmp_path / "out")
+    assert code == 2
+    assert "invalid use_true_labels" in capsys.readouterr().err
 
 
 def test_config_integral_float_seed_is_accepted(tmp_path):

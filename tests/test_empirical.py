@@ -1,3 +1,4 @@
+import csv
 import io
 
 import numpy as np
@@ -23,6 +24,7 @@ from scorecalib.errors import (
     EmptyGroupError,
     EmptyInputError,
     EmptyStratumError,
+    InvalidParameterError,
     MalformedCurveError,
     SingleClassError,
     UnlabeledDatasetError,
@@ -42,6 +44,12 @@ scores_list = st.lists(
 def test_jitter_sigma_zero_is_identity():
     out = add_jitter([0.45, 0.82], sigma=0.0, seed=7)
     assert out.tolist() == [0.45, 0.82]
+
+
+@pytest.mark.parametrize("sigma", [0.05, 0.0])
+def test_jitter_rejects_negative_seed(sigma):
+    with pytest.raises(InvalidParameterError, match="seed"):
+        add_jitter([0.45, 0.82], sigma=sigma, seed=-1)
 
 
 def test_jitter_pinned_seed():
@@ -197,6 +205,29 @@ def test_step_curve_csv_round_trip():
     again = StepCurve.from_csv(io.StringIO(buf.getvalue()))
     assert again.breakpoints.tolist() == curve.breakpoints.tolist()
     assert again.values.tolist() == curve.values.tolist()
+
+
+@given(
+    st.lists(st.floats(min_value=0.0, max_value=1.0), unique=True, max_size=30),
+    st.data(),
+)
+def test_step_curve_csv_matches_csv_writer(tmp_path_factory, bps, data):
+    # the streamed rows equal what csv.writer wrote, to a path and to a file
+    bps = sorted(bps)
+    values = data.draw(st.lists(st.floats(allow_nan=False), min_size=len(bps) + 1,
+                                max_size=len(bps) + 1))
+    curve = StepCurve(np.array(bps), np.array(values))
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(("theta", "value"))
+    writer.writerow(("0", repr(float(curve.values[0]))))
+    writer.writerows(zip(map(repr, curve.breakpoints.tolist()), map(repr, curve.values[1:].tolist())))
+    buf = io.StringIO()
+    curve.to_csv(buf)
+    assert buf.getvalue() == expected.getvalue()
+    path = tmp_path_factory.mktemp("curve") / "curve.csv"
+    curve.to_csv(path)
+    assert path.read_bytes() == expected.getvalue().encode("utf-8")
 
 
 @pytest.mark.parametrize(

@@ -7,11 +7,25 @@ captured before ``ScoreDataset`` became columnar, and those of
 ``measure_all`` and ``calib_all`` before the report read every metric off
 one pair of group curves per curve kind and stage; a refactor that keeps
 outputs byte-identical passes unchanged.
+
+``plot/curves.svg`` was recaptured when ``plot`` began drawing at most 4
+corners per pixel column (M4): the golden plot has one pixel column with
+6 corners, so its SVG changed.  At the parent commit 73eea0c it was
+``104cbde0…``, and ``test_oracle_plot_keeps_the_old_digest`` pins that
+value with the old renderer.  The ``plot_sparse`` digest was captured at
+73eea0c: no pixel column of its curves holds more than 4 corners, so M4
+leaves it byte-identical.
 """
 
 import hashlib
+from pathlib import Path
+
+import pytest
 
 from scorecalib.cli import main
+from scorecalib.empirical import StepCurve
+
+from test_svgplot import oracle_render_gap_svg
 
 # every (left, right) token pair, and one row with a missing label
 RECORD_CSV = """\
@@ -59,6 +73,10 @@ def commands(root):
         ("record", [
             "calibrate", "--input", root / "records.csv", "--schema", "record",
             "--minority-token", "f", "--algorithm", "calib", "--seed", 5,
+        ]),
+        ("plot_sparse", [
+            "plot", "--input", root / "record" / "dp_minority_before.csv",
+            root / "record" / "dp_majority_before.csv",
         ]),
     ]
 
@@ -140,7 +158,8 @@ GOLDEN = {
     "ccalib_meanshift/fprgap_minority_before.csv": "2f0ce58b346aad9cf0728286f1d82cc8a9c9d5c9f30afac393fd8670b8aaeb3d",
     "ccalib_meanshift/model.json": "5a64414e98561fbe702ebbf90c82ecce568ed7f709ccbbd18ef82ddfcdfdb07b",
     "ccalib_meanshift/report.json": "2a5340b1b35e33d7c39ed781cdd36c53ba1b27727d2f07875ece3c2a0b11e4b3",
-    "plot/curves.svg": "104cbde0bef34d8aa264bbe5d2c2052d8ae3d2cb930421cdd08171ed5c2d2670",
+    "plot/curves.svg": "a645270bbdf1ff5434dedbd573a5409b5484ed5bd33fe25ffd7ed9b3d76445ac",
+    "plot_sparse/curves.svg": "8455283a6bf7d32182ba4aef870d1f8c0f6c158f401d9cad84312b5853b41fd5",
     "record/calibrated.csv": "340c92c7de64b1eb0516de4570e30ca82674b9c77d13fa6542854e320cc052dd",
     "record/dp_majority_after.csv": "633163e7cfcce075cc8da0d4eff012f324296274b31060715f29ad9785f29862",
     "record/dp_majority_before.csv": "127d384ddf3b31e35a04d1c862158ca9ae6c01b83839f506340b470a98b05a1b",
@@ -151,8 +170,29 @@ GOLDEN = {
 }
 
 
-def test_cli_outputs_match_golden_digests(tmp_path):
-    digests = run_all(tmp_path)
+@pytest.fixture(scope="module")
+def golden_run(tmp_path_factory) -> tuple[Path, dict[str, str]]:
+    root = tmp_path_factory.mktemp("golden")
+    return root, run_all(root)
+
+
+def test_cli_outputs_match_golden_digests(golden_run):
+    _, digests = golden_run
     names = list(digests) + [n for n in GOLDEN if n not in digests]
     for name in names:
         assert digests.get(name) == GOLDEN.get(name), f"first differing output: {name}"
+
+
+def test_oracle_plot_keeps_the_old_digest(golden_run):
+    # the renderer that drew every corner, on the golden plot's inputs,
+    # still gives the digest recorded before M4
+    root = golden_run[0] / "measure"
+    svg = oracle_render_gap_svg(
+        StepCurve.from_csv(root / "dp_minority_before.csv"),
+        StepCurve.from_csv(root / "dp_majority_before.csv"),
+        label_a="dp_minority_before",
+        label_b="dp_majority_before",
+        title="golden",
+    )
+    digest = hashlib.sha256(svg.encode("utf-8")).hexdigest()
+    assert digest == "104cbde0bef34d8aa264bbe5d2c2052d8ae3d2cb930421cdd08171ed5c2d2670"

@@ -3,7 +3,7 @@ import pytest
 
 from scorecalib.bias import BiasMetricKind, score_bias
 from scorecalib.dataset import GroupId
-from scorecalib.errors import InvalidSpecError
+from scorecalib.errors import InvalidParameterError, InvalidSpecError
 from scorecalib.synth import BetaParams, SynthSpec, generate
 
 
@@ -81,6 +81,11 @@ def test_pos_rate_controls_label_frequency():
 def test_invalid_spec(overrides):
     with pytest.raises(InvalidSpecError):
         spec(**overrides)
+
+
+def test_generate_rejects_negative_seed():
+    with pytest.raises(InvalidParameterError, match="seed"):
+        generate(spec(seed=-1))
 
 
 def test_invalid_beta_shapes():
