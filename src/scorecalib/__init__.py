@@ -13,8 +13,6 @@ from .calibration import (
     calibrate_dataset,
     calibrate_scores,
     fit,
-    load_model,
-    save_model,
 )
 from .conditional import (
     CondCalibModel,
@@ -23,16 +21,15 @@ from .conditional import (
     cond_calibrate_dataset,
     cond_calibrate_scores,
     fit_conditional,
-    load_model_conditional,
+    load_model,
     meanshift_threshold,
-    save_model_conditional,
+    save_model,
 )
 from .dataset import (
     GroupId,
     GroupVocabulary,
     Schema,
     ScoreDataset,
-    ScoredPair,
     dump_dataset,
     load_dataset,
 )
@@ -63,7 +60,6 @@ __all__ = [
     "MeanshiftConfig",
     "Schema",
     "ScoreDataset",
-    "ScoredPair",
     "StepCurve",
     "SynthSpec",
     "add_jitter",
@@ -84,12 +80,10 @@ __all__ = [
     "integrate_abs_difference",
     "load_dataset",
     "load_model",
-    "load_model_conditional",
     "meanshift_threshold",
     "pr_curve",
     "risk_estimate",
     "save_model",
-    "save_model_conditional",
     "score_bias",
     "threshold_bias",
     "w1_distance",

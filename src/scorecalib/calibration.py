@@ -10,10 +10,7 @@ threshold while moving scores as little as possible.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from functools import cached_property
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -28,13 +25,6 @@ class CalibModel:
     """Immutable fitted calibration model; shareable across threads."""
 
     group_scores: GroupScores
-
-    @cached_property
-    def _ascending(self) -> dict[GroupId, np.ndarray]:
-        return {
-            GroupId.MINORITY: self.group_scores.scores_a[::-1],
-            GroupId.MAJORITY: self.group_scores.scores_b[::-1],
-        }
 
     @property
     def alpha(self) -> float:
@@ -59,6 +49,19 @@ def _rank_positions(n_own: int, n_other: int, greater: np.ndarray):
     return pos_own, pos_other
 
 
+def check_queries(scores: Sequence[float], groups) -> tuple[np.ndarray, np.ndarray]:
+    """Query scores as a float array, each in [0, 1], and their minority
+    flags (from bools or :class:`GroupId` members), of equal length."""
+    scores = np.asarray(scores, dtype=float)
+    # a NaN fails both comparisons
+    if scores.size and not (scores.min() >= 0.0 and scores.max() <= 1.0):
+        raise ScoreOutOfRangeError("query scores must lie in [0, 1]")
+    is_minority = minority_mask(groups)
+    if is_minority.size != scores.size:
+        raise ValueError("scores and groups must have equal length")
+    return scores, is_minority
+
+
 def calibrate_scores(
     model: CalibModel, scores: Sequence[float], groups: Sequence[GroupId]
 ) -> np.ndarray:
@@ -66,33 +69,20 @@ def calibrate_scores(
 
     ``groups`` may also be a bool array of minority flags.
     """
-    scores = np.asarray(scores, dtype=float)
-    if scores.size == 0:
-        return scores.copy()
-    if np.isnan(scores).any() or scores.min() < 0.0 or scores.max() > 1.0:
-        raise ScoreOutOfRangeError("query scores must lie in [0, 1]")
+    scores, is_minority = check_queries(scores, groups)
     gs = model.group_scores
-    alpha = gs.alpha
-    is_minority = minority_mask(groups)
-    if is_minority.size != scores.size:
-        raise ValueError("scores and groups must have equal length")
-
     pos_a = np.empty(scores.size, dtype=np.int64)
     pos_b = np.empty(scores.size, dtype=np.int64)
-    for group, mask in ((GroupId.MINORITY, is_minority), (GroupId.MAJORITY, ~is_minority)):
-        if not mask.any():
-            continue
-        own_asc = model._ascending[group]
-        n_own = own_asc.size
-        n_other = gs.n_b if group is GroupId.MINORITY else gs.n_a
-        greater = n_own - np.searchsorted(own_asc, scores[mask], side="right")
-        pos_own, pos_other = _rank_positions(n_own, n_other, greater)
-        if group is GroupId.MINORITY:
-            pos_a[mask], pos_b[mask] = pos_own, pos_other
-        else:
-            pos_b[mask], pos_a[mask] = pos_own, pos_other
-
-    return alpha * gs.scores_a[pos_a - 1] + (1.0 - alpha) * gs.scores_b[pos_b - 1]
+    sides = (
+        (is_minority, gs.scores_a, gs.n_b, pos_a, pos_b),
+        (~is_minority, gs.scores_b, gs.n_a, pos_b, pos_a),
+    )
+    for mask, own_desc, n_other, pos_own, pos_other in sides:
+        if mask.any():
+            own_asc = own_desc[::-1]
+            greater = own_asc.size - np.searchsorted(own_asc, scores[mask], side="right")
+            pos_own[mask], pos_other[mask] = _rank_positions(own_asc.size, n_other, greater)
+    return gs.alpha * gs.scores_a[pos_a - 1] + (1.0 - gs.alpha) * gs.scores_b[pos_b - 1]
 
 
 def calibrate(model: CalibModel, score: float, group: GroupId) -> float:
@@ -111,27 +101,6 @@ def model_to_dict(model: CalibModel) -> dict:
         "alpha": gs.alpha,
         "sigma": gs.sigma,
         "seed": gs.seed,
-        "scores_a": [float(x) for x in gs.scores_a],
-        "scores_b": [float(x) for x in gs.scores_b],
+        "scores_a": gs.scores_a.tolist(),
+        "scores_b": gs.scores_b.tolist(),
     }
-
-
-def model_from_dict(data: dict) -> CalibModel:
-    return CalibModel(
-        GroupScores(
-            np.array(data["scores_a"], dtype=float),
-            np.array(data["scores_b"], dtype=float),
-            alpha=float(data["alpha"]),
-            sigma=float(data["sigma"]),
-            seed=int(data["seed"]),
-        )
-    )
-
-
-def save_model(model: CalibModel, dest) -> None:
-    text = json.dumps(model_to_dict(model), indent=2, sort_keys=True)
-    Path(dest).write_text(text + "\n", encoding="utf-8")
-
-
-def load_model(source) -> CalibModel:
-    return model_from_dict(json.loads(Path(source).read_text(encoding="utf-8")))

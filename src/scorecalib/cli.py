@@ -18,13 +18,8 @@ import sys
 from pathlib import Path
 
 from .bias import BiasMetricKind, curve_bias, curve_gaps, group_curves, risk_estimate
-from .calibration import calibrate_dataset, fit, model_to_dict
-from .conditional import (
-    MeanshiftConfig,
-    cond_calibrate_dataset,
-    fit_conditional,
-    model_to_dict_conditional,
-)
+from .calibration import calibrate_dataset, fit
+from .conditional import MeanshiftConfig, cond_calibrate_dataset, fit_conditional, save_model
 from .dataset import (
     GroupId,
     GroupVocabulary,
@@ -34,6 +29,7 @@ from .dataset import (
     dataset_from_rows,
     dump_dataset,
     parse_rows,
+    write_json,
 )
 from .empirical import DEFAULT_SIGMA, StepCurve, auc
 from .errors import (
@@ -49,12 +45,6 @@ from .synth import BetaParams, SynthSpec, generate
 DEFAULT_THRESHOLDS = (0.1, 0.5, 0.95)
 
 _METRICS = {k.value: k for k in BiasMetricKind}
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
 
 
 def _pct(value) -> str:
@@ -275,7 +265,7 @@ def cmd_measure(args) -> int:
         "metrics": entries,
         "auc_by_group": auc_groups,
     }
-    _write_json(out_dir / "report.json", payload)
+    write_json(out_dir / "report.json", payload)
     _print_summary(entries, auc_groups, f"measured {len(d)} pairs")
     return 0
 
@@ -296,13 +286,12 @@ def cmd_calibrate(args) -> int:
     fit_sel = _opt(args, config, "fit", "self")
     fit_set = d if fit_sel == "self" else _load_input(args, config, fit_sel)[0]
 
-    model_payload = None
+    model = None
     if algorithm == "none":
         calibrated = d
     elif algorithm == "calib":
         model = fit(fit_set, sigma, seed)
         calibrated = calibrate_dataset(model, d)
-        model_payload = {"algorithm": "calib", **model_to_dict(model)}
     elif algorithm == "ccalib":
         model = fit_conditional(
             fit_set,
@@ -313,7 +302,6 @@ def cmd_calibrate(args) -> int:
             use_true_labels=use_true_labels,
         )
         calibrated = cond_calibrate_dataset(model, d)
-        model_payload = {"algorithm": "ccalib", **model_to_dict_conditional(model)}
     else:
         raise InputError(f"unknown algorithm {algorithm!r}")
 
@@ -346,11 +334,11 @@ def cmd_calibrate(args) -> int:
         **run,
         "auc_by_group_before": auc_groups_before,
         "auc_by_group_after": auc_groups_after,
-        "gamma": model_payload.get("gamma") if model_payload else None,
+        "gamma": getattr(model, "gamma", None),
     }
-    _write_json(out_dir / "report.json", payload)
-    if model_payload is not None:
-        _write_json(out_dir / "model.json", model_payload)
+    write_json(out_dir / "report.json", payload)
+    if model is not None:
+        save_model(model, out_dir / "model.json")
     _print_summary(
         entries, auc_groups_before, f"calibrated {len(d)} pairs with {algorithm}"
     )
@@ -474,10 +462,7 @@ def main(argv=None) -> int:
     except AlgorithmError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

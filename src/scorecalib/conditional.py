@@ -17,19 +17,20 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .calibration import CalibModel, calibrate_scores, model_from_dict, model_to_dict
-from .dataset import GroupId, ScoreDataset, minority_mask
-from .empirical import build_group_scores
+from .calibration import CalibModel, calibrate_scores, check_queries, model_to_dict
+from .dataset import GroupId, ScoreDataset, read_text, write_json
+from .empirical import GroupScores, build_group_scores
 from .errors import (
     EmptyGroupError,
     EmptyGroupInPartitionError,
     EmptyInputError,
+    InputError,
     InvalidParameterError,
+    MalformedModelError,
     ScoreOutOfRangeError,
     SingleModeError,
 )
@@ -223,14 +224,7 @@ def cond_calibrate_scores(
     model: CondCalibModel, scores: Sequence[float], groups: Sequence[GroupId]
 ) -> np.ndarray:
     """Route each query by score >= gamma, then calibrate within its side."""
-    scores = np.asarray(scores, dtype=float)
-    if scores.size == 0:
-        return scores.copy()
-    if np.isnan(scores).any() or scores.min() < 0.0 or scores.max() > 1.0:
-        raise ScoreOutOfRangeError("query scores must lie in [0, 1]")
-    is_minority = minority_mask(groups)
-    if is_minority.size != scores.size:
-        raise ValueError("scores and groups must have equal length")
+    scores, is_minority = check_queries(scores, groups)
     matched_mask = scores >= model.gamma
     out = np.empty(scores.size, dtype=float)
     for sub, mask in ((model.matched, matched_mask), (model.unmatched, ~matched_mask)):
@@ -261,27 +255,78 @@ def model_to_dict_conditional(model: CondCalibModel) -> dict:
     }
 
 
-def model_from_dict_conditional(data: dict) -> CondCalibModel:
-    ms = data["meanshift"]
-    return CondCalibModel(
-        gamma=float(data["gamma"]),
-        matched=model_from_dict(data["matched"]),
-        unmatched=model_from_dict(data["unmatched"]),
-        meanshift=MeanshiftConfig(
-            bandwidth=float(ms["bandwidth"]),
-            max_iterations=int(ms["max_iter"]),
-            convergence_tol=float(ms["tol"]),
-            merge_radius=float(ms["merge_radius"]),
-        ),
-    )
+def save_model(model: CalibModel | CondCalibModel, dest) -> None:
+    """Write a fitted model as the CLI's ``model.json``: its dict plus
+    ``"algorithm"`` ("calib" or "ccalib")."""
+    if isinstance(model, CondCalibModel):
+        payload = {"algorithm": "ccalib", **model_to_dict_conditional(model)}
+    else:
+        payload = {"algorithm": "calib", **model_to_dict(model)}
+    write_json(dest, payload)
 
 
-def save_model_conditional(model: CondCalibModel, dest) -> None:
-    text = json.dumps(model_to_dict_conditional(model), indent=2, sort_keys=True)
-    Path(dest).write_text(text + "\n", encoding="utf-8")
+_NUMBER = (int, float)
+_JSON_TYPE = {list: "a list", dict: "an object", int: "an integer", _NUMBER: "a number"}
 
 
-def load_model_conditional(source) -> CondCalibModel:
-    return model_from_dict_conditional(
-        json.loads(Path(source).read_text(encoding="utf-8"))
-    )
+def _field(data: dict, key: str, kind, where: str = "model"):
+    """``data[key]`` if it is a ``kind`` (never a bool); else malformed."""
+    value = data.get(key)
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise MalformedModelError(
+            f"{where} key {key!r} must be {_JSON_TYPE[kind]}, got {value!r:.40}"
+        )
+    return value
+
+
+def _calib_from_dict(data: dict, where: str = "model") -> CalibModel:
+    lists = [_field(data, key, list, where) for key in ("scores_a", "scores_b")]
+    alpha, sigma = (_field(data, key, _NUMBER, where) for key in ("alpha", "sigma"))
+    seed = _field(data, "seed", int, where)
+    try:
+        return CalibModel(GroupScores(*lists, alpha=alpha, sigma=sigma, seed=seed))
+    except (ValueError, OverflowError, EmptyGroupError) as exc:
+        raise MalformedModelError(f"{where}: {exc}") from None
+
+
+def _ccalib_from_dict(data: dict) -> CondCalibModel:
+    gamma = _field(data, "gamma", _NUMBER)
+    if not 0 <= gamma <= 1:
+        raise MalformedModelError(f"model gamma {gamma!r} lies outside [0, 1]")
+    sides = [
+        _calib_from_dict(_field(data, key, dict), f"model.{key}")
+        for key in ("matched", "unmatched")
+    ]
+    ms = _field(data, "meanshift", dict)
+    try:
+        cfg = MeanshiftConfig(
+            bandwidth=_field(ms, "bandwidth", _NUMBER, "model.meanshift"),
+            max_iterations=_field(ms, "max_iter", int, "model.meanshift"),
+            convergence_tol=_field(ms, "tol", _NUMBER, "model.meanshift"),
+            merge_radius=_field(ms, "merge_radius", _NUMBER, "model.meanshift"),
+        )
+    except (InvalidParameterError, OverflowError) as exc:
+        raise MalformedModelError(f"model.meanshift: {exc}") from None
+    return CondCalibModel(gamma, *sides, cfg)
+
+
+def load_model(source) -> CalibModel | CondCalibModel:
+    """Read a model written by :func:`save_model` or the CLI (path, bytes
+    or file object).
+
+    Dispatches on ``"algorithm"``; a file without it is read by its
+    shape, a ``"gamma"`` key meaning ``ccalib``.  Any file that is not a
+    valid model raises :class:`MalformedModelError`.
+    """
+    try:
+        data = json.loads(read_text(source))
+    except (InputError, ValueError, RecursionError) as exc:
+        raise MalformedModelError(f"model file is not UTF-8 JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise MalformedModelError("model file must hold a JSON object")
+    algorithm = data.get("algorithm", "ccalib" if "gamma" in data else "calib")
+    if algorithm == "calib":
+        return _calib_from_dict(data)
+    if algorithm == "ccalib":
+        return _ccalib_from_dict(data)
+    raise MalformedModelError(f"unknown model algorithm {algorithm!r}")

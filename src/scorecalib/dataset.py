@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import enum
 import io
+import json
 from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -62,23 +63,6 @@ def _check_score(score: float, context: str = "") -> float:
     if not (0.0 <= score <= 1.0):
         raise ScoreOutOfRangeError(f"score {score!r} outside [0, 1]{context}")
     return score
-
-
-@dataclass(frozen=True)
-class ScoredPair:
-    """One record pair: opaque id, score in [0, 1], group, optional label."""
-
-    id: str
-    score: float
-    group: GroupId
-    label: int | None = None
-
-    def __post_init__(self):
-        _check_score(self.score, f" (pair {self.id!r})")
-        if self.label not in (None, 0, 1):
-            raise MalformedRowError(
-                f"label must be 0, 1 or missing, got {self.label!r} (pair {self.id!r})"
-            )
 
 
 def _column(values, dtype) -> np.ndarray:
@@ -141,29 +125,6 @@ class ScoreDataset:
         for name, col in columns.items():
             object.__setattr__(self, name, col)
         object.__setattr__(self, "labeled", bool((columns["_labels"] >= 0).all()))
-
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[ScoredPair]) -> "ScoreDataset":
-        pairs = tuple(pairs)
-        return cls(
-            [p.id for p in pairs],
-            [p.score for p in pairs],
-            [p.group is GroupId.MINORITY for p in pairs],
-            [-1 if p.label is None else p.label for p in pairs],
-        )
-
-    @property
-    def pairs(self) -> tuple[ScoredPair, ...]:
-        """The pairs as :class:`ScoredPair` objects, built on each access."""
-        return tuple(
-            ScoredPair(pid, score, _GROUP_OF[m], None if label < 0 else label)
-            for pid, score, m, label in zip(
-                self.ids,
-                self._scores.tolist(),
-                self.is_minority.tolist(),
-                self._labels.tolist(),
-            )
-        )
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -278,6 +239,12 @@ def csv_writer(dest):
     """A CSV writer on a path (opened and closed here) or an open text file."""
     with text_writer(dest) as f:
         yield csv.writer(f, lineterminator="\n")
+
+
+def write_json(dest, payload) -> None:
+    """``payload`` as indented JSON with sorted keys and a final newline."""
+    with text_writer(dest) as f:
+        f.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 class CsvRows(list):

@@ -63,20 +63,24 @@ class GroupScores:
     seed: int
 
     def __post_init__(self):
-        a = np.asarray(self.scores_a, dtype=float)
-        b = np.asarray(self.scores_b, dtype=float)
+        a, b = np.asarray(self.scores_a), np.asarray(self.scores_b)
+        for name, arr in (("scores_a", a), ("scores_b", b)):
+            if arr.ndim != 1 or arr.dtype.kind not in "iuf":
+                raise ValueError(f"{name} must be a flat list of numbers")
         if a.size == 0 or b.size == 0:
             raise EmptyGroupError("both group score lists must be non-empty")
+        a, b = a.astype(float, copy=False), b.astype(float, copy=False)
+        # every check is written so that NaN fails it
         for name, arr in (("scores_a", a), ("scores_b", b)):
             if np.any(np.diff(arr) > 0):
                 raise ValueError(f"{name} must be sorted non-increasing")
-            if arr.min() < 0.0 or arr.max() > 1.0:
+            if not (arr.min() >= 0.0 and arr.max() <= 1.0):
                 raise ValueError(f"{name} values must lie in [0, 1]")
         expected = a.size / (a.size + b.size)
-        if abs(self.alpha - expected) > 1e-12:
+        if not abs(self.alpha - expected) <= 1e-12:
             raise ValueError(f"alpha {self.alpha} != |scores_a|/|D| = {expected}")
-        if self.sigma < 0:
-            raise ValueError("sigma must be >= 0")
+        if not 0 <= self.sigma < np.inf:
+            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
         a.setflags(write=False)
         b.setflags(write=False)
         object.__setattr__(self, "scores_a", a)

@@ -71,6 +71,10 @@ class MalformedCurveError(InputError):
     """A step-curve CSV failed to parse."""
 
 
+class MalformedModelError(InputError):
+    """A model file failed to parse or holds an invalid model."""
+
+
 class SingleModeError(AlgorithmError):
     """Mode finding produced fewer than two modes; supply gamma explicitly."""
 

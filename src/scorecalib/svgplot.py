@@ -12,9 +12,12 @@ about 100 KB however many breakpoints the curves have.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 from .empirical import StepCurve, integrate_abs_difference, merged_grid
+from .errors import InvalidParameterError
 
 WIDTH, HEIGHT = 720, 480
 MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, MARGIN_BOTTOM = 64, 20, 44, 52
@@ -35,10 +38,21 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
+# characters XML 1.0 forbids: C0 controls other than tab, LF and CR,
+# surrogates, U+FFFE and U+FFFF
+_XML_FORBIDDEN = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+
+
 def _escape(text: str) -> str:
     """``text`` as XML character data.  Written out rather than imported:
     importing ``html`` or ``xml.sax.saxutils`` adds 0.7 or 7 MB to the
-    peak memory of every CLI command."""
+    peak memory of every CLI command.  A character that XML 1.0 forbids
+    raises :class:`InvalidParameterError`."""
+    bad = _XML_FORBIDDEN.search(text)
+    if bad:
+        raise InvalidParameterError(
+            f"SVG text {text!r} holds {bad.group()!r}, which XML 1.0 forbids"
+        )
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 

@@ -1,8 +1,11 @@
+import xml.etree.ElementTree as ET
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from scorecalib.dataset import GroupId, ScoredPair, ScoreDataset
+from scorecalib.dataset import ScoreDataset
 
 settings.register_profile(
     "det",
@@ -30,13 +33,22 @@ EXAMPLE_PAIRS_RAW = [
 
 
 def make_dataset(scored, labels=None):
-    """Build a dataset from (score, 'a'|'b') tuples, optionally labeled."""
-    pairs = []
-    for i, (score, token) in enumerate(scored):
-        group = GroupId.MINORITY if token == "a" else GroupId.MAJORITY
-        label = None if labels is None else labels[i]
-        pairs.append(ScoredPair(f"p{i + 1}", score, group, label))
-    return ScoreDataset.from_pairs(pairs)
+    """Build a dataset from (score, 'a'|'b') tuples, optionally labeled
+    (a label of None is missing)."""
+    return ScoreDataset(
+        [f"p{i + 1}" for i in range(len(scored))],
+        [score for score, _ in scored],
+        [token == "a" for _, token in scored],
+        None if labels is None else [-1 if label is None else label for label in labels],
+    )
+
+
+def parse_svgs(root) -> int:
+    """Parse every SVG file under ``root`` with ElementTree; return the count."""
+    paths = sorted(Path(root).rglob("*.svg"))
+    for path in paths:
+        ET.parse(path)
+    return len(paths)
 
 
 def random_dataset(rng, n_a, n_b, beta_a=(2, 2), beta_b=(2, 2), labeled=False,

@@ -23,7 +23,7 @@ from scorecalib.dataset import GroupId
 from scorecalib.empirical import auc, gap_curve, pr_curve, w1_distance
 from scorecalib.synth import BetaParams, SynthSpec, generate
 
-from conftest import EXAMPLE_PAIRS, make_dataset, random_dataset
+from conftest import EXAMPLE_PAIRS, make_dataset, parse_svgs, random_dataset
 
 MIN, MAJ = GroupId.MINORITY, GroupId.MAJORITY
 
@@ -256,3 +256,4 @@ def test_criterion_9_cli_determinism(tmp_path):
             }
         )
     assert snaps[0] == snaps[1]
+    assert parse_svgs(tmp_path) == 2

@@ -9,7 +9,7 @@ from scorecalib.bias import (
     score_bias,
     threshold_bias,
 )
-from scorecalib.dataset import GroupId
+from scorecalib.dataset import GroupId, ScoreDataset
 from scorecalib.empirical import gap_curve, pr_curve, w1_distance
 from scorecalib.errors import (
     EmptyStratumError,
@@ -25,9 +25,7 @@ KINDS = list(BiasMetricKind)
 
 
 def swap_groups(d):
-    rows = [(p.score, "b" if p.group is MIN else "a") for p in d.pairs]
-    labels = [p.label for p in d.pairs] if d.labeled else None
-    return make_dataset(rows, labels)
+    return ScoreDataset(d.ids, d.scores(), ~d.is_minority, d.labels() if d.labeled else None)
 
 
 @pytest.mark.parametrize("kind", KINDS)

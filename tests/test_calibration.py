@@ -1,6 +1,9 @@
+import io
+import json
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from scorecalib.bias import BiasMetricKind, risk_estimate, score_bias
@@ -10,13 +13,11 @@ from scorecalib.calibration import (
     calibrate_dataset,
     calibrate_scores,
     fit,
-    load_model,
-    model_from_dict,
     model_to_dict,
-    save_model,
 )
-from scorecalib.dataset import GroupId
-from scorecalib.empirical import GroupScores
+from scorecalib.conditional import load_model, save_model
+from scorecalib.dataset import GroupId, ScoreDataset
+from scorecalib.empirical import GroupScores, w1_distance
 from scorecalib.errors import EmptyGroupError, ScoreOutOfRangeError
 
 from conftest import make_dataset, random_dataset
@@ -75,17 +76,15 @@ def test_calibrate_below_all_scores_clamps(example_dataset):
 def test_calibrate_dataset_worked_example(example_dataset):
     model = fit(example_dataset, sigma=0.0, seed=0)
     out = calibrate_dataset(model, example_dataset)
-    assert [p.score for p in out.pairs] == pytest.approx(HAND_TRACE, abs=1e-9)
+    assert out.scores().tolist() == pytest.approx(HAND_TRACE, abs=1e-9)
     # ids, groups and labels untouched
-    assert [p.id for p in out.pairs] == [p.id for p in example_dataset.pairs]
-    assert [p.group for p in out.pairs] == [p.group for p in example_dataset.pairs]
+    assert out.ids == example_dataset.ids
+    assert out.groups() == example_dataset.groups()
 
 
 def test_calibrate_dataset_empty(example_dataset):
     model = fit(example_dataset, sigma=0.0, seed=0)
-    from scorecalib.dataset import ScoreDataset
-
-    out = calibrate_dataset(model, ScoreDataset.from_pairs(()))
+    out = calibrate_dataset(model, ScoreDataset((), (), ()))
     assert len(out) == 0
 
 
@@ -232,5 +231,88 @@ def test_model_persistence_round_trip(tmp_path, example_dataset):
 def test_model_dict_schema(example_dataset):
     payload = model_to_dict(fit(example_dataset, sigma=0.0, seed=0))
     assert set(payload) == {"alpha", "sigma", "seed", "scores_a", "scores_b"}
-    rebuilt = model_from_dict(payload)
+    rebuilt = load_model(io.StringIO(json.dumps(payload)))
     assert rebuilt.alpha == payload["alpha"]
+
+
+# --- minimal deviation: risk of a self-fit = 2 alpha (1 - alpha) W1 ---------
+
+
+def rank_rounding_bound(a, b) -> float:
+    """An upper bound on |risk - 2 alpha (1 - alpha) W1(A, B)| for a self-fit
+    with sigma=0 on groups A (minority) and B, each with distinct scores.
+
+    Index each list descending from 1, let n = n_a + n_b, and write
+    f(t) = |A[ceil(t n_a)] - B[ceil(t n_b)]| for t in (0, 1].  The 1-D
+    quantile coupling gives W1 = integral of f over (0, 1].
+
+    A minority pair at position p of A has p - 1 own scores above it, so
+    ``_rank_positions`` gives pos_own = p and pos_other = q(p) =
+    ceil(p n_b / n_a), and it calibrates to alpha A[p] + (1 - alpha) B[q(p)]:
+    it moves by (1 - alpha) f(p / n_a).  A majority pair at position r
+    moves by alpha f(r / n_b) in the same way.  With alpha = n_a / n,
+
+        risk = alpha (1 - alpha) (S_a + S_b),
+        S_a = (1/n_a) sum_p f(p / n_a),   S_b = (1/n_b) sum_r f(r / n_b),
+
+    so risk - 2 alpha (1 - alpha) W1 = alpha (1 - alpha) ((S_a - W1) + (S_b - W1)).
+
+    S_a - W1 is a right-endpoint rule for the integral.  On
+    ((p - 1)/n_a, p/n_a] the A index is p and the B index runs from
+    lo(p) = floor((p - 1) n_b / n_a) + 1 up to q(p), so f differs from
+    f(p / n_a) by at most B[lo(p)] - B[q(p)], the drop of the descending
+    B over those indices.  Since lo(p + 1) >= q(p), the index ranges of
+    consecutive p do not overlap, and the drops add up to at most
+    B[1] - B[n_b] = range(B): |S_a - W1| <= range(B) / n_a.  Likewise
+    |S_b - W1| <= range(A) / n_b.  Hence
+
+        |risk - 2 alpha (1 - alpha) W1| <= (n_b range(B) + n_a range(A)) / n**2,
+
+    at most 1/n <= 1/min(n_a, n_b).  With n_a = n_b, lo(p) = q(p) = p, so
+    every drop is 0 and the identity is exact.  Tied scores share a
+    position, so none of this applies to them.
+    """
+    n_a, n_b = len(a), len(b)
+    spread = n_b * (max(b) - min(b)) + n_a * (max(a) - min(a))
+    return spread / (n_a + n_b) ** 2
+
+
+def self_fit_risk_gap(a, b) -> tuple[float, float]:
+    """(|risk - 2 alpha (1 - alpha) W1|, its bound) of a sigma=0 self-fit."""
+    d = make_dataset([(s, "a") for s in a] + [(s, "b") for s in b])
+    model = fit(d, sigma=0.0, seed=0)
+    risk = risk_estimate(d.scores(), calibrate_dataset(model, d).scores())
+    alpha = model.alpha
+    gap = abs(risk - 2 * alpha * (1 - alpha) * w1_distance(a, b))
+    return gap, rank_rounding_bound(a, b)
+
+
+def distinct_scores(min_size=1, max_size=40):
+    return st.lists(
+        st.floats(0, 1, allow_nan=False), min_size=min_size, max_size=max_size, unique=True
+    )
+
+
+@given(
+    st.integers(1, 40).flatmap(
+        lambda n: st.tuples(distinct_scores(n, n), distinct_scores(n, n))
+    )
+)
+def test_risk_identity_equal_group_sizes(lists):
+    gap, _ = self_fit_risk_gap(*lists)
+    assert gap <= 1e-12
+
+
+@given(distinct_scores(), distinct_scores())
+@example([0.9, 0.1], [0.8, 0.5, 0.2])
+def test_risk_identity_rank_rounding_bound(a, b):
+    gap, bound = self_fit_risk_gap(a, b)
+    assert gap <= bound + 1e-12
+    assert bound <= 1 / (len(a) + len(b))
+
+
+def test_risk_identity_bound_at_scale():
+    rng = np.random.default_rng(8)
+    for n_a, n_b in ((50, 65), (500, 650)):
+        gap, bound = self_fit_risk_gap(rng.beta(2, 5, n_a), rng.beta(5, 2, n_b))
+        assert gap <= bound + 1e-12

@@ -13,7 +13,7 @@ from scorecalib.cli import main
 from scorecalib.dataset import Schema, load_dataset
 from scorecalib.empirical import StepCurve, pr_curve
 
-from conftest import EXAMPLE_PAIRS_RAW
+from conftest import EXAMPLE_PAIRS_RAW, parse_svgs
 
 
 def write_example_csv(path, labels=None):
@@ -132,7 +132,7 @@ def test_calibrate_none_passthrough(tmp_path):
     assert report["risk"] == 0.0
     d_in = load_dataset(csv_path, Schema.PAIR_LEVEL, "a")
     d_out = load_dataset(out / "calibrated.csv", Schema.PAIR_LEVEL, "a")
-    assert [p.score for p in d_out.pairs] == [p.score for p in d_in.pairs]
+    assert d_out.scores().tolist() == d_in.scores().tolist()
 
 
 def test_calibrate_reports_match_remeasure(tmp_path):
@@ -260,6 +260,7 @@ def test_plot(tmp_path):
     assert run("plot", "--input", a_path, b_path, "--out-dir", out) == 0
     svg = (out / "curves.svg").read_text()
     assert "<svg" in svg
+    assert parse_svgs(out) == 1
     match = re.search(r"gap band area = (\d+\.\d+)", svg)
     assert match and float(match.group(1)) == pytest.approx(0.3, abs=1e-9)
 
@@ -271,6 +272,7 @@ def test_plot_identical_curves_zero_band(tmp_path):
     run("plot", "--input", tmp_path / "a.csv", tmp_path / "b.csv", "--out-dir", tmp_path)
     svg = (tmp_path / "curves.svg").read_text()
     assert "gap band area = 0.000000000" in svg
+    assert parse_svgs(tmp_path) == 1
 
 
 def test_plot_malformed_curve(tmp_path):

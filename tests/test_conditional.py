@@ -2,9 +2,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from scorecalib import conditional
-from scorecalib.bias import BiasMetricKind, score_bias
+from scorecalib.bias import BiasMetricKind, risk_estimate, score_bias
 from scorecalib.conditional import (
     MeanshiftConfig,
     _mean_shift_modes,
@@ -13,12 +15,13 @@ from scorecalib.conditional import (
     cond_calibrate_dataset,
     cond_calibrate_scores,
     fit_conditional,
-    load_model_conditional,
+    load_model,
     meanshift_threshold,
     model_to_dict_conditional,
-    save_model_conditional,
+    save_model,
 )
 from scorecalib.dataset import GroupId
+from scorecalib.empirical import w1_distance
 from scorecalib.errors import (
     EmptyGroupInPartitionError,
     EmptyInputError,
@@ -29,6 +32,7 @@ from scorecalib.errors import (
 )
 
 from conftest import make_dataset
+from test_calibration import rank_rounding_bound
 
 MIN, MAJ = GroupId.MINORITY, GroupId.MAJORITY
 
@@ -277,9 +281,10 @@ def test_cond_calibrate_dataset_matches_scalar(example_dataset):
     model = fit_conditional(example_dataset, sigma=0.0, seed=0, gamma_override=0.57)
     out = cond_calibrate_dataset(model, example_dataset)
     expected = [
-        cond_calibrate(model, p.score, p.group) for p in example_dataset.pairs
+        cond_calibrate(model, score, group)
+        for score, group in zip(example_dataset.scores().tolist(), example_dataset.groups())
     ]
-    assert [p.score for p in out.pairs] == expected
+    assert out.scores().tolist() == expected
 
 
 def test_conditional_bias_collapse_on_separable_labels():
@@ -320,8 +325,8 @@ def test_determinism(example_dataset):
 def test_model_persistence_round_trip(tmp_path, example_dataset):
     model = fit_conditional(example_dataset, sigma=0.0, seed=0, gamma_override=0.57)
     path = tmp_path / "cond_model.json"
-    save_model_conditional(model, path)
-    again = load_model_conditional(path)
+    save_model(model, path)
+    again = load_model(path)
     assert again.gamma == model.gamma
     assert again.matched.group_scores.scores_a.tolist() == (
         model.matched.group_scores.scores_a.tolist()
@@ -338,3 +343,35 @@ def test_model_dict_schema(example_dataset):
     )
     assert set(payload) == {"gamma", "matched", "unmatched", "meanshift"}
     assert set(payload["meanshift"]) == {"bandwidth", "tol", "max_iter", "merge_radius"}
+
+
+def distinct_side(low, high):
+    return st.lists(
+        st.floats(low, high, exclude_max=high < 1, allow_nan=False),
+        min_size=1, max_size=30, unique=True,
+    )
+
+
+@given(
+    distinct_side(0.5, 1.0), distinct_side(0.5, 1.0),
+    distinct_side(0.0, 0.5), distinct_side(0.0, 0.5),
+)
+# equal group sizes on both sides: the identity is exact
+@example([0.9, 0.7], [0.8, 0.55], [0.1, 0.3, 0.2], [0.4, 0.05, 0.15])
+def test_risk_identity_per_partition(matched_a, matched_b, unmatched_a, unmatched_b):
+    # within each side of gamma, a sigma=0 self-fit is the calib self-fit
+    # of that side, so its risk obeys the same identity and bound
+    rows = [(s, "a") for s in matched_a + unmatched_a]
+    rows += [(s, "b") for s in matched_b + unmatched_b]
+    d = make_dataset(rows)
+    model = fit_conditional(d, sigma=0.0, seed=0, gamma_override=0.5)
+    calibrated = cond_calibrate_dataset(model, d).scores()
+    matched = d.scores() >= 0.5
+    for side, mask in ((model.matched, matched), (model.unmatched, ~matched)):
+        a, b = side.group_scores.scores_a.tolist(), side.group_scores.scores_b.tolist()
+        alpha = side.alpha
+        risk = risk_estimate(d.scores()[mask], calibrated[mask])
+        gap = abs(risk - 2 * alpha * (1 - alpha) * w1_distance(a, b))
+        assert gap <= rank_rounding_bound(a, b) + 1e-12
+        if len(a) == len(b):
+            assert gap <= 1e-12

@@ -10,7 +10,6 @@ from scorecalib.dataset import (
     GroupVocabulary,
     Schema,
     ScoreDataset,
-    ScoredPair,
     dump_dataset,
     load_dataset,
     minority_mask,
@@ -57,19 +56,21 @@ def test_derive_pair_group_symmetric(left, right):
 
 
 @pytest.mark.parametrize("score", [-0.01, 1.2, float("nan")])
-def test_scored_pair_rejects_bad_score(score):
-    with pytest.raises(ScoreOutOfRangeError):
-        ScoredPair("p", score, MIN)
+def test_constructor_rejects_bad_score(score):
+    # the error names the offending pair
+    with pytest.raises(ScoreOutOfRangeError, match="'p'"):
+        ScoreDataset(["p"], [score], [True])
 
 
 @pytest.mark.parametrize("score", [0.0, 1.0])
 def test_boundary_scores_accepted(score):
-    assert ScoredPair("p", score, MIN).score == score
+    assert ScoreDataset(["p"], [score], [True]).scores().tolist() == [score]
 
 
-def test_scored_pair_rejects_bad_label():
+@pytest.mark.parametrize("label", [2, -2])
+def test_constructor_rejects_bad_label(label):
     with pytest.raises(MalformedRowError):
-        ScoredPair("p", 0.5, MIN, label=2)
+        ScoreDataset(["p"], [0.5], [True], [label])
 
 
 def test_load_single_unlabeled_row():
@@ -77,7 +78,7 @@ def test_load_single_unlabeled_row():
     d = load_dataset(io.StringIO(csv), Schema.PAIR_LEVEL, minority_token="a")
     assert len(d) == 1
     assert not d.labeled
-    assert d.pairs[0] == ScoredPair("p1", 0.45, MIN)
+    assert d == ScoreDataset(["p1"], [0.45], [True])
 
 
 def test_load_rejects_out_of_range_score():
@@ -103,7 +104,7 @@ def test_load_record_level_derives_group():
         "p3,0.5,m,f,1\n"
     )
     d = load_dataset(io.StringIO(csv), Schema.RECORD_LEVEL, minority_token="f")
-    assert [p.group for p in d.pairs] == [MIN, MAJ, MIN]
+    assert d.groups() == [MIN, MAJ, MIN]
     assert d.labeled
 
 
@@ -158,7 +159,7 @@ def test_unknown_group_with_closed_vocabulary():
 def test_open_vocabulary_accepts_any_majority_token():
     csv = "id,score,group,label\np1,0.5,whatever,\n"
     d = load_dataset(io.StringIO(csv), Schema.PAIR_LEVEL, minority_token="a")
-    assert d.pairs[0].group is MAJ
+    assert d.groups() == [MAJ]
 
 
 def test_empty_group_token_rejected():
@@ -197,7 +198,7 @@ def test_columns_are_read_only_arrays():
     for column in (d.scores(), d.is_minority, d.labels()):
         with pytest.raises(ValueError):
             column[0] = 0
-    assert ScoreDataset.from_pairs(d.pairs) == d
+    assert ScoreDataset(d.ids, d.scores(), d.is_minority, d.labels()) == d
 
 
 def test_constructor_validates_columns():

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from conftest import parse_svgs
+
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
@@ -22,3 +24,5 @@ def test_demo_runs(demo, tmp_path):
         capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr
+    # the CLI demo plots into a temporary directory under tmp_path
+    assert parse_svgs(tmp_path) == (1 if demo.stem == "04_cli_pipeline" else 0)

@@ -118,6 +118,36 @@ def test_group_scores_validation():
         GroupScores(np.array([]), np.array([0.5]), alpha=0.0, sigma=0.0, seed=0)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "scores_a,scores_b,alpha,sigma",
+    [
+        # NaN and inf in each list, then as alpha and as sigma
+        ([NAN, 0.2], [0.5], 2 / 3, 0.0),
+        ([0.8, 0.2], [0.5, NAN], 0.5, 0.0),
+        ([INF, 0.2], [0.5], 2 / 3, 0.0),
+        ([0.8, 0.2], [0.5, -INF], 0.5, 0.0),
+        ([0.8], [0.5], NAN, 0.0),
+        ([0.8], [0.5], INF, 0.0),
+        ([0.8], [0.5], 0.5, NAN),
+        ([0.8], [0.5], 0.5, INF),
+    ],
+)
+def test_group_scores_rejects_non_finite(scores_a, scores_b, alpha, sigma):
+    with pytest.raises(ValueError):
+        GroupScores(scores_a, scores_b, alpha=alpha, sigma=sigma, seed=0)
+
+
+@pytest.mark.parametrize(
+    "scores_a", [[[0.5]], ["0.5"], [0.5, None], [True], np.zeros((1, 1))]
+)
+def test_group_scores_rejects_non_numeric_or_nested_lists(scores_a):
+    with pytest.raises(ValueError, match="flat list of numbers"):
+        GroupScores(scores_a, [0.5], alpha=0.5, sigma=0.0, seed=0)
+
+
 # ---------------------------------------------------------------- curves
 
 def test_pr_curve_single_max_score():

@@ -15,16 +15,33 @@ corners per pixel column (M4): the golden plot has one pixel column with
 value with the old renderer.  The ``plot_sparse`` digest was captured at
 73eea0c: no pixel column of its curves holds more than 4 corners, so M4
 leaves it byte-identical.
+
+Every ``model.json`` must read back: applied to its step's input, the
+loaded model reproduces ``calibrated.csv`` and saves to the same bytes,
+and each kind of malformed model file raises ``MalformedModelError``.
 """
 
+import csv
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
 
+from scorecalib.calibration import calibrate_dataset, model_to_dict
 from scorecalib.cli import main
+from scorecalib.conditional import (
+    CondCalibModel,
+    cond_calibrate_dataset,
+    load_model,
+    model_to_dict_conditional,
+    save_model,
+)
+from scorecalib.dataset import Schema, load_dataset
 from scorecalib.empirical import StepCurve
+from scorecalib.errors import MalformedModelError
 
+from conftest import parse_svgs
 from test_svgplot import oracle_render_gap_svg
 
 # every (left, right) token pair, and one row with a missing label
@@ -196,3 +213,200 @@ def test_oracle_plot_keeps_the_old_digest(golden_run):
     )
     digest = hashlib.sha256(svg.encode("utf-8")).hexdigest()
     assert digest == "104cbde0bef34d8aa264bbe5d2c2052d8ae3d2cb930421cdd08171ed5c2d2670"
+
+
+def test_every_svg_parses(golden_run):
+    assert parse_svgs(golden_run[0]) == 2
+
+
+# --- model.json reads back ------------------------------------------------
+
+# each calibrate step's input: (file under the run root, schema, minority token)
+CALIBRATE_INPUTS = {
+    "calib": ("generate/dataset.csv", Schema.PAIR_LEVEL, "minority"),
+    "calib_all": ("generate/dataset.csv", Schema.PAIR_LEVEL, "minority"),
+    "ccalib_gamma": ("generate/dataset.csv", Schema.PAIR_LEVEL, "minority"),
+    "ccalib_meanshift": ("generate/dataset.csv", Schema.PAIR_LEVEL, "minority"),
+    "record": ("records.csv", Schema.RECORD_LEVEL, "f"),
+}
+
+
+def model_dict(model) -> dict:
+    if isinstance(model, CondCalibModel):
+        return model_to_dict_conditional(model)
+    return model_to_dict(model)
+
+
+@pytest.mark.parametrize("step", CALIBRATE_INPUTS)
+def test_model_file_reproduces_calibrated_csv(golden_run, step, tmp_path):
+    root = golden_run[0]
+    source, schema, token = CALIBRATE_INPUTS[step]
+    model_file = root / step / "model.json"
+    model = load_model(model_file)
+    assert isinstance(model, CondCalibModel) == step.startswith("ccalib")
+    apply = cond_calibrate_dataset if isinstance(model, CondCalibModel) else calibrate_dataset
+    scores = apply(model, load_dataset(root / source, schema, token)).scores()
+    with open(root / step / "calibrated.csv", encoding="utf-8", newline="") as f:
+        written = [row[1] for row in csv.reader(f)][1:]
+    assert list(map(repr, scores.tolist())) == written
+    save_model(model, tmp_path / "model.json")
+    assert (tmp_path / "model.json").read_bytes() == model_file.read_bytes()
+
+
+@pytest.mark.parametrize("step", CALIBRATE_INPUTS)
+def test_model_file_without_algorithm_is_read_by_shape(golden_run, step):
+    # the shape the library wrote before model files carried "algorithm"
+    payload = json.loads((golden_run[0] / step / "model.json").read_text())
+    del payload["algorithm"]
+    model = load_model(json.dumps(payload).encode())
+    assert isinstance(model, CondCalibModel) == ("gamma" in payload)
+    assert model_dict(model) == payload
+
+
+DELETE = object()
+
+
+def load_edited(golden_run, step, edits):
+    """Load the step's model.json after setting each dotted path (an
+    integer part indexes a list) to a value; ``DELETE`` removes the key."""
+    payload = json.loads((golden_run[0] / step / "model.json").read_text())
+    for dotted, value in edits.items():
+        *parents, key = (int(k) if k.lstrip("-").isdigit() else k for k in dotted.split("."))
+        target = payload
+        for parent in parents:
+            target = target[parent]
+        if value is DELETE:
+            del target[key]
+        else:
+            target[key] = value
+    return load_model(json.dumps(payload).encode())
+
+
+@pytest.mark.parametrize(
+    "raw,reason",
+    [
+        (b"\xff\xfe{}", "not UTF-8 JSON: input is not UTF-8"),
+        (b"", "not UTF-8 JSON"),
+        (b"{", "not UTF-8 JSON"),
+        (b"{'alpha': 0.5}", "not UTF-8 JSON"),
+        (b"[" * 100_000, "not UTF-8 JSON"),
+        (b"[]", "must hold a JSON object"),
+        (b'"calib"', "must hold a JSON object"),
+        (b"null", "must hold a JSON object"),
+    ],
+    ids=["not-utf8", "empty", "truncated", "single-quotes", "too-deep", "list", "string", "null"],
+)
+def test_model_file_not_utf8_json_object(tmp_path, raw, reason):
+    path = tmp_path / "model.json"
+    path.write_bytes(raw)
+    with pytest.raises(MalformedModelError, match=reason):
+        load_model(path)
+
+
+@pytest.mark.parametrize("algorithm", ["none", "Calib", "", 3, None, ["calib"]])
+def test_model_file_unknown_algorithm(golden_run, algorithm):
+    with pytest.raises(MalformedModelError, match="unknown model algorithm"):
+        load_edited(golden_run, "calib", {"algorithm": algorithm})
+
+
+@pytest.mark.parametrize(
+    "step,edits,message",
+    [
+        ("calib", {"alpha": DELETE}, "model key 'alpha' must be a number, got None"),
+        ("calib", {"sigma": "0.05"}, "model key 'sigma' must be a number"),
+        ("calib", {"seed": 1.5}, "model key 'seed' must be an integer"),
+        ("calib", {"seed": True}, "model key 'seed' must be an integer"),
+        ("calib", {"scores_b": DELETE}, "model key 'scores_b' must be a list"),
+        ("calib", {"scores_a": {"0": 0.5}}, "model key 'scores_a' must be a list"),
+        ("ccalib_gamma", {"gamma": True}, "model key 'gamma' must be a number"),
+        ("ccalib_gamma", {"matched": DELETE}, "model key 'matched' must be an object"),
+        ("ccalib_gamma", {"unmatched": []}, "model key 'unmatched' must be an object"),
+        ("ccalib_gamma", {"meanshift": DELETE}, "model key 'meanshift' must be an object"),
+        ("ccalib_gamma", {"matched.alpha": DELETE}, "model.matched key 'alpha'"),
+        ("ccalib_gamma", {"unmatched.seed": "0"}, "model.unmatched key 'seed'"),
+        ("ccalib_gamma", {"meanshift.max_iter": 500.0}, "model.meanshift key 'max_iter'"),
+        ("ccalib_gamma", {"meanshift.tol": DELETE}, "model.meanshift key 'tol'"),
+        # files whose algorithm names the other shape, and one of neither shape
+        ("calib", {"algorithm": "ccalib"}, "model key 'gamma' must be a number"),
+        ("ccalib_gamma", {"algorithm": "calib"}, "model key 'scores_a' must be a list"),
+        ("calib", {"algorithm": DELETE, "scores_a": DELETE}, "model key 'scores_a'"),
+    ],
+)
+def test_model_file_missing_or_mistyped_key(golden_run, step, edits, message):
+    with pytest.raises(MalformedModelError, match=f"^{message}"):
+        load_edited(golden_run, step, edits)
+
+
+@pytest.mark.parametrize(
+    "step,edits,message",
+    [
+        ("calib", {"scores_a": [0.1, 0.9]}, "model: scores_a must be sorted"),
+        ("calib", {"scores_a": [1.5]}, r"model: scores_a values must lie in \[0, 1\]"),
+        ("calib", {"scores_b": [-0.25]}, r"model: scores_b values must lie in \[0, 1\]"),
+        ("calib", {"scores_a": []}, "model: both group score lists must be non-empty"),
+        ("calib", {"scores_a": [[0.5]]}, "model: scores_a must be a flat list of numbers"),
+        ("calib", {"scores_a": ["0.5"]}, "model: scores_a must be a flat list of numbers"),
+        ("calib", {"scores_a": [0.5, None]}, "model: scores_a must be a flat list"),
+        ("calib", {"scores_b": [True]}, "model: scores_b must be a flat list"),
+        ("calib", {"scores_a": [[0.5], 0.4]}, "model: "),
+        ("calib", {"alpha": 0.5}, "model: alpha 0.5 != "),
+        ("calib", {"alpha": 10**400}, "model: "),
+        ("calib", {"sigma": -1}, "model: sigma must be finite and >= 0"),
+        ("ccalib_gamma", {"matched.scores_b": [0.2, 0.3]}, "model.matched: scores_b"),
+        ("ccalib_gamma", {"unmatched.alpha": 1}, "model.unmatched: alpha 1 != "),
+    ],
+)
+def test_model_file_invalid_score_lists(golden_run, step, edits, message):
+    with pytest.raises(MalformedModelError, match=f"^{message}"):
+        load_edited(golden_run, step, edits)
+
+
+@pytest.mark.parametrize("gamma", [1.5, -0.1, 2, float("nan"), float("inf"), -float("inf")])
+def test_model_file_gamma_outside_unit_interval(golden_run, gamma):
+    with pytest.raises(MalformedModelError, match=r"gamma .* outside \[0, 1\]"):
+        load_edited(golden_run, "ccalib_gamma", {"gamma": gamma})
+
+
+@pytest.mark.parametrize(
+    "edits",
+    [
+        {"meanshift.bandwidth": 0},
+        {"meanshift.bandwidth": -0.1},
+        {"meanshift.bandwidth": float("nan")},
+        {"meanshift.bandwidth": 1e-200},  # 1/(2*bandwidth**2) overflows
+        {"meanshift.bandwidth": 10**400},  # no float holds it
+        {"meanshift.max_iter": 0},
+        {"meanshift.tol": 0},
+        {"meanshift.tol": float("nan")},
+        {"meanshift.merge_radius": 1.0},  # above the bandwidth
+    ],
+    ids=lambda e: "-".join(f"{k}={v!r:.12}" for k, v in e.items()),
+)
+def test_model_file_invalid_meanshift_block(golden_run, edits):
+    with pytest.raises(MalformedModelError, match="^model.meanshift: "):
+        load_edited(golden_run, "ccalib_meanshift", edits)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "step,edits,message",
+    [
+        ("calib", {"scores_a.0": NAN}, r"model: scores_a values must lie in \[0, 1\]"),
+        ("calib", {"scores_b.-1": NAN}, r"model: scores_b values must lie in \[0, 1\]"),
+        ("calib", {"scores_a.0": INF}, r"model: scores_a values must lie in \[0, 1\]"),
+        ("calib", {"scores_b.-1": -INF}, r"model: scores_b values must lie in \[0, 1\]"),
+        ("calib", {"alpha": NAN}, "model: alpha nan != "),
+        ("calib", {"alpha": INF}, "model: alpha inf != "),
+        ("calib", {"sigma": NAN}, "model: sigma must be finite and >= 0, got nan"),
+        ("calib", {"sigma": INF}, "model: sigma must be finite and >= 0, got inf"),
+        ("ccalib_gamma", {"matched.scores_a.0": NAN}, "model.matched: scores_a values"),
+        ("ccalib_gamma", {"unmatched.alpha": NAN}, "model.unmatched: alpha nan"),
+        ("ccalib_gamma", {"unmatched.sigma": INF}, "model.unmatched: sigma must be finite"),
+    ],
+)
+def test_model_file_non_finite_values(golden_run, step, edits, message):
+    # json writes NaN and Infinity literals, and json.loads reads them back
+    with pytest.raises(MalformedModelError, match=f"^{message}"):
+        load_edited(golden_run, step, edits)

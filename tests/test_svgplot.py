@@ -8,18 +8,21 @@ maximum corner, must equal the oracle byte for byte when no column holds
 more than 4 corners, and must keep the oracle's exact ``<title>``.
 """
 
+import json
 import re
 import xml.etree.ElementTree as ET
 from itertools import groupby
 from math import floor
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from scorecalib import svgplot
 from scorecalib.cli import main
 from scorecalib.empirical import StepCurve, integrate_abs_difference, merged_grid
+from scorecalib.errors import InvalidParameterError
 from scorecalib.svgplot import (
     COLOR_A,
     COLOR_B,
@@ -181,6 +184,7 @@ def test_reduced_polylines_are_subsequences_of_the_oracle(curve_a, curve_b):
     # every drawn point is one the oracle drew, in the same
     # order, and the title holds the same exact area
     svg = render_gap_svg(curve_a, curve_b)
+    ET.fromstring(svg)
     oracle = oracle_render_gap_svg(curve_a, curve_b)
     for reduced, full in zip(point_lists(svg), point_lists(oracle), strict=True):
         assert len(reduced) <= len(full)
@@ -223,6 +227,7 @@ def test_dense_curves_stay_small():
         curves.append(StepCurve(bp, values))
     assert all(c.breakpoints.size > 99_000 for c in curves)
     svg = render_gap_svg(*curves)
+    ET.fromstring(svg)
     band, line_a, line_b = point_lists(svg)
     assert len(line_a) <= 4 * PIXEL_COLUMNS and len(line_b) <= 4 * PIXEL_COLUMNS
     assert len(band) <= 2 * 4 * PIXEL_COLUMNS
@@ -246,3 +251,48 @@ def test_title_and_labels_are_xml_escaped(tmp_path):
     texts = [t.text for t in root.iter(f"{SVG_NS}text")]
     assert f"{title} (band area 0.2000)" in texts
     assert "a&b" in texts and "c<d>" in texts
+
+
+# every character XML 1.0 forbids, by kind: C0 controls other than tab,
+# LF and CR, the two non-characters U+FFFE and U+FFFF, and surrogates
+FORBIDDEN = [
+    "\x00", "\x01", "\x08", "\x0b", "\x0c", "\x0e", "\x1f",
+    "\ufffe", "\uffff",
+    "\ud800", "\udc80", "\udfff",
+]
+
+
+@pytest.mark.parametrize("char", FORBIDDEN, ids=lambda c: f"U+{ord(c):04X}")
+def test_xml_forbidden_characters_are_rejected(char):
+    curve = StepCurve(np.array([0.5]), np.array([1.0, 0.0]))
+    with pytest.raises(InvalidParameterError, match="XML 1.0 forbids"):
+        render_gap_svg(curve, curve, title=f"x{char}y")
+    with pytest.raises(InvalidParameterError):
+        render_gap_svg(curve, curve, label_a=f"a{char}")
+
+
+def test_xml_allowed_whitespace_and_text_parse():
+    # tab, LF, CR, DEL and characters outside the BMP are allowed
+    curve = StepCurve(np.array([0.5]), np.array([1.0, 0.0]))
+    title = "a\tb\nc\rd\x7fe \u00e9 \U0001f600 \ufffd"
+    ET.fromstring(render_gap_svg(curve, curve, title=title))
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("char", ["\x01", "\ud800"], ids=["U+0001", "U+D800"])
+def test_cli_forbidden_title_character_exits_2(tmp_path, capsys, via, char):
+    curve_a, curve_b = tmp_path / "a.csv", tmp_path / "b.csv"
+    StepCurve(np.array([0.4]), np.array([1.0, 0.0])).to_csv(curve_a)
+    StepCurve(np.array([0.6]), np.array([1.0, 0.0])).to_csv(curve_b)
+    out = tmp_path / "out"
+    argv = ["plot", "--input", str(curve_a), str(curve_b), "--out-dir", str(out)]
+    if via == "flag":
+        argv += ["--title", f"x{char}y"]
+    else:
+        config = tmp_path / "plot.json"
+        # json.dumps writes the character as a \uXXXX escape
+        config.write_text(json.dumps({"title": f"x{char}y"}), encoding="utf-8")
+        argv += ["--config", str(config)]
+    assert main(argv) == 2
+    assert "XML 1.0 forbids" in capsys.readouterr().err
+    assert not (out / "curves.svg").exists()

@@ -29,7 +29,7 @@ def test_counts_and_labels():
     assert d.count(GroupId.MINORITY) == 200
     assert d.count(GroupId.MAJORITY) == 300
     assert d.labeled
-    assert all(0.0 <= p.score <= 1.0 for p in d.pairs)
+    assert d.scores().min() >= 0.0 and d.scores().max() <= 1.0
 
 
 def test_deterministic():
@@ -63,8 +63,8 @@ def test_opposed_betas_match_cdf_gap_oracle():
 
 def test_pos_rate_controls_label_frequency():
     d = generate(spec(n_minority=4000, n_majority=4000, pos_rate_a=0.25, pos_rate_b=0.75))
-    labels_a = [p.label for p in d.pairs if p.group is GroupId.MINORITY]
-    labels_b = [p.label for p in d.pairs if p.group is GroupId.MAJORITY]
+    labels_a = d.labels()[d.is_minority]
+    labels_b = d.labels()[~d.is_minority]
     assert np.mean(labels_a) == pytest.approx(0.25, abs=0.03)
     assert np.mean(labels_b) == pytest.approx(0.75, abs=0.03)
 
