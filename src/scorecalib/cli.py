@@ -56,7 +56,7 @@ def _load_config(path: str | None) -> dict:
         return {}
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:  # not UTF-8, or not JSON
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
         raise InvalidParameterError(f"--config {path}: {exc}") from None
     if not isinstance(data, dict):
         raise InvalidParameterError("--config file must contain a JSON object")
@@ -95,6 +95,12 @@ def _seed(value) -> int:
     return seed
 
 
+def _str(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"not a string: {value!r}")
+    return value
+
+
 def _bool(value) -> bool:
     """Only a JSON boolean (or the flag's True): "false" and 0 are rejected
     rather than read by their truthiness."""
@@ -104,6 +110,8 @@ def _bool(value) -> bool:
 
 
 def _load_input(args, config, path) -> tuple[ScoreDataset, Schema, list[list[str]]]:
+    """The dataset, its schema, and the raw group-token and label columns
+    (echoed unchanged into ``calibrated.csv``)."""
     if not path:
         raise InputError("--input is required")
     schema = _opt(args, config, "schema", Schema.PAIR_LEVEL, Schema)
@@ -112,7 +120,7 @@ def _load_input(args, config, path) -> tuple[ScoreDataset, Schema, list[list[str
         _opt(args, config, "majority_token"),
     )
     rows = parse_rows(path, schema)
-    return dataset_from_rows(rows, schema, vocab), schema, rows
+    return dataset_from_rows(rows, schema, vocab), schema, rows.columns[2:]
 
 
 def _metric_kinds(args, config) -> list[BiasMetricKind]:
@@ -272,7 +280,7 @@ def cmd_measure(args) -> int:
 
 def cmd_calibrate(args) -> int:
     config = _load_config(args.config)
-    d, schema, rows = _load_input(args, config, _opt(args, config, "input"))
+    d, schema, raw_columns = _load_input(args, config, _opt(args, config, "input"))
     kinds = _metric_kinds(args, config)
     thresholds = _thresholds(args, config)
     algorithm = _opt(args, config, "algorithm", "calib")
@@ -317,9 +325,7 @@ def cmd_calibrate(args) -> int:
     # emit the calibrated dataset in the input schema, original tokens kept
     with csv_writer(out_dir / "calibrated.csv") as writer:
         writer.writerow(schema.header)
-        writer.writerows(
-            [row[0], repr(score), *row[2:]] for row, score in zip(rows, new_scores.tolist())
-        )
+        writer.writerows(zip(d.ids, map(repr, new_scores.tolist()), *raw_columns))
 
     auc_groups_before = _auc_by_group(d)
     auc_groups_after = _auc_by_group(calibrated)
@@ -360,7 +366,7 @@ def cmd_plot(args) -> int:
     out_dir = _out_dir(args, config)
     curve_a = StepCurve.from_csv(inputs[0])
     curve_b = StepCurve.from_csv(inputs[1])
-    title = _opt(args, config, "title", "threshold curves")
+    title = _opt(args, config, "title", "threshold curves", _str)
     svg = render_gap_svg(
         curve_a,
         curve_b,

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import csv
 import enum
+import gc
 import io
 import json
-from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, islice
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -212,13 +212,12 @@ class GroupVocabulary:
 
 
 def read_text(source) -> str:
-    """Text of a path, bytes, or file object (UTF-8)."""
+    """Text of a path, bytes, or a text or binary file object (UTF-8)."""
     try:
         if isinstance(source, (str, Path)):
             return Path(source).read_text(encoding="utf-8")
-        if isinstance(source, bytes):
-            return source.decode("utf-8")
-        return source.read()
+        data = source if isinstance(source, bytes) else source.read()
+        return data.decode("utf-8") if isinstance(data, bytes) else data
     except UnicodeDecodeError as exc:
         raise InputError(f"input is not UTF-8 text: {exc}") from None
 
@@ -247,42 +246,115 @@ def write_json(dest, payload) -> None:
         f.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-class CsvRows(list):
-    """Data rows of a CSV file, with ``line_nums[i]`` the file line row i ends on."""
+CHUNK_ROWS = 1 << 16  # rows read per batch; only one batch's row lists are alive at a time
 
-    def __init__(self):
-        super().__init__()
-        self.line_nums = array("q")
+
+@contextmanager
+def _gc_paused():
+    """Cyclic GC off for a block.  The CSV reader makes only acyclic lists
+    and strings, so a collection during ingest frees nothing and costs a
+    walk over every row list still alive."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+class TextSource:
+    """A CSV input that is streamed once and can be read whole again.
+
+    A path is streamed from disk and re-read only on the error path.
+    Bytes and file objects are decoded to one string up front (as
+    :func:`read_text` does), since a file object cannot be read twice.
+    """
+
+    def __init__(self, source):
+        if isinstance(source, (str, Path)):
+            self._path, self._text = Path(source), None
+        else:
+            self._path, self._text = None, read_text(source)
+
+    def open(self):
+        if self._path is None:
+            return io.StringIO(self._text)
+        return open(self._path, encoding="utf-8")
+
+    def text(self) -> str:
+        """The whole text; raises :class:`InputError` if it is not UTF-8."""
+        return read_text(self._path) if self._path is not None else self._text
+
+
+def read_columns(source: TextSource, width: int):
+    """The first row, and the rows after it as ``width`` columns of raw strings.
+
+    Rows are read through ``csv.reader`` in batches of :data:`CHUNK_ROWS`
+    with cyclic GC paused; each batch is checked for shape with one
+    ``set(map(len, ...))``, blank rows are dropped, and each column is
+    taken with one comprehension before the batch's row lists are freed.
+    Fields from the third on are categorical (group tokens and labels),
+    so equal strings there are stored as one object.
+
+    Returns ``(header, None)`` when a row has another width, and
+    ``(None, None)`` when the text is not UTF-8 or ``csv`` rejects it: the
+    caller then parses the whole text row by row, which names the line.
+    """
+    columns = [[] for _ in range(width)]
+    interned = {}
+    try:
+        with _gc_paused(), source.open() as f:
+            reader = csv.reader(f)
+            header = next(reader, None)
+            while chunk := list(islice(reader, CHUNK_ROWS)):
+                widths = set(map(len, chunk))
+                if 0 in widths:
+                    chunk = [row for row in chunk if row]
+                    widths.discard(0)
+                if widths - {width}:
+                    return header, None
+                for j, column in enumerate(columns):
+                    raw = [row[j] for row in chunk]
+                    column += raw if j < 2 else map(interned.setdefault, raw, raw)
+    except (UnicodeDecodeError, csv.Error):
+        return None, None
+    return header, columns
+
+
+class CsvRows:
+    """Data rows of a CSV file as columns of raw strings, one per header
+    field, and the :class:`TextSource` they came from (for the error path)."""
+
+    def __init__(self, columns: list[list[str]], source: TextSource):
+        self.columns = columns
+        self.source = source
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+
+def _header_matches(header, schema: Schema) -> bool:
+    return header is not None and tuple(h.strip() for h in header) == schema.header
 
 
 def parse_rows(source, schema: Schema) -> CsvRows:
-    """Read and shape-check CSV rows, keeping raw string fields.
+    """Read and shape-check CSV rows, keeping raw string fields as columns.
 
-    Returns data rows only (header consumed; blank rows skipped).  Raises
-    :class:`MalformedRowError` on a missing/mismatched header or a row
-    with the wrong column count.
+    Returns data rows only (header consumed; blank rows skipped).  The
+    file is streamed in batches (:func:`read_columns`), so no row list or
+    second copy of the text outlives its batch.  When the stream fails
+    (a bad header, a row of the wrong width, text that is not UTF-8),
+    the whole text is parsed again row by row, so the error is the one a
+    whole-file read gives: a decode error anywhere wins, else
+    :class:`MalformedRowError` for the header or the first bad row, with
+    its file line.
     """
-    expected = schema.header
-    reader = csv.reader(io.StringIO(read_text(source)))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise MalformedRowError("empty file: header row required") from None
-    if tuple(h.strip() for h in header) != expected:
-        raise MalformedRowError(
-            f"expected header {','.join(expected)!r}, got {','.join(header)!r}"
-        )
-    rows = CsvRows()
-    for row in reader:
-        if not row:
-            continue
-        if len(row) != len(expected):
-            raise MalformedRowError(
-                f"line {reader.line_num}: expected {len(expected)} columns, got {len(row)}"
-            )
-        rows.append(row)
-        rows.line_nums.append(reader.line_num)
-    return rows
+    source = TextSource(source)
+    header, columns = read_columns(source, len(schema.header))
+    if columns is None or not _header_matches(header, schema):
+        _raise_first_error(source, schema)
+    return CsvRows(columns, source)
 
 
 def _parse_score(text: str) -> float:
@@ -303,24 +375,71 @@ def _parse_label(text: str) -> int:
     return _LABELS[text]
 
 
-def dataset_from_rows(rows: CsvRows, schema: Schema, vocab: GroupVocabulary) -> ScoreDataset:
-    """Fill the dataset's columns from shape-checked rows in one pass.
+def _raise_first_error(
+    source: TextSource, schema: Schema, vocab: GroupVocabulary | None = None
+):
+    """Parse the whole text one row at a time and raise its first error.
 
-    Errors name the file line of the offending row.  A record-level
-    pair is minority iff either of its records is.
+    The order is that of a whole-file read: a decode error anywhere, then
+    :class:`MalformedRowError` for the header or a row of the wrong
+    width, then (given ``vocab``) the first row with a bad score, group
+    token or label.  Row errors name the row's file line.  The columnar
+    path found an error, so a clean pass means the file changed after it
+    was read.
     """
-    group_fields = slice(2, len(schema.header) - 1)
-    ids, scores, minority, labels = [], [], [], []
-    line = None
+    expected = schema.header
+    reader = csv.reader(io.StringIO(source.text()))
+    header = next(reader, None)
+    if header is None:
+        raise MalformedRowError("empty file: header row required")
+    if not _header_matches(header, schema):
+        raise MalformedRowError(
+            f"expected header {','.join(expected)!r}, got {','.join(header)!r}"
+        )
+    for row in reader:
+        if not row:
+            continue
+        if len(row) != len(expected):
+            raise MalformedRowError(
+                f"line {reader.line_num}: expected {len(expected)} columns, got {len(row)}"
+            )
+        if vocab is None:
+            continue
+        try:
+            _parse_score(row[1])
+            for token in row[2:-1]:
+                vocab.resolve(token.strip())
+            _parse_label(row[-1])
+        except InputError as exc:
+            raise type(exc)(f"line {reader.line_num}: {exc}") from None
+    raise MalformedRowError("input changed while it was read")
+
+
+def dataset_from_rows(rows: CsvRows, schema: Schema, vocab: GroupVocabulary) -> ScoreDataset:
+    """Build the dataset from shape-checked rows, one column at a time.
+
+    Scores go through ``float`` (one ``map`` into an array) and are range
+    checked in one vectorized step; group tokens and labels are resolved
+    once per distinct string.  A record-level pair is minority iff
+    either of its records is.  If any check fails, the rows are checked
+    again one at a time (:func:`_raise_first_error`) so that the error
+    names the file line of the first bad row, as a row-by-row parse would.
+    """
+    ids, score_text, *group_columns, label_text = rows.columns
+    n = len(ids)
     try:
-        for line, row in zip(rows.line_nums, rows):
-            ids.append(row[0])
-            scores.append(_parse_score(row[1]))
-            groups = [vocab.resolve(token.strip()) for token in row[group_fields]]
-            minority.append(GroupId.MINORITY in groups)
-            labels.append(_parse_label(row[-1]))
-    except InputError as exc:
-        raise type(exc)(f"line {line}: {exc}") from None
+        scores = np.fromiter(map(float, score_text), np.float64, n)
+        minority = np.zeros(n, dtype=bool)
+        for column in group_columns:
+            flags = {t: vocab.resolve(t.strip()) is GroupId.MINORITY for t in set(column)}
+            minority |= np.fromiter(map(flags.__getitem__, column), bool, n)
+        codes = {t: _parse_label(t) for t in set(label_text)}
+        labels = np.fromiter(map(codes.__getitem__, label_text), np.int8, n)
+    except (ValueError, InputError):
+        _raise_first_error(rows.source, schema, vocab)
+    # a NaN fails both comparisons
+    if not ((scores >= 0.0) & (scores <= 1.0)).all():
+        _raise_first_error(rows.source, schema, vocab)
     return ScoreDataset(ids, scores, minority, labels)
 
 

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import GroupId, ScoreDataset, read_text, text_writer
+from .dataset import GroupId, ScoreDataset, TextSource, read_columns, text_writer
 from .errors import (
     EmptyGroupError,
     EmptyInputError,
@@ -162,25 +162,48 @@ class StepCurve:
 
     @classmethod
     def from_csv(cls, source) -> "StepCurve":
-        reader = csv.reader(io.StringIO(read_text(source)))
-        rows = [row for row in reader if row]
-        if not rows or tuple(rows[0]) != ("theta", "value"):
-            raise MalformedCurveError("curve CSV must start with header 'theta,value'")
-        if len(rows) < 2:
-            raise MalformedCurveError("curve CSV has no data rows")
-        try:
-            thetas = [float(r[0]) for r in rows[1:]]
-            values = [float(r[1]) for r in rows[1:]]
-        except (ValueError, IndexError):
-            raise MalformedCurveError("curve CSV has a malformed row") from None
-        if not np.isfinite(thetas + values).all():
+        """Read a curve that :meth:`to_csv` wrote (path, bytes or file object).
+
+        The file is streamed through :func:`~scorecalib.dataset.read_columns`
+        in batches, and each column is parsed with one ``float`` map.  A
+        file the stream cannot take as it is (not UTF-8, a header other
+        than ``theta,value``, a row of other than two fields, a field
+        ``float`` rejects) is parsed again whole, one field at a time:
+        that parse accepts rows with extra fields, and raises
+        :class:`MalformedCurveError` for a malformed one.
+        """
+        source = TextSource(source)
+        header, columns = read_columns(source, 2)
+        parsed = None
+        if header == ["theta", "value"] and columns and columns[0]:
+            try:
+                parsed = [np.fromiter(map(float, col), np.float64, len(col)) for col in columns]
+            except ValueError:
+                pass
+        thetas, values = parsed or _curve_fields(source.text())
+        if not (np.isfinite(thetas).all() and np.isfinite(values).all()):
             raise MalformedCurveError("curve CSV holds a NaN or infinite number")
         if thetas[0] != 0.0:
             raise MalformedCurveError("first curve row must be for theta=0")
         try:
-            return cls(np.array(thetas[1:]), np.array(values))
+            return cls(thetas[1:], values)
         except ValueError as exc:
             raise MalformedCurveError(str(exc)) from None
+
+
+def _curve_fields(text: str) -> tuple[np.ndarray, np.ndarray]:
+    """Thetas and values of a curve CSV's text, parsed one field at a time."""
+    rows = [row for row in csv.reader(io.StringIO(text)) if row]
+    if not rows or tuple(rows[0]) != ("theta", "value"):
+        raise MalformedCurveError("curve CSV must start with header 'theta,value'")
+    if len(rows) < 2:
+        raise MalformedCurveError("curve CSV has no data rows")
+    try:
+        thetas = [float(r[0]) for r in rows[1:]]
+        values = [float(r[1]) for r in rows[1:]]
+    except (ValueError, IndexError):
+        raise MalformedCurveError("curve CSV has a malformed row") from None
+    return np.array(thetas), np.array(values)
 
 
 def pr_curve(scores: Sequence[float]) -> StepCurve:

@@ -362,6 +362,7 @@ def test_calibrated_csv_round_trips_any_id(tmp_path_factory, ids):
         pytest.param(["--thresholds", 0.5, -0.1], None, id="theta-below-zero"),
         pytest.param([], b"{not json", id="config-not-json"),
         pytest.param([], b'{"sigma": "\xff"}', id="config-not-utf8"),
+        pytest.param([], b"[" * 100_000, id="config-nested-too-deep"),
         pytest.param([], {"thresholds": 0.5}, id="config-threshold-scalar"),
         pytest.param([], {"thresholds": "0.5"}, id="config-threshold-text"),
         pytest.param([], {"thresholds": [0.5, [0.2]]}, id="config-threshold-nested"),

@@ -1,0 +1,327 @@
+"""The columnar CSV ingest against the per-row parsers it replaced.
+
+``ingest_oracle`` holds the old row-by-row ``parse_rows`` +
+``dataset_from_rows`` and the old field-by-field curve parser.  Each
+test mutates a valid file and requires the library to give the oracle's
+result: an equal dataset or curve, or the same exception class with the
+same message (file line and byte position included).  The batch size is
+lowered in most cases, so that a mutation lands in a later batch.
+"""
+
+import csv
+import gc
+import io
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import ingest_oracle as oracle
+from scorecalib import dataset
+from scorecalib.dataset import GroupVocabulary, Schema, load_dataset, parse_rows
+from scorecalib.empirical import StepCurve, pr_curve
+from scorecalib.errors import InputError, MalformedRowError, ScoreOutOfRangeError
+
+
+def outcome(fn, *args):
+    """``("ok", result)``, or the exception's class and message."""
+    try:
+        return "ok", fn(*args)
+    except Exception as exc:  # any class: the oracle's must be matched exactly
+        return type(exc), str(exc)
+
+
+def ingest(source, schema, vocab):
+    rows = parse_rows(source, schema)
+    return rows, dataset.dataset_from_rows(rows, schema, vocab)
+
+
+def ingest_oracle(source, schema, vocab):
+    rows = oracle.parse_rows(source, schema)
+    return rows, oracle.dataset_from_rows(rows, schema, vocab)
+
+
+def assert_same_ingest(data: bytes, schema, vocab):
+    got = outcome(ingest, data, schema, vocab)
+    want = outcome(ingest_oracle, data, schema, vocab)
+    if want[0] != "ok" or got[0] != "ok":
+        assert got == want
+        return want
+    (rows, d), (old_rows, old_d) = got[1], want[1]
+    assert d == old_d and d.ids == old_d.ids and d.labeled == old_d.labeled
+    assert len(rows) == len(old_rows)
+    # the raw columns the CLI echoes, with each distinct token stored once
+    for j, column in enumerate(rows.columns[2:], start=2):
+        assert column == [row[j] for row in old_rows]
+        assert len({id(token) for token in column}) == len(set(column))
+    return want
+
+
+def render(rows) -> bytes:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue().encode("utf-8")
+
+
+score_text = st.one_of(
+    st.floats(0.0, 1.0).map(repr),
+    st.integers(0, 100).map(lambda k: f"{k / 100:.2f}"),
+    st.sampled_from(["0", "1", "1.0", "0.5e0"]),
+)
+
+
+@st.composite
+def valid_rows(draw, schema):
+    """Header and rows of a valid file: tokens 'a'/'b', labels 0/1/empty."""
+    n = draw(st.integers(1, 12))
+    groups = len(schema.header) - 3
+    rows = [list(schema.header)]
+    for i in range(n):
+        tokens = draw(st.lists(st.sampled_from(["a", "b"]), min_size=groups, max_size=groups))
+        label = draw(st.sampled_from(["0", "1", ""]))
+        rows.append([f"p{i}", draw(score_text), *tokens, label])
+    return rows
+
+
+# (field, replacement): field 1 is the score, -1 the label, 2 the first group token
+FIELD_MUTATIONS = [
+    *((1, s) for s in ["abc", "", "0.5.5", "0x1"]),  # bad score
+    *((1, s) for s in ["nan", "NaN", "-nan"]),
+    *((1, s) for s in ["inf", "-inf", "1e999", "Infinity"]),
+    *((1, s) for s in ["1.2", "-0.01", "1_0", "1.0000000000000002"]),  # out of range
+    *((1, s) for s in [" 0.5 ", "\t1\t", "0_0.5"]),  # accepted by float()
+    *((2, s) for s in ["", "  ", "x", "A"]),  # unknown token (open: empty only)
+    *((2, s) for s in [" a ", "a\t", " b"]),  # padded token
+    *((-1, s) for s in ["2", "-1", "yes", "1.0", "0 1"]),  # bad label
+    *((-1, s) for s in [" 1", "0 ", " "]),  # padded label
+    *((0, s) for s in ["", " id ", "p\n1", "p\r\nq", 'quote"d', "é"]),  # ids, some multi-line
+]
+
+
+@st.composite
+def mutated_file(draw, schema):
+    rows = draw(valid_rows(schema))
+    edits = draw(st.lists(st.tuples(st.integers(1, len(rows) - 1), st.integers(0, 6)),
+                          min_size=1, max_size=3))
+    for index, kind in edits:
+        row = rows[index]
+        if not row:  # an earlier edit put a blank row here
+            continue
+        if kind <= 2:
+            field, text = draw(st.sampled_from(FIELD_MUTATIONS))
+            if field < len(row):  # an earlier edit may have shortened the row
+                row[field] = text
+        elif kind == 3:  # one field too few or too many
+            rows[index] = row[:-1] if draw(st.booleans()) else row + ["extra"]
+        elif kind == 4:  # blank rows
+            rows[index:index] = [[]] * draw(st.integers(1, 3))
+        elif kind == 5:  # a quoted id over two lines shifts the later lines
+            row[0] = f"{row[0]}\nx"
+        else:  # the header itself, padded or wrong
+            rows[0] = draw(st.sampled_from([
+                [f" {h} " for h in schema.header], list(schema.header[:-1]), ["id"], [],
+            ]))
+    return render(rows)
+
+
+@settings(max_examples=250)
+@given(
+    st.sampled_from(list(Schema)),
+    st.data(),
+    st.sampled_from([None, "b"]),
+    st.sampled_from([1, 2, 5, dataset.CHUNK_ROWS]),
+)
+def test_mutated_file_matches_oracle(schema, data, majority, chunk_rows):
+    text = data.draw(mutated_file(schema))
+    vocab = GroupVocabulary("a", majority)
+    with mock.patch.object(dataset, "CHUNK_ROWS", chunk_rows):
+        assert_same_ingest(text, schema, vocab)
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_line_endings_and_multiline_ids_match_oracle(tmp_path, newline):
+    # a path is streamed with newline translation, as a whole-file read is
+    lines = ["id,score,group,label", '"p\r\n1",0.5,a,1', "", "p2,0.25,b,0", "p3,2,a,"]
+    path = tmp_path / "in.csv"
+    path.write_bytes(newline.join(lines).encode("utf-8"))
+    vocab = GroupVocabulary("a")
+    with mock.patch.object(dataset, "CHUNK_ROWS", 1):
+        got = outcome(ingest, path, Schema.PAIR_LEVEL, vocab)
+    assert got == outcome(ingest_oracle, path, Schema.PAIR_LEVEL, vocab)
+    # the quoted id spans lines 2-3 and line 4 is blank, so p3 is on line 6
+    assert got[0] is ScoreOutOfRangeError and got[1].startswith("line 6: ")
+    path.write_bytes(newline.join(lines[:-1]).encode("utf-8"))
+    _, d = ingest(path, Schema.PAIR_LEVEL, vocab)
+    assert d == oracle.dataset_from_rows(
+        oracle.parse_rows(path, Schema.PAIR_LEVEL), Schema.PAIR_LEVEL, vocab
+    )
+
+
+def test_field_larger_than_csv_limit_matches_oracle():
+    # csv.Error, raised by the whole-text parse after the stream gives up
+    data = b"id,score,group,label\n" + b"p" * (csv.field_size_limit() + 1) + b",0.5,a,\n"
+    got = outcome(ingest, data, Schema.PAIR_LEVEL, GroupVocabulary("a"))
+    assert got == outcome(ingest_oracle, data, Schema.PAIR_LEVEL, GroupVocabulary("a"))
+    assert got[0] is csv.Error
+
+
+# ---------------------------------------------------------------- past the first batch
+
+BIG_ROWS = 70_100  # more than one default batch
+
+
+@pytest.fixture(scope="module")
+def big_rows():
+    rng = np.random.default_rng(3)
+    scores = rng.random(BIG_ROWS).tolist()
+    # tokens of more than one character: CPython shares 1-character strings anyway
+    tokens = np.where(rng.random(BIG_ROWS) < 0.4, "ga", "gb").tolist()
+    return [list(Schema.PAIR_LEVEL.header)] + [
+        [f"p{i}", repr(s), g, str(i % 2)] for i, (s, g) in enumerate(zip(scores, tokens))
+    ]
+
+
+def big_case(rows, case) -> bytes:
+    rows = [list(r) for r in rows]
+    if case.startswith("bad-byte"):
+        rows[70_001][0] = "BAD"
+    if case == "bad-byte-and-header":
+        rows[0][0] = "key"
+    if case == "bad-byte-and-early-score":
+        rows[3][1] = "1.5"
+    if case == "bad-byte-and-early-width":
+        rows[3].append("extra")
+    if case == "late-score":
+        rows[70_050][1] = "nan"
+    if case == "late-width":
+        rows[70_050].pop()
+    if case == "late-token":
+        rows[70_050][2] = "gc"
+    return render(rows).replace(b"BAD", b"p\xff")
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["valid", "bad-byte", "bad-byte-and-header", "bad-byte-and-early-score",
+     "bad-byte-and-early-width", "late-score", "late-width", "late-token"],
+)
+@pytest.mark.parametrize("as_path", [False, True])
+def test_errors_past_the_first_batch_match_oracle(tmp_path, big_rows, case, as_path):
+    data = big_case(big_rows, case)
+    source = data
+    if as_path:
+        source = tmp_path / "big.csv"
+        source.write_bytes(data)
+    want = assert_same_ingest(source, Schema.PAIR_LEVEL, GroupVocabulary("ga", "gb"))
+    if case.startswith("bad-byte"):
+        # the byte position counts from the start of the file
+        position = data.index(b"\xff")
+        assert want[0] is InputError and f"position {position}:" in want[1]
+    elif case != "valid":
+        assert want[1].startswith("line 70051: ")  # rows[0] is the header, on line 1
+
+
+def test_curve_bad_byte_past_the_first_batch_matches_oracle(tmp_path):
+    thetas = np.linspace(0.0, 1.0, BIG_ROWS)
+    rows = [["theta", "value"], ["0", "1.0"]]
+    rows += [[repr(t), repr(1.0 - t)] for t in thetas[1:].tolist()]
+    rows[70_001][1] = "BAD"
+    path = tmp_path / "curve.csv"
+    path.write_bytes(render(rows).replace(b"BAD", b"\xff"))
+    got = outcome(StepCurve.from_csv, path)
+    assert got == outcome(oracle.curve_from_csv, path)
+    assert got[0] is InputError and "not UTF-8" in got[1]
+
+
+# ---------------------------------------------------------------- curves
+
+
+@st.composite
+def mutated_curve(draw):
+    scores = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=10))
+    buf = io.StringIO()
+    pr_curve(scores).to_csv(buf)
+    rows = list(csv.reader(io.StringIO(buf.getvalue())))
+    for _ in range(draw(st.integers(0, 3))):
+        index = draw(st.integers(1, len(rows) - 1))  # a data row
+        kind = draw(st.integers(0, 6))
+        if kind <= 1:  # one field replaced
+            field = draw(st.integers(0, 1))
+            text = draw(st.sampled_from(
+                ["x", "", "nan", "inf", "-inf", "1.5", "-0.5", " 0.5", "0", "1e999", "0.25"]
+            ))
+            if field < len(rows[index]):
+                rows[index][field] = text
+        elif kind == 2:  # a field too few or too many (extra fields are ignored)
+            rows[index] = rows[index][:1] if draw(st.booleans()) else rows[index] + ["x"]
+        elif kind == 3:
+            rows[index:index] = [[]] * draw(st.integers(1, 2))
+        elif kind == 4:  # out of order
+            other = draw(st.integers(1, len(rows) - 1))
+            rows[index], rows[other] = rows[other], rows[index]
+        elif kind == 5:  # cut short, down to the header alone
+            del rows[index:]
+            break
+        else:
+            rows[0] = draw(st.sampled_from(
+                [["theta", "value "], ["value", "theta"], ["theta"], [], ["theta", "value", ""]]
+            ))
+    return render(rows)
+
+
+def curve_outcome(fn, data):
+    result = outcome(fn, data)
+    if result[0] == "ok":
+        return "ok", result[1].breakpoints.tolist(), result[1].values.tolist()
+    return result
+
+
+@settings(max_examples=200)
+@given(mutated_curve(), st.sampled_from([1, 3, dataset.CHUNK_ROWS]))
+def test_mutated_curve_matches_oracle(data, chunk_rows):
+    with mock.patch.object(dataset, "CHUNK_ROWS", chunk_rows):
+        got = curve_outcome(StepCurve.from_csv, data)
+    assert got == curve_outcome(oracle.curve_from_csv, data)
+
+
+# ---------------------------------------------------------------- sources and state
+
+
+def test_binary_file_object_is_decoded_as_utf8(tmp_path):
+    path = tmp_path / "in.csv"
+    path.write_bytes("id,score,group,label\npé1,0.5,a,1\np2,0.25,b,0\n".encode("utf-8"))
+    with open(path, "rb") as f:
+        d = load_dataset(f, Schema.PAIR_LEVEL, "a")
+    assert d == load_dataset(path, Schema.PAIR_LEVEL, "a")
+    assert d.ids == ("pé1", "p2")
+    path.write_bytes(b"id,score,group,label\np\xe91,0.5,a,1\n")
+    with open(path, "rb") as f, pytest.raises(InputError, match="not UTF-8"):
+        load_dataset(f, Schema.PAIR_LEVEL, "a")
+    curve = pr_curve([0.2, 0.8])
+    curve.to_csv(tmp_path / "curve.csv")
+    with open(tmp_path / "curve.csv", "rb") as f:
+        assert StepCurve.from_csv(f).breakpoints.tolist() == [0.2, 0.8]
+
+
+def test_file_changed_between_reads_is_an_error(tmp_path):
+    # the error path re-reads the file; a file fixed in between names no line
+    path = tmp_path / "in.csv"
+    path.write_text("id,score,group,label\np1,1.5,a,\n", encoding="utf-8")
+    rows = parse_rows(path, Schema.PAIR_LEVEL)
+    path.write_text("id,score,group,label\np1,0.5,a,\n", encoding="utf-8")
+    with pytest.raises(MalformedRowError, match="^input changed while it was read$"):
+        dataset.dataset_from_rows(rows, Schema.PAIR_LEVEL, GroupVocabulary("a"))
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("data", [b"id,score,group,label\np1,0.5,a,\n", b"id,score\n"])
+def test_gc_state_is_restored(enabled, data):
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        outcome(parse_rows, data, Schema.PAIR_LEVEL)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()

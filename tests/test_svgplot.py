@@ -296,3 +296,19 @@ def test_cli_forbidden_title_character_exits_2(tmp_path, capsys, via, char):
     assert main(argv) == 2
     assert "XML 1.0 forbids" in capsys.readouterr().err
     assert not (out / "curves.svg").exists()
+
+
+@pytest.mark.parametrize("title", [3, 0.5, True, ["x"], {"text": "x"}])
+def test_cli_config_title_must_be_a_string(tmp_path, capsys, title):
+    curve_a, curve_b = tmp_path / "a.csv", tmp_path / "b.csv"
+    StepCurve(np.array([0.4]), np.array([1.0, 0.0])).to_csv(curve_a)
+    StepCurve(np.array([0.6]), np.array([1.0, 0.0])).to_csv(curve_b)
+    config = tmp_path / "plot.json"
+    config.write_text(json.dumps({"title": title}), encoding="utf-8")
+    out = tmp_path / "out"
+    argv = ["plot", "--input", str(curve_a), str(curve_b), "--config", str(config),
+            "--out-dir", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: invalid title {title!r}\n"
+    assert not (out / "curves.svg").exists()

@@ -1,19 +1,29 @@
-"""Every name the benchmark's tracer wraps still exists.
+"""Every name the benchmark's tracer wraps still exists, and a traced run
+records the ingest layer.
 
 ``perfbench/traced.py`` puts a timing span around each ``(module, attr)``
 in its ``TARGETS``; a renamed or deleted function breaks every traced
 benchmark run.  The module is loaded by file path and its targets are
 resolved the way ``Tracer.install`` resolves them, without installing
-anything (installing patches the package process-wide).
+anything (installing patches the package process-wide).  The traced
+runs are child processes, for the same reason.
 """
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-TRACED = Path(__file__).resolve().parents[1] / "perfbench" / "traced.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACED = ROOT / "perfbench" / "traced.py"
+SRC = ROOT / "src"
 
 
 def load_traced():
@@ -37,3 +47,42 @@ def test_traced_target_resolves(module_name, attr):
         assert method in vars(getattr(module, cls_name))
     else:
         assert callable(getattr(module, attr))
+
+
+def run_traced(tmp_path, name, *argv) -> dict:
+    """Run one CLI command under ``traced.py`` in a child process; its spans."""
+    spans = tmp_path / f"{name}.json"
+    env = {**os.environ, "PYTHONPATH": str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    subprocess.run(
+        [sys.executable, str(TRACED), str(spans), *map(str, argv),
+         "--out-dir", str(tmp_path / name)],
+        check=True, env=env, capture_output=True, timeout=120,
+    )
+    return json.loads(spans.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("schema", ["pair", "record"])
+def test_traced_run_records_ingest_spans_and_rows(tmp_path, schema):
+    # a refactor of ingest must leave the benchmark's per-layer ingest metrics live
+    rng = np.random.default_rng(4)
+    n = 120
+    header = "id,score,group,label" if schema == "pair" else "id,score,group_left,group_right,label"
+    lines = [header]
+    for i in range(n):
+        groups = ["minority" if rng.random() < 0.4 else "majority"]
+        if schema == "record":
+            groups.append("majority")
+        lines.append(",".join([f"r{i}", repr(round(float(rng.random()), 3)), *groups, str(i % 2)]))
+        if i == 7:
+            lines.append("")  # a blank row is not a data row
+    path = tmp_path / "in.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    if schema == "pair":
+        argv = ["measure", "--input", path, "--metric", "dp", "eod"]
+    else:
+        argv = ["calibrate", "--input", path, "--schema", "record", "--algorithm", "calib"]
+    trace = run_traced(tmp_path, schema, *argv)
+    names = Counter(span[0] for span in trace["spans"])
+    assert names["dataset.parse_rows"] == 1
+    assert names["dataset.dataset_from_rows"] == 1
+    assert trace["counters"]["dataset.rows"] == n
