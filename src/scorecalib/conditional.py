@@ -72,62 +72,46 @@ class MeanshiftConfig:
 
 
 # float64 entries in the mean-shift kernel buffer (2 MB): small enough
-# to stay in cache, and memory no longer grows with the distinct count
+# to stay in cache; above this many distinct values the buffer is one row
 _KERNEL_BUDGET = 1 << 18
-
-
-def _row_blocks(rows: int, step: int):
-    """Yield (lo, hi) kernel row blocks of ``step`` rows (a multiple of 4).
-
-    OpenBLAS's dgemv sums a row in one way inside a group of 4 rows and
-    in another for a remainder row or a 1-row call.  Blocks that start
-    at multiples of 4 keep every row in the group it has in one dense
-    product, so each row's sum, and gamma, is bit-identical to it; a
-    lone trailing row joins the previous block instead of forming a
-    1-row call.
-    """
-    lo = 0
-    while lo < rows:
-        hi = min(lo + step, rows)
-        if rows - hi == 1:
-            hi = rows
-        yield lo, hi
-        lo = hi
 
 
 def _mean_shift_modes(data: np.ndarray, cfg: MeanshiftConfig):
     """Run mean shift from every point; return (modes, attracted counts).
 
-    Equal starting points share one trajectory, so the iteration runs
-    over distinct values with multiplicities.  Modes within
-    ``merge_radius`` of each other are merged; a merged mode's center
-    is the mass-weighted mean of its members.
+    Equal points are one point with a mass: the iteration runs over
+    distinct values, both as starts and as kernel columns weighted by
+    their multiplicities (binned kernel estimation, Fan & Marron 1994).
+    Modes within ``merge_radius`` of each other are merged; a merged
+    mode's center is the mass-weighted mean of its members.
 
-    Each iteration takes O(distinct x n) time.  Memory is O(n): the
-    (active starts x n) kernel is built in row blocks, in place, inside
-    one buffer of at most ``_KERNEL_BUDGET`` entries, or of 5 rows (a
-    block of 4 plus a folded trailing row) when n exceeds a fifth of it.
+    Each iteration takes O(distinct^2) time.  The (active starts x
+    distinct) kernel is built in row blocks, in place, inside one buffer
+    of at most ``_KERNEL_BUDGET`` entries, or of one row when there are
+    more distinct values than that.
     """
-    positions, weights_per_start = np.unique(data.astype(float), return_counts=True)
+    values, masses = np.unique(data.astype(float), return_counts=True)
+    weights = masses.astype(float)
+    weighted = values * weights
+    positions = values.copy()
     active = np.ones(positions.size, dtype=bool)
     neg_inv_two_h2 = -1.0 / (2.0 * cfg.bandwidth**2)
-    n = data.size
-    # rows per block: a multiple of 4 (see _row_blocks), one row short of
-    # the budget so that a folded trailing row still fits the buffer
-    step = max(4, (_KERNEL_BUDGET // n - 1) // 4 * 4)
-    buffer = np.empty(min(step + 1, positions.size) * n)
+    distinct = values.size
+    step = max(1, _KERNEL_BUDGET // distinct)
+    buffer = np.empty(min(step, distinct) * distinct)
     for _ in range(cfg.max_iterations):
         if not active.any():
             break
         current = positions[active]
         shifted = np.empty_like(current)
-        for lo, hi in _row_blocks(current.size, step):
-            kernel = buffer[: (hi - lo) * n].reshape(hi - lo, n)
-            np.subtract(current[lo:hi, None], data[None, :], out=kernel)
+        for lo in range(0, current.size, step):
+            block = current[lo : lo + step]
+            kernel = buffer[: block.size * distinct].reshape(block.size, distinct)
+            np.subtract(block[:, None], values[None, :], out=kernel)
             np.square(kernel, out=kernel)
             np.multiply(kernel, neg_inv_two_h2, out=kernel)
             np.exp(kernel, out=kernel)
-            shifted[lo:hi] = (kernel @ data) / kernel.sum(axis=1)
+            shifted[lo : lo + step] = (kernel @ weighted) / (kernel @ weights)
         moved = np.abs(shifted - current)
         positions[active] = shifted
         active[active] = moved >= cfg.convergence_tol
@@ -135,7 +119,7 @@ def _mean_shift_modes(data: np.ndarray, cfg: MeanshiftConfig):
     order = np.argsort(positions, kind="stable")
     centers: list[float] = []
     counts: list[int] = []
-    for pos, mass in zip(positions[order], weights_per_start[order]):
+    for pos, mass in zip(positions[order], masses[order]):
         if centers and pos - centers[-1] <= cfg.merge_radius:
             total = counts[-1] + mass
             centers[-1] = (centers[-1] * counts[-1] + pos * mass) / total

@@ -382,36 +382,39 @@ def _raise_first_error(
 
     The order is that of a whole-file read: a decode error anywhere, then
     :class:`MalformedRowError` for the header or a row of the wrong
-    width, then (given ``vocab``) the first row with a bad score, group
-    token or label.  Row errors name the row's file line.  The columnar
-    path found an error, so a clean pass means the file changed after it
-    was read.
+    width or one ``csv`` rejects, then (given ``vocab``) the first row
+    with a bad score, group token or label.  Row errors name the row's
+    file line.  The columnar path found an error, so a clean pass means
+    the file changed after it was read.
     """
     expected = schema.header
     reader = csv.reader(io.StringIO(source.text()))
-    header = next(reader, None)
-    if header is None:
-        raise MalformedRowError("empty file: header row required")
-    if not _header_matches(header, schema):
-        raise MalformedRowError(
-            f"expected header {','.join(expected)!r}, got {','.join(header)!r}"
-        )
-    for row in reader:
-        if not row:
-            continue
-        if len(row) != len(expected):
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise MalformedRowError("empty file: header row required")
+        if not _header_matches(header, schema):
             raise MalformedRowError(
-                f"line {reader.line_num}: expected {len(expected)} columns, got {len(row)}"
+                f"expected header {','.join(expected)!r}, got {','.join(header)!r}"
             )
-        if vocab is None:
-            continue
-        try:
-            _parse_score(row[1])
-            for token in row[2:-1]:
-                vocab.resolve(token.strip())
-            _parse_label(row[-1])
-        except InputError as exc:
-            raise type(exc)(f"line {reader.line_num}: {exc}") from None
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(expected):
+                raise MalformedRowError(
+                    f"line {reader.line_num}: expected {len(expected)} columns, got {len(row)}"
+                )
+            if vocab is None:
+                continue
+            try:
+                _parse_score(row[1])
+                for token in row[2:-1]:
+                    vocab.resolve(token.strip())
+                _parse_label(row[-1])
+            except InputError as exc:
+                raise type(exc)(f"line {reader.line_num}: {exc}") from None
+    except csv.Error as exc:  # a field over csv.field_size_limit(), a bare \r
+        raise MalformedRowError(f"line {reader.line_num}: {exc}") from None
     raise MalformedRowError("input changed while it was read")
 
 

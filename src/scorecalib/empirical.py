@@ -135,11 +135,14 @@ class StepCurve:
             raise ValueError(
                 f"need {bp.size + 1} values for {bp.size} breakpoints, got {va.size}"
             )
+        # every check is written so that NaN fails it
         if bp.size:
-            if np.any(np.diff(bp) <= 0):
+            if not np.all(np.diff(bp) > 0):
                 raise ValueError("breakpoints must be strictly increasing")
-            if bp[0] < 0.0 or bp[-1] > 1.0:
+            if not (bp[0] >= 0.0 and bp[-1] <= 1.0):
                 raise ValueError("breakpoints must lie in [0, 1]")
+        if not np.isfinite(va).all():
+            raise ValueError("values must be finite")
         bp.setflags(write=False)
         va.setflags(write=False)
         object.__setattr__(self, "breakpoints", bp)
@@ -193,7 +196,11 @@ class StepCurve:
 
 def _curve_fields(text: str) -> tuple[np.ndarray, np.ndarray]:
     """Thetas and values of a curve CSV's text, parsed one field at a time."""
-    rows = [row for row in csv.reader(io.StringIO(text)) if row]
+    reader = csv.reader(io.StringIO(text))
+    try:
+        rows = [row for row in reader if row]
+    except csv.Error as exc:
+        raise MalformedCurveError(f"curve CSV line {reader.line_num}: {exc}") from None
     if not rows or tuple(rows[0]) != ("theta", "value"):
         raise MalformedCurveError("curve CSV must start with header 'theta,value'")
     if len(rows) < 2:
@@ -214,7 +221,7 @@ def pr_curve(scores: Sequence[float]) -> StepCurve:
     arr = np.asarray(scores, dtype=float)
     if arr.size == 0:
         raise EmptyInputError("cannot build a curve from an empty score list")
-    if arr.min() < 0.0 or arr.max() > 1.0:
+    if not (arr.min() >= 0.0 and arr.max() <= 1.0):  # NaN fails it
         raise ValueError("scores must lie in [0, 1]")
     asc = np.sort(arr)
     distinct = np.unique(asc)
@@ -283,21 +290,7 @@ def gap_curve(c1: StepCurve, c2: StepCurve) -> StepCurve:
 def w1_distance(x: Sequence[float], y: Sequence[float]) -> float:
     """Wasserstein-1 distance between empirical distributions on [0, 1].
 
-    Computed exactly as the integral of |F_x - F_y| over the merged
-    support grid.
+    Computed exactly as the integral of |F_x - F_y|, which equals that of
+    the difference of their positive-rate curves.
     """
-    xs = np.asarray(x, dtype=float)
-    ys = np.asarray(y, dtype=float)
-    if xs.size == 0 or ys.size == 0:
-        raise EmptyInputError("w1_distance requires non-empty samples")
-    for arr in (xs, ys):
-        if arr.min() < 0.0 or arr.max() > 1.0:
-            raise ValueError("values must lie in [0, 1]")
-    xs = np.sort(xs)
-    ys = np.sort(ys)
-    grid = np.union1d(xs, ys)
-    f_x = np.searchsorted(xs, grid, side="right") / xs.size
-    f_y = np.searchsorted(ys, grid, side="right") / ys.size
-    # F is constant on [grid[j], grid[j+1]); the tail [grid[-1], 1] has F_x = F_y = 1
-    widths = np.diff(grid)
-    return float(np.sum(np.abs(f_x[:-1] - f_y[:-1]) * widths))
+    return integrate_abs_difference(pr_curve(x), pr_curve(y))

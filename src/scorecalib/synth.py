@@ -21,9 +21,10 @@ class BetaParams:
     shape2: float
 
     def __post_init__(self):
-        if self.shape1 <= 0 or self.shape2 <= 0:
+        # NaN and inf fail it: numpy draws NaN scores from either
+        if not (0 < self.shape1 < np.inf and 0 < self.shape2 < np.inf):
             raise InvalidSpecError(
-                f"Beta shapes must be > 0, got ({self.shape1}, {self.shape2})"
+                f"Beta shapes must be finite and > 0, got ({self.shape1}, {self.shape2})"
             )
 
 
@@ -47,32 +48,6 @@ class SynthSpec:
         for name, rate in (("pos_rate_a", self.pos_rate_a), ("pos_rate_b", self.pos_rate_b)):
             if not (0.0 <= rate <= 1.0):
                 raise InvalidSpecError(f"{name} must lie in [0, 1], got {rate}")
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SynthSpec":
-        def beta(key):
-            try:
-                s1, s2 = data[key]
-            except (KeyError, TypeError, ValueError):
-                raise InvalidSpecError(
-                    f"spec field {key!r} must be a [shape1, shape2] pair"
-                ) from None
-            return BetaParams(float(s1), float(s2))
-
-        try:
-            return cls(
-                n_minority=int(data["n_minority"]),
-                n_majority=int(data["n_majority"]),
-                pos_rate_a=float(data["pos_rate_a"]),
-                pos_rate_b=float(data["pos_rate_b"]),
-                minority_pos=beta("minority_pos"),
-                minority_neg=beta("minority_neg"),
-                majority_pos=beta("majority_pos"),
-                majority_neg=beta("majority_neg"),
-                seed=int(data["seed"]),
-            )
-        except KeyError as exc:
-            raise InvalidSpecError(f"spec is missing field {exc.args[0]!r}") from None
 
 
 def generate(spec: SynthSpec) -> ScoreDataset:

@@ -1,7 +1,11 @@
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -396,6 +400,30 @@ def test_non_utf8_input_exit_2(tmp_path, capsys):
     csv_path.write_bytes(b"id,score,group,label\np\xe91,0.5,a,\n")
     assert run("measure", "--input", csv_path, "--out-dir", tmp_path / "out") == 2
     assert "not UTF-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["measure", "plot"])
+def test_field_over_csv_limit_exit_2_without_traceback(tmp_path, command):
+    # 200000 characters is over csv.field_size_limit(); run as a process,
+    # so an exception that escaped main would show as a traceback
+    big = tmp_path / "big.csv"
+    if command == "measure":
+        big.write_text(f"id,score,group,label\n{'p' * 200_000},0.5,a,\n", encoding="utf-8")
+        argv = ["measure", "--input", big, "--minority-token", "a"]
+    else:
+        big.write_text(f"theta,value\n0,1.0\n{'9' * 200_000},0.0\n", encoding="utf-8")
+        ok = tmp_path / "ok.csv"
+        pr_curve([0.4]).to_csv(ok)
+        argv = ["plot", "--input", big, ok]
+    src = str(Path(scorecalib.cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run(
+        [sys.executable, "-m", "scorecalib.cli", *map(str, argv), "--out-dir", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert result.stderr.startswith("error: ") and "field larger than field limit" in result.stderr
 
 
 def test_config_scalar_metric_means_one_item_list(tmp_path):

@@ -10,7 +10,6 @@ from scorecalib.bias import BiasMetricKind, risk_estimate, score_bias
 from scorecalib.conditional import (
     MeanshiftConfig,
     _mean_shift_modes,
-    _row_blocks,
     cond_calibrate,
     cond_calibrate_dataset,
     cond_calibrate_scores,
@@ -82,7 +81,7 @@ def test_meanshift_rejects_scores_outside_unit_interval(scores):
         meanshift_threshold(scores)
 
 
-def _dense_mean_shift_modes(data, cfg):
+def dense_mean_shift_modes(data, cfg):
     """Reference: the full (active starts x n) kernel on every iteration."""
     positions, weights_per_start = np.unique(data.astype(float), return_counts=True)
     active = np.ones(positions.size, dtype=bool)
@@ -116,13 +115,11 @@ def _two_cluster_scores(n, seed):
 
 
 def _lone_trailing_row_scores():
-    # 4000 points give 64-row kernel blocks, and 961 = 15 * 64 + 1
-    # distinct starts leave one row after the last full block
+    # 961 distinct values among 4000 points, most of them repeated
     rng = np.random.default_rng(23)
     values = rng.choice(np.unique(np.round(_two_cluster_scores(1200, 23), 6)), 961, replace=False)
     data = np.concatenate([values, rng.choice(values, 4000 - 961)])
     assert np.unique(data).size == 961
-    assert list(_row_blocks(961, 64))[-1] == (896, 961)
     return data
 
 
@@ -135,12 +132,12 @@ def _lone_trailing_row_scores():
     ],
 )
 def test_blocked_kernel_matches_dense_oracle(monkeypatch, make_scores):
-    # the two agree bit for bit with one BLAS thread; with more, OpenBLAS
-    # splits the dense product differently and the last bit may move
+    # the weighted kernel sums each row over distinct values, the dense
+    # one over every point, so centers may differ in the last bits
     data = make_scores()
     cfg = MeanshiftConfig()
     centers, counts = _mean_shift_modes(data, cfg)
-    ref_centers, ref_counts = _dense_mean_shift_modes(data, cfg)
+    ref_centers, ref_counts = dense_mean_shift_modes(data, cfg)
     assert counts.tolist() == ref_counts.tolist()
     np.testing.assert_allclose(centers, ref_centers, rtol=0, atol=1e-12)
     gamma = meanshift_threshold(data, cfg)
@@ -148,14 +145,39 @@ def test_blocked_kernel_matches_dense_oracle(monkeypatch, make_scores):
     assert abs(gamma - meanshift_threshold(data, cfg)) <= 1e-12
 
 
-@pytest.mark.parametrize("rows,step", [(1, 8), (5, 4), (8, 4), (9, 4), (10, 4), (961, 64), (962, 64)])
-def test_row_blocks_are_aligned_and_never_one_row(rows, step):
-    blocks = list(_row_blocks(rows, step))
-    assert [lo for lo, _ in blocks] == [0] + [hi for _, hi in blocks[:-1]]
-    assert blocks[-1][1] == rows
-    assert all((hi - lo) == step for lo, hi in blocks[:-1])
-    last = blocks[-1][1] - blocks[-1][0]
-    assert last <= step + 1 and (last > 1 or rows == 1)
+@pytest.mark.parametrize(
+    "make_scores",
+    [
+        pytest.param(lambda: _two_cluster_scores(1001, 2), id="distinct-1001"),
+        pytest.param(lambda: np.round(_two_cluster_scores(777, 3), 2), id="tied-777"),
+    ],
+)
+def test_repeating_the_data_scales_only_the_counts(make_scores):
+    # every point's mass is 4x, a power of two, so each weighted sum scales exactly
+    data = make_scores()
+    centers, counts = _mean_shift_modes(data, MeanshiftConfig())
+    tiled_centers, tiled_counts = _mean_shift_modes(np.tile(data, 4), MeanshiftConfig())
+    assert tiled_centers.tobytes() == centers.tobytes()
+    assert tiled_counts.tolist() == (4 * counts).tolist()
+
+
+def test_kernel_work_depends_on_distinct_values_only(monkeypatch):
+    # a work count, not a wall time: kernel entries passed to exp
+    data = np.round(_two_cluster_scores(2000, 7), 3)
+    real_exp = np.exp
+    entries = []
+
+    def counting_exp(x, *args, **kwargs):
+        entries.append(np.size(x))
+        return real_exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", counting_exp)
+    work = []
+    for points in (data, np.tile(data, 8)):
+        entries.clear()
+        _mean_shift_modes(points, MeanshiftConfig())
+        work.append(sum(entries))
+    assert work[0] > 0 and work[0] == work[1]
 
 
 def test_meanshift_memory_is_bounded():

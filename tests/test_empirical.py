@@ -228,6 +228,36 @@ def test_step_curve_validation():
         StepCurve(np.array([1.5]), np.array([1.0, 0.0]))
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "breakpoints,values,message",
+    [
+        ([NAN], [1.0, 0.0], "breakpoints must lie in"),
+        ([0.2, NAN, 0.8], [1.0, 0.5, 0.2, 0.0], "strictly increasing"),
+        ([0.2, INF], [1.0, 0.5, 0.0], "breakpoints must lie in"),
+        ([-INF], [1.0, 0.0], "breakpoints must lie in"),
+        ([0.5], [1.0, NAN], "values must be finite"),
+        ([0.5], [INF, 0.0], "values must be finite"),
+        ([], [-INF], "values must be finite"),
+    ],
+)
+def test_step_curve_rejects_nan_and_inf(breakpoints, values, message):
+    with pytest.raises(ValueError, match=message):
+        StepCurve(np.array(breakpoints), np.array(values))
+
+
+@pytest.mark.parametrize(
+    "fn", [pr_curve, lambda x: w1_distance(x, [0.2]), lambda x: w1_distance([0.2], x)],
+    ids=["pr_curve", "w1-left", "w1-right"],
+)
+@pytest.mark.parametrize("scores", [[0.5, NAN], [NAN], [0.5, INF], [-INF, 0.5]])
+def test_nan_and_inf_scores_are_rejected(fn, scores):
+    with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+        fn(scores)
+
+
 def test_step_curve_csv_round_trip():
     curve = pr_curve([0.2, 0.8, 0.8, 0.5])
     buf = io.StringIO()
@@ -244,8 +274,8 @@ def test_step_curve_csv_round_trip():
 def test_step_curve_csv_matches_csv_writer(tmp_path_factory, bps, data):
     # the streamed rows equal what csv.writer wrote, to a path and to a file
     bps = sorted(bps)
-    values = data.draw(st.lists(st.floats(allow_nan=False), min_size=len(bps) + 1,
-                                max_size=len(bps) + 1))
+    values = data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                min_size=len(bps) + 1, max_size=len(bps) + 1))
     curve = StepCurve(np.array(bps), np.array(values))
     expected = io.StringIO()
     writer = csv.writer(expected, lineterminator="\n")

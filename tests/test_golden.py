@@ -16,6 +16,13 @@ value with the old renderer.  The ``plot_sparse`` digest was captured at
 73eea0c: no pixel column of its curves holds more than 4 corners, so M4
 leaves it byte-identical.
 
+``ccalib_meanshift/model.json`` and ``report.json`` were recaptured when
+mean shift began weighting each distinct score by its multiplicity
+instead of summing over every point: gamma moved by 1 ulp.  At the
+parent commit 9033452 they were ``5a64414e…`` and ``2a5340b1…``, and
+``test_dense_meanshift_keeps_the_old_digests`` pins those values with
+the dense kernel.
+
 Every ``model.json`` must read back: applied to its step's input, the
 loaded model reproduces ``calibrated.csv`` and saves to the same bytes,
 and each kind of malformed model file raises ``MalformedModelError``.
@@ -28,6 +35,7 @@ from pathlib import Path
 
 import pytest
 
+from scorecalib import conditional
 from scorecalib.calibration import calibrate_dataset, model_to_dict
 from scorecalib.cli import main
 from scorecalib.conditional import (
@@ -42,6 +50,7 @@ from scorecalib.empirical import StepCurve
 from scorecalib.errors import MalformedModelError
 
 from conftest import parse_svgs
+from test_conditional import dense_mean_shift_modes
 from test_svgplot import oracle_render_gap_svg
 
 # every (left, right) token pair, and one row with a missing label
@@ -173,8 +182,8 @@ GOLDEN = {
     "ccalib_meanshift/fprgap_majority_before.csv": "69d771011fd2fdd4b257d969157258a6b3a4f0915202936a97458e516c4c64e4",
     "ccalib_meanshift/fprgap_minority_after.csv": "9a07bb080a11b252502d5594cae342fd534713b2d273009fdbe1fe3facd58a9a",
     "ccalib_meanshift/fprgap_minority_before.csv": "2f0ce58b346aad9cf0728286f1d82cc8a9c9d5c9f30afac393fd8670b8aaeb3d",
-    "ccalib_meanshift/model.json": "5a64414e98561fbe702ebbf90c82ecce568ed7f709ccbbd18ef82ddfcdfdb07b",
-    "ccalib_meanshift/report.json": "2a5340b1b35e33d7c39ed781cdd36c53ba1b27727d2f07875ece3c2a0b11e4b3",
+    "ccalib_meanshift/model.json": "6701d4f0d14cd8e9f734188d16400a02cfd1b5f4a2e1f0a71ce364e410d8e997",
+    "ccalib_meanshift/report.json": "7232362414757c98a50c8f411d5396eee0fea216dfe13afca589cd724b6c1592",
     "plot/curves.svg": "a645270bbdf1ff5434dedbd573a5409b5484ed5bd33fe25ffd7ed9b3d76445ac",
     "plot_sparse/curves.svg": "8455283a6bf7d32182ba4aef870d1f8c0f6c158f401d9cad84312b5853b41fd5",
     "record/calibrated.csv": "340c92c7de64b1eb0516de4570e30ca82674b9c77d13fa6542854e320cc052dd",
@@ -213,6 +222,22 @@ def test_oracle_plot_keeps_the_old_digest(golden_run):
     )
     digest = hashlib.sha256(svg.encode("utf-8")).hexdigest()
     assert digest == "104cbde0bef34d8aa264bbe5d2c2052d8ae3d2cb930421cdd08171ed5c2d2670"
+
+
+def test_dense_meanshift_keeps_the_old_digests(golden_run, monkeypatch, tmp_path):
+    # the kernel over every point, on the golden step's input, still gives
+    # the digests recorded before the kernel's columns became distinct values
+    monkeypatch.setattr(conditional, "_mean_shift_modes", dense_mean_shift_modes)
+    argv = dict(commands(golden_run[0]))["ccalib_meanshift"]
+    assert main([str(a) for a in argv] + ["--out-dir", str(tmp_path)]) == 0
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ("model.json", "report.json")
+    }
+    assert digests == {
+        "model.json": "5a64414e98561fbe702ebbf90c82ecce568ed7f709ccbbd18ef82ddfcdfdb07b",
+        "report.json": "2a5340b1b35e33d7c39ed781cdd36c53ba1b27727d2f07875ece3c2a0b11e4b3",
+    }
 
 
 def test_every_svg_parses(golden_run):

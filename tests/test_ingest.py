@@ -22,7 +22,12 @@ import ingest_oracle as oracle
 from scorecalib import dataset
 from scorecalib.dataset import GroupVocabulary, Schema, load_dataset, parse_rows
 from scorecalib.empirical import StepCurve, pr_curve
-from scorecalib.errors import InputError, MalformedRowError, ScoreOutOfRangeError
+from scorecalib.errors import (
+    InputError,
+    MalformedCurveError,
+    MalformedRowError,
+    ScoreOutOfRangeError,
+)
 
 
 def outcome(fn, *args):
@@ -160,11 +165,22 @@ def test_line_endings_and_multiline_ids_match_oracle(tmp_path, newline):
 
 
 def test_field_larger_than_csv_limit_matches_oracle():
-    # csv.Error, raised by the whole-text parse after the stream gives up
+    # the oracle lets csv.Error out; the library names the line in a
+    # MalformedRowError, raised by the whole-text parse after the stream gives up
     data = b"id,score,group,label\n" + b"p" * (csv.field_size_limit() + 1) + b",0.5,a,\n"
     got = outcome(ingest, data, Schema.PAIR_LEVEL, GroupVocabulary("a"))
-    assert got == outcome(ingest_oracle, data, Schema.PAIR_LEVEL, GroupVocabulary("a"))
-    assert got[0] is csv.Error
+    want = outcome(ingest_oracle, data, Schema.PAIR_LEVEL, GroupVocabulary("a"))
+    assert want == (csv.Error, "field larger than field limit (131072)")
+    assert got == (MalformedRowError, f"line 2: {want[1]}")
+
+
+def test_bare_carriage_return_in_bytes_is_a_malformed_row():
+    # a path is read with universal newlines; bytes are not, so csv rejects the \r
+    data = b"id,score,group,label\np1,0.5,a,\np\rx,0.5,a,\n"
+    with pytest.raises(MalformedRowError, match="^line 3: new-line character seen"):
+        parse_rows(data, Schema.PAIR_LEVEL)
+    with pytest.raises(MalformedCurveError, match="^curve CSV line 3: new-line character seen"):
+        StepCurve.from_csv(b"theta,value\n0,1.0\n0.5\r,0.5\n")
 
 
 # ---------------------------------------------------------------- past the first batch

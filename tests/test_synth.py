@@ -93,26 +93,7 @@ def test_invalid_beta_shapes():
         BetaParams(0.0, 2.0)
     with pytest.raises(InvalidSpecError):
         BetaParams(2.0, -1.0)
-
-
-def test_from_dict():
-    payload = {
-        "n_minority": 10,
-        "n_majority": 20,
-        "pos_rate_a": 0.5,
-        "pos_rate_b": 0.5,
-        "minority_pos": [8, 2],
-        "minority_neg": [2, 8],
-        "majority_pos": [8, 2],
-        "majority_neg": [2, 8],
-        "seed": 1,
-    }
-    s = SynthSpec.from_dict(payload)
-    assert s.n_majority == 20
-    assert s.minority_pos == BetaParams(8.0, 2.0)
     with pytest.raises(InvalidSpecError):
-        SynthSpec.from_dict({k: v for k, v in payload.items() if k != "seed"})
-    bad = dict(payload)
-    bad["minority_pos"] = [8]
+        BetaParams(float("nan"), 2.0)
     with pytest.raises(InvalidSpecError):
-        SynthSpec.from_dict(bad)
+        BetaParams(2.0, float("inf"))
