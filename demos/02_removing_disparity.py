@@ -31,12 +31,13 @@ d = ScoreDataset(
     [g == "a" for _, g in rows],
 )
 
+# the fitted model is the two groups' descending score lists; alpha, the
+# minority share, follows from their sizes
 model = fit(d, sigma=0.0, seed=0)
-gs = model.group_scores
 print("fitted model:")
-print(f"  minority scores (desc): {gs.scores_a.tolist()}")
-print(f"  majority scores (desc): {gs.scores_b.tolist()}")
-print(f"  alpha (minority share): {gs.alpha}")
+print(f"  minority scores (desc): {model.scores_a.tolist()}")
+print(f"  majority scores (desc): {model.scores_b.tolist()}")
+print(f"  alpha (minority share): {model.alpha}")
 
 # One majority query with score 0.34.  Its rank among the majority
 # scores is 6 of 9 (five majority scores sit above it), so its quantile
@@ -46,8 +47,8 @@ print(f"  alpha (minority share): {gs.alpha}")
 query = 0.34
 out = calibrate(model, query, GroupId.MAJORITY)
 print(f"\nquery {query} (majority):")
-print(f"  majority rank 6 -> score {gs.scores_b[5]}, minority rank 4 -> {gs.scores_a[3]}")
-print(f"  calibrated: 0.4 * {gs.scores_a[3]} + 0.6 * {gs.scores_b[5]} = {out:.4f}")
+print(f"  majority rank 6 -> score {model.scores_b[5]}, minority rank 4 -> {model.scores_a[3]}")
+print(f"  calibrated: 0.4 * {model.scores_a[3]} + 0.6 * {model.scores_b[5]} = {out:.4f}")
 
 calibrated = calibrate_dataset(model, d)
 print("\nwhole-dataset calibration:")

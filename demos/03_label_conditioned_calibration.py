@@ -39,11 +39,15 @@ spec = SynthSpec(
 )
 d = generate(spec)
 
-gamma = meanshift_threshold(d.scores())
+# Mean shift's one setting is the Gaussian kernel's bandwidth (0.1 by
+# default); the iteration cap, tolerance and merge radius are fixed.
+gamma = meanshift_threshold(d.scores(), bandwidth=0.1)
 print(f"scores cluster low and high; meanshift puts the split at gamma = {gamma:.3f}")
+narrow = meanshift_threshold(d.scores(), bandwidth=0.05)
+print(f"with bandwidth 0.05 the split moves to gamma = {narrow:.3f}")
 
 plain = calibrate_dataset(fit(d, sigma=0.0, seed=1), d)
-cond_model = fit_conditional(d, sigma=0.0, seed=1)
+cond_model = fit_conditional(d, sigma=0.0, seed=1, bandwidth=0.1)
 conditional = cond_calibrate_dataset(cond_model, d)
 
 print("\n                     before    plain     conditional")
@@ -61,8 +65,7 @@ print(f"\n  {'AUC':<18} {auc(d):7.4f}  {auc(plain):7.4f}  {auc(conditional):7.4f
 # gamma, each with its own minority weight.
 print("\nconditional sub-models:")
 for name, sub in (("matched", cond_model.matched), ("unmatched", cond_model.unmatched)):
-    gs = sub.group_scores
-    print(f"  {name}: {gs.n_a} minority + {gs.n_b} majority scores, alpha={gs.alpha:.3f}")
+    print(f"  {name}: {sub.n_a} minority + {sub.n_b} majority scores, alpha={sub.alpha:.3f}")
 
 # Routing is by the query's own score: at or above gamma goes to the
 # matched-side model, below it to the unmatched side.

@@ -16,7 +16,6 @@ from .calibration import (
 )
 from .conditional import (
     CondCalibModel,
-    MeanshiftConfig,
     cond_calibrate,
     cond_calibrate_dataset,
     cond_calibrate_scores,
@@ -35,7 +34,6 @@ from .dataset import (
 )
 from .empirical import (
     DEFAULT_SIGMA,
-    GroupScores,
     StepCurve,
     add_jitter,
     auc,
@@ -55,9 +53,7 @@ __all__ = [
     "CondCalibModel",
     "DEFAULT_SIGMA",
     "GroupId",
-    "GroupScores",
     "GroupVocabulary",
-    "MeanshiftConfig",
     "Schema",
     "ScoreDataset",
     "StepCurve",

@@ -20,6 +20,7 @@ from .empirical import (
     conditional_curve,
     integrate_abs_difference,
     pr_curve,
+    unit_scores,
 )
 from .errors import (
     EmptyGroupError,
@@ -94,9 +95,10 @@ def threshold_bias(d: ScoreDataset, kind: BiasMetricKind, theta: float) -> float
 
 
 def risk_estimate(original: Sequence[float], calibrated: Sequence[float]) -> float:
-    """Mean absolute deviation of calibrated scores from originals."""
-    orig = np.asarray(original, dtype=float)
-    calib = np.asarray(calibrated, dtype=float)
+    """Mean absolute deviation of calibrated scores from originals; a score
+    outside [0, 1], NaN included, raises :class:`ScoreOutOfRangeError`."""
+    orig = unit_scores(original, "original scores")
+    calib = unit_scores(calibrated, "calibrated scores")
     if orig.shape != calib.shape:
         raise LengthMismatchError(
             f"score lists differ in length: {orig.size} vs {calib.size}"

@@ -10,30 +10,17 @@ threshold while moving scores as little as possible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .dataset import GroupId, ScoreDataset, minority_mask
-from .empirical import GroupScores, build_group_scores
-from .errors import ScoreOutOfRangeError
-
-
-@dataclass(frozen=True, eq=False)
-class CalibModel:
-    """Immutable fitted calibration model; shareable across threads."""
-
-    group_scores: GroupScores
-
-    @property
-    def alpha(self) -> float:
-        return self.group_scores.alpha
+from .empirical import CalibModel, build_group_scores, unit_scores
 
 
 def fit(d: ScoreDataset, sigma: float, seed: int) -> CalibModel:
     """Fit once on a dataset; the model is reused across queries."""
-    return CalibModel(build_group_scores(d, sigma, seed))
+    return build_group_scores(d, sigma, seed)
 
 
 def _rank_positions(n_own: int, n_other: int, greater: np.ndarray):
@@ -52,10 +39,7 @@ def _rank_positions(n_own: int, n_other: int, greater: np.ndarray):
 def check_queries(scores: Sequence[float], groups) -> tuple[np.ndarray, np.ndarray]:
     """Query scores as a float array, each in [0, 1], and their minority
     flags (from bools or :class:`GroupId` members), of equal length."""
-    scores = np.asarray(scores, dtype=float)
-    # a NaN fails both comparisons
-    if scores.size and not (scores.min() >= 0.0 and scores.max() <= 1.0):
-        raise ScoreOutOfRangeError("query scores must lie in [0, 1]")
+    scores = unit_scores(scores, "query scores")
     is_minority = minority_mask(groups)
     if is_minority.size != scores.size:
         raise ValueError("scores and groups must have equal length")
@@ -70,19 +54,19 @@ def calibrate_scores(
     ``groups`` may also be a bool array of minority flags.
     """
     scores, is_minority = check_queries(scores, groups)
-    gs = model.group_scores
     pos_a = np.empty(scores.size, dtype=np.int64)
     pos_b = np.empty(scores.size, dtype=np.int64)
     sides = (
-        (is_minority, gs.scores_a, gs.n_b, pos_a, pos_b),
-        (~is_minority, gs.scores_b, gs.n_a, pos_b, pos_a),
+        (is_minority, model.scores_a, model.n_b, pos_a, pos_b),
+        (~is_minority, model.scores_b, model.n_a, pos_b, pos_a),
     )
     for mask, own_desc, n_other, pos_own, pos_other in sides:
         if mask.any():
             own_asc = own_desc[::-1]
             greater = own_asc.size - np.searchsorted(own_asc, scores[mask], side="right")
             pos_own[mask], pos_other[mask] = _rank_positions(own_asc.size, n_other, greater)
-    return gs.alpha * gs.scores_a[pos_a - 1] + (1.0 - gs.alpha) * gs.scores_b[pos_b - 1]
+    alpha = model.alpha
+    return alpha * model.scores_a[pos_a - 1] + (1.0 - alpha) * model.scores_b[pos_b - 1]
 
 
 def calibrate(model: CalibModel, score: float, group: GroupId) -> float:
@@ -96,11 +80,10 @@ def calibrate_dataset(model: CalibModel, d: ScoreDataset) -> ScoreDataset:
 
 
 def model_to_dict(model: CalibModel) -> dict:
-    gs = model.group_scores
     return {
-        "alpha": gs.alpha,
-        "sigma": gs.sigma,
-        "seed": gs.seed,
-        "scores_a": gs.scores_a.tolist(),
-        "scores_b": gs.scores_b.tolist(),
+        "alpha": model.alpha,
+        "sigma": model.sigma,
+        "seed": model.seed,
+        "scores_a": model.scores_a.tolist(),
+        "scores_b": model.scores_b.tolist(),
     }

@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .bias import BiasMetricKind, curve_bias, curve_gaps, group_curves, risk_estimate
 from .calibration import calibrate_dataset, fit
-from .conditional import MeanshiftConfig, cond_calibrate_dataset, fit_conditional, save_model
+from .conditional import DEFAULT_BANDWIDTH, cond_calibrate_dataset, fit_conditional, save_model
 from .dataset import (
     GroupId,
     GroupVocabulary,
@@ -75,8 +75,16 @@ def _opt(args, config: dict, key: str, default=None, cast=None):
         return value
     try:
         return cast(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # OverflowError: float(10**400)
         raise InvalidParameterError(f"invalid {key} {value!r}") from None
+
+
+def _float(value) -> float:
+    """A number from a flag or config value; a bool is rejected rather
+    than read as 0 or 1."""
+    if isinstance(value, bool):
+        raise TypeError(f"not a number: {value!r}")
+    return float(value)
 
 
 def _int(value) -> int:
@@ -101,6 +109,12 @@ def _str(value) -> str:
     return value
 
 
+def _str_list(value) -> list[str]:
+    if not isinstance(value, list):
+        raise TypeError(f"not a list: {value!r}")
+    return [_str(v) for v in value]
+
+
 def _bool(value) -> bool:
     """Only a JSON boolean (or the flag's True): "false" and 0 are rejected
     rather than read by their truthiness."""
@@ -116,8 +130,8 @@ def _load_input(args, config, path) -> tuple[ScoreDataset, Schema, list[list[str
         raise InputError("--input is required")
     schema = _opt(args, config, "schema", Schema.PAIR_LEVEL, Schema)
     vocab = GroupVocabulary(
-        _opt(args, config, "minority_token", "minority"),
-        _opt(args, config, "majority_token"),
+        _opt(args, config, "minority_token", "minority", _str),
+        _opt(args, config, "majority_token", cast=_str),
     )
     rows = parse_rows(path, schema)
     return dataset_from_rows(rows, schema, vocab), schema, rows.columns[2:]
@@ -141,7 +155,7 @@ def _metric_kinds(args, config) -> list[BiasMetricKind]:
 def _float_list(value) -> list[float]:
     if isinstance(value, str):  # iterable, but not a list of thresholds
         raise TypeError("expected a list of numbers")
-    return [float(t) for t in value]
+    return [_float(t) for t in value]
 
 
 def _thresholds(args, config) -> list[float]:
@@ -204,7 +218,7 @@ def _auc_by_group(d: ScoreDataset):
 
 
 def _out_dir(args, config) -> Path:
-    out_dir = Path(_opt(args, config, "out_dir", ".", str))
+    out_dir = Path(_opt(args, config, "out_dir", ".", _str))
     out_dir.mkdir(parents=True, exist_ok=True)
     return out_dir
 
@@ -228,7 +242,7 @@ def cmd_generate(args) -> int:
 
     def beta(value) -> BetaParams:
         shape1, shape2 = value.split(",") if isinstance(value, str) else value
-        return BetaParams(float(shape1), float(shape2))
+        return BetaParams(_float(shape1), _float(shape2))
 
     def required(key, cast):
         value = _opt(args, config, key, cast=cast)
@@ -239,8 +253,8 @@ def cmd_generate(args) -> int:
     spec = SynthSpec(
         n_minority=required("n_minority", _int),
         n_majority=required("n_majority", _int),
-        pos_rate_a=required("pos_rate_a", float),
-        pos_rate_b=required("pos_rate_b", float),
+        pos_rate_a=required("pos_rate_a", _float),
+        pos_rate_b=required("pos_rate_b", _float),
         minority_pos=required("minority_pos", beta),
         minority_neg=required("minority_neg", beta),
         majority_pos=required("majority_pos", beta),
@@ -259,7 +273,7 @@ def cmd_generate(args) -> int:
 
 def cmd_measure(args) -> int:
     config = _load_config(args.config)
-    d, _, _ = _load_input(args, config, _opt(args, config, "input"))
+    d, _, _ = _load_input(args, config, _opt(args, config, "input", cast=_str))
     kinds = _metric_kinds(args, config)
     thresholds = _thresholds(args, config)
     out_dir = _out_dir(args, config)
@@ -280,18 +294,18 @@ def cmd_measure(args) -> int:
 
 def cmd_calibrate(args) -> int:
     config = _load_config(args.config)
-    d, schema, raw_columns = _load_input(args, config, _opt(args, config, "input"))
+    d, schema, raw_columns = _load_input(args, config, _opt(args, config, "input", cast=_str))
     kinds = _metric_kinds(args, config)
     thresholds = _thresholds(args, config)
     algorithm = _opt(args, config, "algorithm", "calib")
-    sigma = _opt(args, config, "sigma", DEFAULT_SIGMA, float)
+    sigma = _opt(args, config, "sigma", DEFAULT_SIGMA, _float)
     seed = _opt(args, config, "seed", 0, _seed)
-    gamma = _opt(args, config, "gamma", cast=float)
-    bandwidth = _opt(args, config, "bandwidth", cast=float)
+    gamma = _opt(args, config, "gamma", cast=_float)
+    bandwidth = _opt(args, config, "bandwidth", DEFAULT_BANDWIDTH, _float)
     use_true_labels = _opt(args, config, "use_true_labels", False, _bool)
     out_dir = _out_dir(args, config)
 
-    fit_sel = _opt(args, config, "fit", "self")
+    fit_sel = _opt(args, config, "fit", "self", _str)
     fit_set = d if fit_sel == "self" else _load_input(args, config, fit_sel)[0]
 
     model = None
@@ -301,14 +315,7 @@ def cmd_calibrate(args) -> int:
         model = fit(fit_set, sigma, seed)
         calibrated = calibrate_dataset(model, d)
     elif algorithm == "ccalib":
-        model = fit_conditional(
-            fit_set,
-            sigma,
-            seed,
-            gamma_override=gamma,
-            cfg=MeanshiftConfig() if bandwidth is None else MeanshiftConfig(bandwidth),
-            use_true_labels=use_true_labels,
-        )
+        model = fit_conditional(fit_set, sigma, seed, gamma, bandwidth, use_true_labels)
         calibrated = cond_calibrate_dataset(model, d)
     else:
         raise InputError(f"unknown algorithm {algorithm!r}")
@@ -360,7 +367,7 @@ def cmd_calibrate(args) -> int:
 
 def cmd_plot(args) -> int:
     config = _load_config(args.config)
-    inputs = _opt(args, config, "input")
+    inputs = _opt(args, config, "input", cast=_str_list)
     if not inputs or len(inputs) != 2:
         raise InputError("plot requires exactly two --input curve CSVs")
     out_dir = _out_dir(args, config)

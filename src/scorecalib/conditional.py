@@ -23,7 +23,7 @@ import numpy as np
 
 from .calibration import CalibModel, calibrate_scores, check_queries, model_to_dict
 from .dataset import GroupId, ScoreDataset, read_text, write_json
-from .empirical import GroupScores, build_group_scores
+from .empirical import build_group_scores, unit_scores
 from .errors import (
     EmptyGroupError,
     EmptyGroupInPartitionError,
@@ -31,44 +31,27 @@ from .errors import (
     InputError,
     InvalidParameterError,
     MalformedModelError,
-    ScoreOutOfRangeError,
     SingleModeError,
 )
 
 
-@dataclass(frozen=True)
-class MeanshiftConfig:
-    """Knobs for 1-D mode finding; all strictly positive.
+DEFAULT_BANDWIDTH = 0.1
+MAX_ITERATIONS = 500  # mean-shift steps before every start is taken as converged
+CONVERGENCE_TOL = 1e-4  # a start that moves less than this in one step has converged
+# the merge radius is bandwidth / 2: modes closer than that are one mode
 
-    ``merge_radius`` defaults to half the bandwidth.
-    """
 
-    bandwidth: float = 0.1
-    max_iterations: int = 500
-    convergence_tol: float = 1e-4
-    merge_radius: float | None = None
-
-    def __post_init__(self):
-        if not 0 < self.bandwidth < np.inf:
-            raise InvalidParameterError(
-                f"bandwidth must be finite and > 0, got {self.bandwidth}"
-            )
-        # the kernel scales squared distances by 1 / (2 * bandwidth**2)
-        with np.errstate(over="ignore", divide="ignore"):
-            scale = 1.0 / (2.0 * np.float64(self.bandwidth) ** 2)
-        if not 0 < scale < np.inf:
-            raise InvalidParameterError(
-                f"bandwidth {self.bandwidth} is too small or too large: "
-                f"1/(2*bandwidth**2) = {scale}"
-            )
-        if self.max_iterations < 1:
-            raise InvalidParameterError("max_iterations must be >= 1")
-        if not self.convergence_tol > 0:
-            raise InvalidParameterError("convergence_tol must be > 0")
-        if self.merge_radius is None:
-            object.__setattr__(self, "merge_radius", self.bandwidth / 2.0)
-        if not 0 < self.merge_radius <= self.bandwidth:
-            raise InvalidParameterError("merge_radius must be in (0, bandwidth]")
+def check_bandwidth(bandwidth: float) -> None:
+    """Reject a bandwidth that is not finite and > 0, or whose kernel
+    scale 1/(2*bandwidth**2) is not a finite non-zero float."""
+    if not 0 < bandwidth < np.inf:
+        raise InvalidParameterError(f"bandwidth must be finite and > 0, got {bandwidth}")
+    with np.errstate(over="ignore", divide="ignore"):
+        scale = 1.0 / (2.0 * np.float64(bandwidth) ** 2)
+    if not 0 < scale < np.inf:
+        raise InvalidParameterError(
+            f"bandwidth {bandwidth} is too small or too large: 1/(2*bandwidth**2) = {scale}"
+        )
 
 
 # float64 entries in the mean-shift kernel buffer (2 MB): small enough
@@ -76,13 +59,13 @@ class MeanshiftConfig:
 _KERNEL_BUDGET = 1 << 18
 
 
-def _mean_shift_modes(data: np.ndarray, cfg: MeanshiftConfig):
+def _mean_shift_modes(data: np.ndarray, bandwidth: float):
     """Run mean shift from every point; return (modes, attracted counts).
 
     Equal points are one point with a mass: the iteration runs over
     distinct values, both as starts and as kernel columns weighted by
     their multiplicities (binned kernel estimation, Fan & Marron 1994).
-    Modes within ``merge_radius`` of each other are merged; a merged
+    Modes within ``bandwidth / 2`` of each other are merged; a merged
     mode's center is the mass-weighted mean of its members.
 
     Each iteration takes O(distinct^2) time.  The (active starts x
@@ -95,11 +78,11 @@ def _mean_shift_modes(data: np.ndarray, cfg: MeanshiftConfig):
     weighted = values * weights
     positions = values.copy()
     active = np.ones(positions.size, dtype=bool)
-    neg_inv_two_h2 = -1.0 / (2.0 * cfg.bandwidth**2)
+    neg_inv_two_h2 = -1.0 / (2.0 * bandwidth**2)
     distinct = values.size
     step = max(1, _KERNEL_BUDGET // distinct)
     buffer = np.empty(min(step, distinct) * distinct)
-    for _ in range(cfg.max_iterations):
+    for _ in range(MAX_ITERATIONS):
         if not active.any():
             break
         current = positions[active]
@@ -114,13 +97,13 @@ def _mean_shift_modes(data: np.ndarray, cfg: MeanshiftConfig):
             shifted[lo : lo + step] = (kernel @ weighted) / (kernel @ weights)
         moved = np.abs(shifted - current)
         positions[active] = shifted
-        active[active] = moved >= cfg.convergence_tol
+        active[active] = moved >= CONVERGENCE_TOL
 
     order = np.argsort(positions, kind="stable")
     centers: list[float] = []
     counts: list[int] = []
     for pos, mass in zip(positions[order], masses[order]):
-        if centers and pos - centers[-1] <= cfg.merge_radius:
+        if centers and pos - centers[-1] <= bandwidth / 2.0:
             total = counts[-1] + mass
             centers[-1] = (centers[-1] * counts[-1] + pos * mass) / total
             counts[-1] = total
@@ -131,22 +114,22 @@ def _mean_shift_modes(data: np.ndarray, cfg: MeanshiftConfig):
 
 
 def meanshift_threshold(
-    scores: Sequence[float], cfg: MeanshiftConfig = MeanshiftConfig()
+    scores: Sequence[float], bandwidth: float = DEFAULT_BANDWIDTH
 ) -> float:
     """Midpoint between the centers of the two heaviest score modes.
 
     Raises :class:`SingleModeError` when fewer than two modes survive
     merging; callers may supply a threshold explicitly instead.  NaN,
-    inf and scores outside [0, 1] raise :class:`ScoreOutOfRangeError`.
+    inf and scores outside [0, 1] raise :class:`ScoreOutOfRangeError`, and
+    a bandwidth :func:`check_bandwidth` rejects :class:`InvalidParameterError`.
     """
-    data = np.asarray(scores, dtype=float)
+    check_bandwidth(bandwidth)
+    data = unit_scores(scores, "meanshift scores")
     if data.size == 0:
         raise EmptyInputError("meanshift requires at least two scores")
-    if np.isnan(data).any() or data.min() < 0.0 or data.max() > 1.0:
-        raise ScoreOutOfRangeError("meanshift scores must lie in [0, 1]")
     if data.size < 2:
         raise SingleModeError("meanshift requires at least two scores")
-    centers, counts = _mean_shift_modes(data, cfg)
+    centers, counts = _mean_shift_modes(data, bandwidth)
     if centers.size < 2:
         raise SingleModeError(
             "score distribution has a single mode; pass an explicit gamma"
@@ -157,12 +140,12 @@ def meanshift_threshold(
 
 @dataclass(frozen=True, eq=False)
 class CondCalibModel:
-    """Gamma threshold plus one calibration model per predicted class."""
+    """Gamma, one calibration model per predicted class, and the mean-shift bandwidth."""
 
     gamma: float
     matched: CalibModel
     unmatched: CalibModel
-    meanshift: MeanshiftConfig = MeanshiftConfig()
+    bandwidth: float
 
 
 def fit_conditional(
@@ -170,7 +153,7 @@ def fit_conditional(
     sigma: float,
     seed: int,
     gamma_override: float | None = None,
-    cfg: MeanshiftConfig = MeanshiftConfig(),
+    bandwidth: float = DEFAULT_BANDWIDTH,
     use_true_labels: bool = False,
 ) -> CondCalibModel:
     """Find gamma (unless overridden), split the data, fit both sides.
@@ -179,13 +162,14 @@ def fit_conditional(
     stored fit scores only.  Each side's minority weight is computed
     within its own partition.  With ``use_true_labels`` a labeled fit
     set is partitioned by its labels instead of by gamma; queries are
-    still routed by gamma, which is needed either way.  A
-    ``gamma_override`` outside [0, 1] (NaN and inf included) raises
-    :class:`InvalidParameterError`.
+    still routed by gamma, which is needed either way.  A bandwidth
+    :func:`check_bandwidth` rejects, even with a gamma given, or a
+    ``gamma_override`` not in [0, 1] raises :class:`InvalidParameterError`.
     """
+    check_bandwidth(bandwidth)
     raw = d.scores()
     if gamma_override is None:
-        gamma = meanshift_threshold(raw, cfg)
+        gamma = meanshift_threshold(raw, bandwidth)
     else:
         gamma = float(gamma_override)
         if not np.isfinite(gamma):
@@ -196,12 +180,12 @@ def fit_conditional(
     sides = []
     for name, mask in (("matched", matched_mask), ("unmatched", ~matched_mask)):
         try:
-            sides.append(CalibModel(build_group_scores(d, sigma, seed, mask)))
+            sides.append(build_group_scores(d, sigma, seed, mask))
         except EmptyGroupError as exc:
             raise EmptyGroupInPartitionError(
                 f"{name} partition has {exc}; adjust gamma"
             ) from None
-    return CondCalibModel(gamma, *sides, cfg)
+    return CondCalibModel(gamma, *sides, bandwidth)
 
 
 def cond_calibrate_scores(
@@ -230,12 +214,17 @@ def model_to_dict_conditional(model: CondCalibModel) -> dict:
         "gamma": model.gamma,
         "matched": model_to_dict(model.matched),
         "unmatched": model_to_dict(model.unmatched),
-        "meanshift": {
-            "bandwidth": model.meanshift.bandwidth,
-            "tol": model.meanshift.convergence_tol,
-            "max_iter": model.meanshift.max_iterations,
-            "merge_radius": model.meanshift.merge_radius,
-        },
+        "meanshift": _meanshift_block(model.bandwidth),
+    }
+
+
+def _meanshift_block(bandwidth: float) -> dict:
+    """The ``meanshift`` block of ``model.json``: only the bandwidth varies."""
+    return {
+        "bandwidth": bandwidth,
+        "tol": CONVERGENCE_TOL,
+        "max_iter": MAX_ITERATIONS,
+        "merge_radius": bandwidth / 2.0,
     }
 
 
@@ -264,13 +253,17 @@ def _field(data: dict, key: str, kind, where: str = "model"):
 
 
 def _calib_from_dict(data: dict, where: str = "model") -> CalibModel:
+    """A ``calib`` dict's model; ``alpha`` must be its lists' minority share."""
     lists = [_field(data, key, list, where) for key in ("scores_a", "scores_b")]
     alpha, sigma = (_field(data, key, _NUMBER, where) for key in ("alpha", "sigma"))
     seed = _field(data, "seed", int, where)
     try:
-        return CalibModel(GroupScores(*lists, alpha=alpha, sigma=sigma, seed=seed))
+        model = CalibModel(*lists, sigma=sigma, seed=seed)
+        if not abs(alpha - model.alpha) <= 1e-12:
+            raise ValueError(f"alpha {alpha} != |scores_a|/|D| = {model.alpha}")
     except (ValueError, OverflowError, EmptyGroupError) as exc:
         raise MalformedModelError(f"{where}: {exc}") from None
+    return model
 
 
 def _ccalib_from_dict(data: dict) -> CondCalibModel:
@@ -282,16 +275,20 @@ def _ccalib_from_dict(data: dict) -> CondCalibModel:
         for key in ("matched", "unmatched")
     ]
     ms = _field(data, "meanshift", dict)
+    bandwidth = _field(ms, "bandwidth", _NUMBER, "model.meanshift")
+    for key, kind in (("max_iter", int), ("tol", _NUMBER), ("merge_radius", _NUMBER)):
+        _field(ms, key, kind, "model.meanshift")
     try:
-        cfg = MeanshiftConfig(
-            bandwidth=_field(ms, "bandwidth", _NUMBER, "model.meanshift"),
-            max_iterations=_field(ms, "max_iter", int, "model.meanshift"),
-            convergence_tol=_field(ms, "tol", _NUMBER, "model.meanshift"),
-            merge_radius=_field(ms, "merge_radius", _NUMBER, "model.meanshift"),
-        )
+        check_bandwidth(bandwidth)
     except (InvalidParameterError, OverflowError) as exc:
         raise MalformedModelError(f"model.meanshift: {exc}") from None
-    return CondCalibModel(gamma, *sides, cfg)
+    # only the block save_model writes is read, so a loaded file saves to the same bytes
+    expected = _meanshift_block(bandwidth)
+    if ms != expected:
+        raise MalformedModelError(
+            f"model.meanshift: expected {expected} (only the bandwidth varies), got {ms!r:.80}"
+        )
+    return CondCalibModel(gamma, *sides, bandwidth)
 
 
 def load_model(source) -> CalibModel | CondCalibModel:

@@ -22,6 +22,7 @@ from .errors import (
     EmptyStratumError,
     InvalidParameterError,
     MalformedCurveError,
+    ScoreOutOfRangeError,
     SingleClassError,
     UnlabeledDatasetError,
 )
@@ -29,17 +30,27 @@ from .errors import (
 DEFAULT_SIGMA = 0.05
 
 
+def unit_scores(scores: Sequence[float], what: str) -> np.ndarray:
+    """``scores`` as a float array; raises :class:`ScoreOutOfRangeError`
+    naming ``what`` unless each lies in [0, 1] (NaN does not)."""
+    arr = np.asarray(scores, dtype=float)
+    if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):
+        raise ScoreOutOfRangeError(f"{what} must lie in [0, 1]")
+    return arr
+
+
 def add_jitter(scores: Sequence[float], sigma: float, seed: int) -> np.ndarray:
     """Add Gaussian noise N(0, sigma^2) to each score and clamp to [0, 1].
 
     Deterministic for a given seed >= 0 (numpy PCG64).  With ``sigma == 0``
-    the input is returned unchanged (as a copy).
+    the input is returned unchanged (as a copy).  A score outside [0, 1],
+    NaN included, raises :class:`ScoreOutOfRangeError`.
     """
     if not 0 <= sigma < np.inf:
         raise InvalidParameterError(f"sigma must be finite and >= 0, got {sigma}")
     if seed < 0:
         raise InvalidParameterError(f"seed must be >= 0, got {seed}")
-    out = np.asarray(scores, dtype=float).copy()
+    out = unit_scores(scores, "scores to jitter").copy()
     if sigma == 0 or out.size == 0:
         return out
     rng = np.random.default_rng(seed)
@@ -49,16 +60,13 @@ def add_jitter(scores: Sequence[float], sigma: float, seed: int) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class GroupScores:
-    """Per-group descending score lists plus the minority weight alpha.
-
-    ``alpha`` is the minority share of the fit data,
-    ``len(scores_a) / (len(scores_a) + len(scores_b))``.
-    """
+class CalibModel:
+    """A fitted calibrator: each group's descending score list and the
+    jitter that made them; the minority weight ``alpha`` is the minority
+    share of the fit data, n_a / (n_a + n_b).  Immutable and thread-safe."""
 
     scores_a: np.ndarray  # minority, sorted descending
     scores_b: np.ndarray  # majority, sorted descending
-    alpha: float
     sigma: float
     seed: int
 
@@ -76,9 +84,6 @@ class GroupScores:
                 raise ValueError(f"{name} must be sorted non-increasing")
             if not (arr.min() >= 0.0 and arr.max() <= 1.0):
                 raise ValueError(f"{name} values must lie in [0, 1]")
-        expected = a.size / (a.size + b.size)
-        if not abs(self.alpha - expected) <= 1e-12:
-            raise ValueError(f"alpha {self.alpha} != |scores_a|/|D| = {expected}")
         if not 0 <= self.sigma < np.inf:
             raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
         a.setflags(write=False)
@@ -94,10 +99,14 @@ class GroupScores:
     def n_b(self) -> int:
         return self.scores_b.size
 
+    @property
+    def alpha(self) -> float:
+        return self.n_a / (self.n_a + self.n_b)
+
 
 def build_group_scores(
     d: ScoreDataset, sigma: float, seed: int, mask: np.ndarray | None = None
-) -> GroupScores:
+) -> CalibModel:
     """Jitter all scores (one stream, dataset order), split and sort.
 
     ``mask`` keeps only the selected pairs after jittering, so every
@@ -112,7 +121,7 @@ def build_group_scores(
     b = np.sort(jittered[~is_minority])[::-1]
     if a.size == 0 or b.size == 0:
         raise EmptyGroupError(f"no {'minority' if a.size == 0 else 'majority'} pairs")
-    return GroupScores(a, b, alpha=a.size / (a.size + b.size), sigma=sigma, seed=seed)
+    return CalibModel(a, b, sigma, seed)
 
 
 @dataclass(frozen=True, eq=False)

@@ -14,6 +14,7 @@ from scorecalib.empirical import gap_curve, pr_curve, w1_distance
 from scorecalib.errors import (
     EmptyStratumError,
     LengthMismatchError,
+    ScoreOutOfRangeError,
     ThetaOutOfRangeError,
     UnlabeledDatasetError,
 )
@@ -229,3 +230,15 @@ def test_risk_maximal_shift():
 def test_risk_length_mismatch():
     with pytest.raises(LengthMismatchError):
         risk_estimate([0.2, 0.8], [0.3])
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("bad", [NAN, 1.5, -0.1, INF, -INF])
+def test_risk_rejects_scores_outside_unit_interval(bad):
+    # unchecked, a NaN gives a NaN risk, and 1.5 a risk of 0.5
+    with pytest.raises(ScoreOutOfRangeError, match=r"^original scores must lie in \[0, 1\]"):
+        risk_estimate([bad, 0.2], [0.5, 0.2])
+    with pytest.raises(ScoreOutOfRangeError, match=r"^calibrated scores must lie in \[0, 1\]"):
+        risk_estimate([0.5, 0.2], [bad, 0.2])

@@ -17,7 +17,7 @@ from scorecalib.calibration import (
 )
 from scorecalib.conditional import load_model, save_model
 from scorecalib.dataset import GroupId, ScoreDataset
-from scorecalib.empirical import GroupScores, w1_distance
+from scorecalib.empirical import w1_distance
 from scorecalib.errors import EmptyGroupError, ScoreOutOfRangeError
 
 from conftest import make_dataset, random_dataset
@@ -34,17 +34,16 @@ HAND_TRACE = [
 
 def test_fit_worked_example(example_dataset):
     model = fit(example_dataset, sigma=0.0, seed=0)
-    gs = model.group_scores
-    assert gs.alpha == 0.4
-    assert gs.scores_a.tolist() == [0.80, 0.72, 0.65, 0.46, 0.39, 0.28]
-    assert gs.scores_b.tolist() == [0.97, 0.89, 0.85, 0.37, 0.35, 0.31, 0.25, 0.22, 0.18]
+    assert model.alpha == 0.4
+    assert model.scores_a.tolist() == [0.80, 0.72, 0.65, 0.46, 0.39, 0.28]
+    assert model.scores_b.tolist() == [0.97, 0.89, 0.85, 0.37, 0.35, 0.31, 0.25, 0.22, 0.18]
 
 
 def test_fit_minimal():
     d = make_dataset([(0.3, "a"), (0.7, "b")])
     model = fit(d, sigma=0.0, seed=0)
-    assert model.group_scores.n_a == 1
-    assert model.group_scores.n_b == 1
+    assert model.n_a == 1
+    assert model.n_b == 1
     assert model.alpha == 0.5
 
 
@@ -108,13 +107,7 @@ def test_calibrate_rejects_out_of_range(example_dataset):
 
 model_strategy = st.builds(
     lambda a, b: CalibModel(
-        GroupScores(
-            np.sort(np.array(a))[::-1],
-            np.sort(np.array(b))[::-1],
-            alpha=len(a) / (len(a) + len(b)),
-            sigma=0.0,
-            seed=0,
-        )
+        np.sort(np.array(a))[::-1], np.sort(np.array(b))[::-1], sigma=0.0, seed=0
     ),
     st.lists(st.floats(0, 1, allow_nan=False), min_size=1, max_size=20),
     st.lists(st.floats(0, 1, allow_nan=False), min_size=1, max_size=20),
@@ -134,9 +127,8 @@ def test_within_group_monotonicity(model, s1, s2, group):
 
 @given(model_strategy, st.floats(0, 1, allow_nan=False), st.sampled_from([MIN, MAJ]))
 def test_range_preservation(model, score, group):
-    gs = model.group_scores
-    lo = min(gs.scores_a.min(), gs.scores_b.min())
-    hi = max(gs.scores_a.max(), gs.scores_b.max())
+    lo = min(model.scores_a.min(), model.scores_b.min())
+    hi = max(model.scores_a.max(), model.scores_b.max())
     out = calibrate(model, score, group)
     assert lo - 1e-12 <= out <= hi + 1e-12
 
@@ -182,8 +174,7 @@ def test_barycenter_risk_beats_weighted_single_group_mappings():
         n_b = int(rng.integers(70, 140))
         d = random_dataset(rng, n_a, n_b, beta_a=(6, 2), beta_b=(2, 6))
         model = fit(d, sigma=0.0, seed=2)
-        gs = model.group_scores
-        alpha = gs.alpha
+        alpha = model.alpha
         scores = d.scores()
         groups = d.groups()
 
@@ -191,15 +182,15 @@ def test_barycenter_risk_beats_weighted_single_group_mappings():
         pos_a_only = np.empty(len(scores))
         pos_b_only = np.empty(len(scores))
         for i, (s, g) in enumerate(zip(scores, groups)):
-            own = gs.scores_a if g is MIN else gs.scores_b
-            other = gs.scores_b if g is MIN else gs.scores_a
+            own = model.scores_a if g is MIN else model.scores_b
+            other = model.scores_b if g is MIN else model.scores_a
             n_own, n_other = own.size, other.size
             greater = int(np.sum(own > s))
             pos = min(n_own, 1 + greater)
             pos_cross = min(n_other, max(1, -(-pos * n_other // n_own)))
             a_pos, b_pos = (pos, pos_cross) if g is MIN else (pos_cross, pos)
-            pos_a_only[i] = gs.scores_a[a_pos - 1]
-            pos_b_only[i] = gs.scores_b[b_pos - 1]
+            pos_a_only[i] = model.scores_a[a_pos - 1]
+            pos_b_only[i] = model.scores_b[b_pos - 1]
         risk_bary = risk_estimate(scores, out)
         risk_map_a = risk_estimate(scores, pos_a_only)
         risk_map_b = risk_estimate(scores, pos_b_only)
@@ -209,8 +200,8 @@ def test_barycenter_risk_beats_weighted_single_group_mappings():
 def test_determinism_with_jitter(example_dataset):
     m1 = fit(example_dataset, sigma=0.05, seed=99)
     m2 = fit(example_dataset, sigma=0.05, seed=99)
-    assert m1.group_scores.scores_a.tolist() == m2.group_scores.scores_a.tolist()
-    assert m1.group_scores.scores_b.tolist() == m2.group_scores.scores_b.tolist()
+    assert m1.scores_a.tolist() == m2.scores_a.tolist()
+    assert m1.scores_b.tolist() == m2.scores_b.tolist()
     queries = [0.1, 0.42, 0.9]
     for q in queries:
         assert calibrate(m1, q, MIN) == calibrate(m2, q, MIN)
@@ -221,11 +212,11 @@ def test_model_persistence_round_trip(tmp_path, example_dataset):
     path = tmp_path / "model.json"
     save_model(model, path)
     again = load_model(path)
-    assert again.group_scores.scores_a.tolist() == model.group_scores.scores_a.tolist()
-    assert again.group_scores.scores_b.tolist() == model.group_scores.scores_b.tolist()
+    assert again.scores_a.tolist() == model.scores_a.tolist()
+    assert again.scores_b.tolist() == model.scores_b.tolist()
     assert again.alpha == model.alpha
-    assert again.group_scores.sigma == model.group_scores.sigma
-    assert again.group_scores.seed == model.group_scores.seed
+    assert again.sigma == model.sigma
+    assert again.seed == model.seed
 
 
 def test_model_dict_schema(example_dataset):

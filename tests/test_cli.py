@@ -379,6 +379,14 @@ def test_calibrated_csv_round_trips_any_id(tmp_path_factory, ids):
         pytest.param(["--seed", -1], None, id="seed-negative"),
         pytest.param([], {"seed": -1}, id="config-seed-negative"),
         pytest.param([], {"schema": "triples"}, id="config-schema-unknown"),
+        # JSON values of the wrong type: a bool is not a number, a number not a path
+        pytest.param([], {"fit": 7}, id="config-fit-number"),
+        pytest.param([], {"sigma": True}, id="config-sigma-bool"),
+        pytest.param([], {"sigma": 10**400}, id="config-sigma-too-large-for-a-float"),
+        pytest.param([], {"algorithm": "ccalib", "gamma": False}, id="config-gamma-bool"),
+        pytest.param([], {"algorithm": "ccalib", "bandwidth": True}, id="config-bandwidth-bool"),
+        pytest.param([], {"thresholds": [True]}, id="config-threshold-bool"),
+        pytest.param([], {"majority_token": 5}, id="config-majority-token-number"),
     ],
 )
 def test_cli_boundary_errors_exit_2(tmp_path, capsys, extra, config):
@@ -393,6 +401,36 @@ def test_cli_boundary_errors_exit_2(tmp_path, capsys, extra, config):
     assert run(*argv, "--out-dir", tmp_path / "out") == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+SPEC = {
+    "n_minority": 6, "n_majority": 9, "pos_rate_a": 0.4, "pos_rate_b": 0.4,
+    "minority_pos": "6,2", "minority_neg": "2,6", "majority_pos": "9,2", "majority_neg": "2,8",
+}
+
+
+@pytest.mark.parametrize(
+    "command,config",
+    [
+        pytest.param("measure", {"input": 5}, id="measure-input-number"),
+        pytest.param("measure", {"minority_token": 5}, id="measure-minority-token-number"),
+        pytest.param("measure", {"out_dir": 5}, id="measure-out-dir-number"),
+        pytest.param("plot", {"input": 5}, id="plot-input-number"),
+        pytest.param("plot", {"input": ["scores.csv", 5]}, id="plot-input-holds-a-number"),
+        pytest.param("generate", {"pos_rate_a": True}, id="generate-rate-bool"),
+        pytest.param("generate", {"minority_pos": [True, 2]}, id="generate-beta-bool"),
+    ],
+)
+def test_config_value_of_wrong_type_exit_2(tmp_path, monkeypatch, capsys, command, config):
+    # only --config is passed, so each value is read from the file
+    monkeypatch.chdir(tmp_path)
+    write_example_csv(tmp_path / "scores.csv")
+    base = {"measure": {"input": "scores.csv", "minority_token": "a"}, "generate": SPEC}
+    (tmp_path / "run.json").write_text(json.dumps({**base.get(command, {}), **config}))
+    assert run(command, "--config", "run.json") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: invalid {next(iter(config))} ") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json", "scores.csv"]
 
 
 def test_non_utf8_input_exit_2(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import io
 import tracemalloc
 
 import numpy as np
@@ -8,8 +9,10 @@ from hypothesis import strategies as st
 from scorecalib import conditional
 from scorecalib.bias import BiasMetricKind, risk_estimate, score_bias
 from scorecalib.conditional import (
-    MeanshiftConfig,
+    CONVERGENCE_TOL,
+    MAX_ITERATIONS,
     _mean_shift_modes,
+    check_bandwidth,
     cond_calibrate,
     cond_calibrate_dataset,
     cond_calibrate_scores,
@@ -62,7 +65,7 @@ def test_meanshift_empty_and_singleton():
 
 def test_meanshift_unbalanced_spikes_pick_heaviest_two():
     scores = [0.1] * 40 + [0.5] * 3 + [0.9] * 40
-    gamma = meanshift_threshold(scores, MeanshiftConfig(bandwidth=0.05))
+    gamma = meanshift_threshold(scores, bandwidth=0.05)
     assert gamma == pytest.approx(0.5, abs=0.02)
 
 
@@ -81,12 +84,12 @@ def test_meanshift_rejects_scores_outside_unit_interval(scores):
         meanshift_threshold(scores)
 
 
-def dense_mean_shift_modes(data, cfg):
+def dense_mean_shift_modes(data, bandwidth):
     """Reference: the full (active starts x n) kernel on every iteration."""
     positions, weights_per_start = np.unique(data.astype(float), return_counts=True)
     active = np.ones(positions.size, dtype=bool)
-    inv_two_h2 = 1.0 / (2.0 * cfg.bandwidth**2)
-    for _ in range(cfg.max_iterations):
+    inv_two_h2 = 1.0 / (2.0 * bandwidth**2)
+    for _ in range(MAX_ITERATIONS):
         if not active.any():
             break
         current = positions[active]
@@ -94,12 +97,12 @@ def dense_mean_shift_modes(data, cfg):
         shifted = (kernel @ data) / kernel.sum(axis=1)
         moved = np.abs(shifted - current)
         positions[active] = shifted
-        active[active] = moved >= cfg.convergence_tol
+        active[active] = moved >= CONVERGENCE_TOL
 
     order = np.argsort(positions, kind="stable")
     centers, counts = [], []
     for pos, mass in zip(positions[order], weights_per_start[order]):
-        if centers and pos - centers[-1] <= cfg.merge_radius:
+        if centers and pos - centers[-1] <= bandwidth / 2:
             total = counts[-1] + mass
             centers[-1] = (centers[-1] * counts[-1] + pos * mass) / total
             counts[-1] = total
@@ -135,14 +138,13 @@ def test_blocked_kernel_matches_dense_oracle(monkeypatch, make_scores):
     # the weighted kernel sums each row over distinct values, the dense
     # one over every point, so centers may differ in the last bits
     data = make_scores()
-    cfg = MeanshiftConfig()
-    centers, counts = _mean_shift_modes(data, cfg)
-    ref_centers, ref_counts = dense_mean_shift_modes(data, cfg)
+    centers, counts = _mean_shift_modes(data, 0.1)
+    ref_centers, ref_counts = dense_mean_shift_modes(data, 0.1)
     assert counts.tolist() == ref_counts.tolist()
     np.testing.assert_allclose(centers, ref_centers, rtol=0, atol=1e-12)
-    gamma = meanshift_threshold(data, cfg)
+    gamma = meanshift_threshold(data, 0.1)
     monkeypatch.setattr(conditional, "_mean_shift_modes", lambda *_: (ref_centers, ref_counts))
-    assert abs(gamma - meanshift_threshold(data, cfg)) <= 1e-12
+    assert abs(gamma - meanshift_threshold(data, 0.1)) <= 1e-12
 
 
 @pytest.mark.parametrize(
@@ -155,8 +157,8 @@ def test_blocked_kernel_matches_dense_oracle(monkeypatch, make_scores):
 def test_repeating_the_data_scales_only_the_counts(make_scores):
     # every point's mass is 4x, a power of two, so each weighted sum scales exactly
     data = make_scores()
-    centers, counts = _mean_shift_modes(data, MeanshiftConfig())
-    tiled_centers, tiled_counts = _mean_shift_modes(np.tile(data, 4), MeanshiftConfig())
+    centers, counts = _mean_shift_modes(data, 0.1)
+    tiled_centers, tiled_counts = _mean_shift_modes(np.tile(data, 4), 0.1)
     assert tiled_centers.tobytes() == centers.tobytes()
     assert tiled_counts.tolist() == (4 * counts).tolist()
 
@@ -175,7 +177,7 @@ def test_kernel_work_depends_on_distinct_values_only(monkeypatch):
     work = []
     for points in (data, np.tile(data, 8)):
         entries.clear()
-        _mean_shift_modes(points, MeanshiftConfig())
+        _mean_shift_modes(points, 0.1)
         work.append(sum(entries))
     assert work[0] > 0 and work[0] == work[1]
 
@@ -191,27 +193,30 @@ def test_meanshift_memory_is_bounded():
     assert peak < 16 * 2**20
 
 
-def test_meanshift_config_validation():
-    with pytest.raises(ValueError):
-        MeanshiftConfig(bandwidth=0.0)
-    with pytest.raises(ValueError):
-        MeanshiftConfig(convergence_tol=0.0)
-    with pytest.raises(ValueError):
-        MeanshiftConfig(max_iterations=0)
-    with pytest.raises(ValueError):
-        MeanshiftConfig(bandwidth=0.1, merge_radius=0.2)
-    assert MeanshiftConfig(bandwidth=0.2).merge_radius == 0.1
+def test_bandwidth_check(example_dataset):
+    # the CLI's bad bandwidths, then NaN and inf; fit_conditional checks
+    # the bandwidth even with a gamma given, as it is saved in the model
+    for bad in (-1, 0, 1e-200, 1e300, float("nan"), float("inf")):
+        for call in (
+            lambda: check_bandwidth(bad),
+            lambda: meanshift_threshold([0.1, 0.9], bad),
+            lambda: fit_conditional(example_dataset, 0.0, 0, 0.57, bandwidth=bad),
+        ):
+            with pytest.raises(InvalidParameterError, match="bandwidth"):
+                call()
+    check_bandwidth(5.3e-155)
+    check_bandwidth(9.4e153)
 
 
 # ---------------------------------------------------------------- fitting
 
 def test_fit_conditional_worked_example(example_dataset):
     model = fit_conditional(example_dataset, sigma=0.0, seed=0, gamma_override=0.57)
-    un = model.unmatched.group_scores
+    un = model.unmatched
     assert un.scores_b.tolist() == [0.37, 0.35, 0.31, 0.25, 0.22, 0.18]
     assert un.scores_a.tolist() == [0.46, 0.39, 0.28]
     assert un.alpha == pytest.approx(3 / 9)
-    ma = model.matched.group_scores
+    ma = model.matched
     assert ma.scores_a.tolist() == [0.80, 0.72, 0.65]
     assert ma.scores_b.tolist() == [0.97, 0.89, 0.85]
     assert ma.alpha == pytest.approx(0.5)
@@ -247,8 +252,8 @@ def test_fit_conditional_with_true_labels():
     d = make_dataset(rows, labels)
     model = fit_conditional(d, sigma=0.0, seed=0, gamma_override=0.5, use_true_labels=True)
     # the 0.45 positive lands on the matched side, the 0.6 negative on the unmatched
-    assert model.matched.group_scores.scores_a.tolist() == [0.8, 0.45]
-    assert model.unmatched.group_scores.scores_b.tolist() == [0.6, 0.2]
+    assert model.matched.scores_a.tolist() == [0.8, 0.45]
+    assert model.unmatched.scores_b.tolist() == [0.6, 0.2]
 
 
 def test_fit_conditional_true_labels_requires_labels(example_dataset):
@@ -268,7 +273,7 @@ def test_cond_calibrate_worked_example(example_dataset):
 def test_query_at_gamma_routes_to_matched(example_dataset):
     model = fit_conditional(example_dataset, sigma=0.0, seed=0, gamma_override=0.57)
     out = cond_calibrate(model, 0.57, MAJ)
-    ma = model.matched.group_scores
+    ma = model.matched
     lo = min(ma.scores_a.min(), ma.scores_b.min())
     assert out >= lo  # matched-side output; unmatched values all sit below gamma
 
@@ -280,8 +285,8 @@ def test_routing_keeps_outputs_in_side_ranges(example_dataset):
         group = MIN if s < 0.5 else MAJ
         out = cond_calibrate(model, float(s), group)
         side = model.matched if s >= model.gamma else model.unmatched
-        lo = min(side.group_scores.scores_a.min(), side.group_scores.scores_b.min())
-        hi = max(side.group_scores.scores_a.max(), side.group_scores.scores_b.max())
+        lo = min(side.scores_a.min(), side.scores_b.min())
+        hi = max(side.scores_a.max(), side.scores_b.max())
         assert lo - 1e-12 <= out <= hi + 1e-12
 
 
@@ -327,8 +332,8 @@ def test_conditional_bias_collapse_on_separable_labels():
     model = fit_conditional(d, sigma=0.0, seed=3, gamma_override=0.5)
     calibrated = cond_calibrate_dataset(model, d)
 
-    pos_sizes = (model.matched.group_scores.n_a, model.matched.group_scores.n_b)
-    neg_sizes = (model.unmatched.group_scores.n_a, model.unmatched.group_scores.n_b)
+    pos_sizes = (model.matched.n_a, model.matched.n_b)
+    neg_sizes = (model.unmatched.n_a, model.unmatched.n_b)
     assert score_bias(calibrated, BiasMetricKind.EO) <= 4.0 / min(pos_sizes)
     assert score_bias(calibrated, BiasMetricKind.FPR_GAP) <= 4.0 / min(neg_sizes)
 
@@ -350,13 +355,9 @@ def test_model_persistence_round_trip(tmp_path, example_dataset):
     save_model(model, path)
     again = load_model(path)
     assert again.gamma == model.gamma
-    assert again.matched.group_scores.scores_a.tolist() == (
-        model.matched.group_scores.scores_a.tolist()
-    )
-    assert again.unmatched.group_scores.scores_b.tolist() == (
-        model.unmatched.group_scores.scores_b.tolist()
-    )
-    assert again.meanshift == model.meanshift
+    assert again.matched.scores_a.tolist() == model.matched.scores_a.tolist()
+    assert again.unmatched.scores_b.tolist() == model.unmatched.scores_b.tolist()
+    assert again.bandwidth == model.bandwidth
 
 
 def test_model_dict_schema(example_dataset):
@@ -365,6 +366,23 @@ def test_model_dict_schema(example_dataset):
     )
     assert set(payload) == {"gamma", "matched", "unmatched", "meanshift"}
     assert set(payload["meanshift"]) == {"bandwidth", "tol", "max_iter", "merge_radius"}
+
+
+@given(st.one_of(st.floats(5.3e-155, 9.4e153), st.integers(1, 10**6)))
+@example(0.1)
+@example(5.3e-155)
+@example(9.4e153)
+def test_ccalib_model_file_saves_to_the_same_bytes(bandwidth):
+    # merge_radius is written as bandwidth / 2 and must equal the
+    # bandwidth / 2 recomputed from the bandwidth read back
+    d = make_dataset([(0.1, "a"), (0.2, "b"), (0.8, "a"), (0.9, "b")])
+    model = fit_conditional(d, sigma=0.0, seed=0, gamma_override=0.5, bandwidth=bandwidth)
+    first, second = io.StringIO(), io.StringIO()
+    save_model(model, first)
+    again = load_model(first.getvalue().encode())
+    save_model(again, second)
+    assert second.getvalue() == first.getvalue()
+    assert again.bandwidth == bandwidth
 
 
 def distinct_side(low, high):
@@ -390,7 +408,7 @@ def test_risk_identity_per_partition(matched_a, matched_b, unmatched_a, unmatche
     calibrated = cond_calibrate_dataset(model, d).scores()
     matched = d.scores() >= 0.5
     for side, mask in ((model.matched, matched), (model.unmatched, ~matched)):
-        a, b = side.group_scores.scores_a.tolist(), side.group_scores.scores_b.tolist()
+        a, b = side.scores_a.tolist(), side.scores_b.tolist()
         alpha = side.alpha
         risk = risk_estimate(d.scores()[mask], calibrated[mask])
         gap = abs(risk - 2 * alpha * (1 - alpha) * w1_distance(a, b))

@@ -1,14 +1,16 @@
 import csv
 import io
+import json
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from scorecalib.conditional import load_model
 from scorecalib.dataset import GroupId
 from scorecalib.empirical import (
-    GroupScores,
+    CalibModel,
     StepCurve,
     add_jitter,
     auc,
@@ -26,6 +28,8 @@ from scorecalib.errors import (
     EmptyStratumError,
     InvalidParameterError,
     MalformedCurveError,
+    MalformedModelError,
+    ScoreOutOfRangeError,
     SingleClassError,
     UnlabeledDatasetError,
 )
@@ -37,6 +41,7 @@ MIN, MAJ = GroupId.MINORITY, GroupId.MAJORITY
 scores_list = st.lists(
     st.floats(min_value=0.0, max_value=1.0, allow_nan=False), min_size=1, max_size=30
 )
+NAN, INF = float("nan"), float("inf")
 
 
 # ---------------------------------------------------------------- jitter
@@ -67,6 +72,15 @@ def test_jitter_clamps_at_one():
 def test_jitter_clamps_at_zero():
     # seed 4 draws -0.0326 for the first sample
     assert add_jitter([0.001], sigma=0.05, seed=4)[0] == 0.0
+
+
+@pytest.mark.parametrize("sigma", [0.05, 0.0])
+@pytest.mark.parametrize("scores", [[NAN, 0.3], [7.0], [0.3, -0.1], [INF], [-INF, 0.5]])
+def test_jitter_rejects_scores_outside_unit_interval(scores, sigma):
+    # unchecked, NaN passes through, and 7.0 comes back as 7.0 at sigma 0
+    # but clipped to 1.0 at sigma 0.05
+    with pytest.raises(ScoreOutOfRangeError, match="must lie in"):
+        add_jitter(scores, sigma=sigma, seed=0)
 
 
 def test_jitter_rejects_negative_sigma():
@@ -111,14 +125,14 @@ def test_build_group_scores_minimal():
 
 def test_group_scores_validation():
     with pytest.raises(ValueError):
-        GroupScores(np.array([0.2, 0.5]), np.array([0.5]), alpha=2 / 3, sigma=0.0, seed=0)
-    with pytest.raises(ValueError):
-        GroupScores(np.array([0.5]), np.array([0.5]), alpha=0.9, sigma=0.0, seed=0)
+        CalibModel(np.array([0.2, 0.5]), np.array([0.5]), sigma=0.0, seed=0)
     with pytest.raises(EmptyGroupError):
-        GroupScores(np.array([]), np.array([0.5]), alpha=0.0, sigma=0.0, seed=0)
+        CalibModel(np.array([]), np.array([0.5]), sigma=0.0, seed=0)
 
 
-NAN, INF = float("nan"), float("inf")
+def test_alpha_follows_from_the_list_sizes():
+    model = CalibModel([0.9, 0.4, 0.1], [0.5], sigma=0.0, seed=0)
+    assert (model.n_a, model.n_b, model.alpha) == (3, 1, 0.75)
 
 
 @pytest.mark.parametrize(
@@ -136,8 +150,11 @@ NAN, INF = float("nan"), float("inf")
     ],
 )
 def test_group_scores_rejects_non_finite(scores_a, scores_b, alpha, sigma):
-    with pytest.raises(ValueError):
-        GroupScores(scores_a, scores_b, alpha=alpha, sigma=sigma, seed=0)
+    # alpha is derived, not passed: a stored one is checked where a model
+    # file is read, so every case goes through the loader
+    payload = {"scores_a": scores_a, "scores_b": scores_b, "alpha": alpha, "sigma": sigma}
+    with pytest.raises(MalformedModelError):
+        load_model(json.dumps({**payload, "seed": 0}).encode())
 
 
 @pytest.mark.parametrize(
@@ -145,7 +162,7 @@ def test_group_scores_rejects_non_finite(scores_a, scores_b, alpha, sigma):
 )
 def test_group_scores_rejects_non_numeric_or_nested_lists(scores_a):
     with pytest.raises(ValueError, match="flat list of numbers"):
-        GroupScores(scores_a, [0.5], alpha=0.5, sigma=0.0, seed=0)
+        CalibModel(scores_a, [0.5], sigma=0.0, seed=0)
 
 
 # ---------------------------------------------------------------- curves
@@ -226,9 +243,6 @@ def test_step_curve_validation():
         StepCurve(np.array([0.5]), np.array([1.0]))
     with pytest.raises(ValueError):
         StepCurve(np.array([1.5]), np.array([1.0, 0.0]))
-
-
-NAN, INF = float("nan"), float("inf")
 
 
 @pytest.mark.parametrize(

@@ -404,6 +404,11 @@ def test_model_file_gamma_outside_unit_interval(golden_run, gamma):
         {"meanshift.tol": 0},
         {"meanshift.tol": float("nan")},
         {"meanshift.merge_radius": 1.0},  # above the bandwidth
+        # settings mean shift could run with, or another key: not what save_model writes
+        {"meanshift.max_iter": 50},
+        {"meanshift.merge_radius": 0.04},
+        {"meanshift.tol": 0.001},
+        {"meanshift.extra": 1},
     ],
     ids=lambda e: "-".join(f"{k}={v!r:.12}" for k, v in e.items()),
 )
