@@ -138,23 +138,23 @@ def _load_input(args, config, path) -> tuple[ScoreDataset, Schema, list[list[str
 
 
 def _metric_kinds(args, config) -> list[BiasMetricKind]:
-    kinds = []
     # a single metric name in --config means a one-item list
     names = _opt(
         args, config, "metric", ["dp"], lambda v: [v] if isinstance(v, str) else list(v)
     )
+    if not names:  # as for the flag (nargs="+"), one name or more
+        raise InvalidParameterError(f"invalid metric {names!r}")
     for name in names:
-        kind = _METRICS.get(name) if isinstance(name, str) else None
-        if kind is None:
+        if not isinstance(name, str) or name not in _METRICS:
             raise InputError(f"unknown metric {name!r}")
-        if kind not in kinds:
-            kinds.append(kind)
-    return kinds
+    return list(dict.fromkeys(_METRICS[name] for name in names))
 
 
 def _float_list(value) -> list[float]:
-    if isinstance(value, str):  # iterable, but not a list of thresholds
-        raise TypeError("expected a list of numbers")
+    # a str is iterable, but not a list of thresholds; as for the flag
+    # (nargs="+"), the list holds one threshold or more
+    if isinstance(value, str) or not value:
+        raise TypeError("expected a non-empty list of numbers")
     return [_float(t) for t in value]
 
 

@@ -252,11 +252,18 @@ def _field(data: dict, key: str, kind, where: str = "model"):
     return value
 
 
+def _only_keys(data: dict, keys, where: str) -> None:
+    """Reject a key save_model does not write, so a loaded file saves to the same bytes."""
+    if extra := data.keys() - set(keys):
+        raise MalformedModelError(f"{where} key {min(extra)!r} is not one save_model writes")
+
+
 def _calib_from_dict(data: dict, where: str = "model") -> CalibModel:
     """A ``calib`` dict's model; ``alpha`` must be its lists' minority share."""
     lists = [_field(data, key, list, where) for key in ("scores_a", "scores_b")]
     alpha, sigma = (_field(data, key, _NUMBER, where) for key in ("alpha", "sigma"))
     seed = _field(data, "seed", int, where)
+    _only_keys(data, ("scores_a", "scores_b", "alpha", "sigma", "seed"), where)
     try:
         model = CalibModel(*lists, sigma=sigma, seed=seed)
         if not abs(alpha - model.alpha) <= 1e-12:
@@ -268,6 +275,7 @@ def _calib_from_dict(data: dict, where: str = "model") -> CalibModel:
 
 def _ccalib_from_dict(data: dict) -> CondCalibModel:
     gamma = _field(data, "gamma", _NUMBER)
+    _only_keys(data, ("gamma", "matched", "unmatched", "meanshift"), "model")
     if not 0 <= gamma <= 1:
         raise MalformedModelError(f"model gamma {gamma!r} lies outside [0, 1]")
     sides = [
@@ -297,7 +305,8 @@ def load_model(source) -> CalibModel | CondCalibModel:
 
     Dispatches on ``"algorithm"``; a file without it is read by its
     shape, a ``"gamma"`` key meaning ``ccalib``.  Any file that is not a
-    valid model raises :class:`MalformedModelError`.
+    valid model, or that holds a key :func:`save_model` does not write,
+    raises :class:`MalformedModelError`.
     """
     try:
         data = json.loads(read_text(source))
@@ -305,7 +314,7 @@ def load_model(source) -> CalibModel | CondCalibModel:
         raise MalformedModelError(f"model file is not UTF-8 JSON: {exc}") from None
     if not isinstance(data, dict):
         raise MalformedModelError("model file must hold a JSON object")
-    algorithm = data.get("algorithm", "ccalib" if "gamma" in data else "calib")
+    algorithm = data.pop("algorithm", "ccalib" if "gamma" in data else "calib")
     if algorithm == "calib":
         return _calib_from_dict(data)
     if algorithm == "ccalib":

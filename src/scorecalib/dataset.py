@@ -422,7 +422,7 @@ def dataset_from_rows(rows: CsvRows, schema: Schema, vocab: GroupVocabulary) -> 
     """Build the dataset from shape-checked rows, one column at a time.
 
     Scores go through ``float`` (one ``map`` into an array) and are range
-    checked in one vectorized step; group tokens and labels are resolved
+    checked by the :class:`ScoreDataset` constructor; group tokens and labels are resolved
     once per distinct string.  A record-level pair is minority iff
     either of its records is.  If any check fails, the rows are checked
     again one at a time (:func:`_raise_first_error`) so that the error
@@ -438,12 +438,9 @@ def dataset_from_rows(rows: CsvRows, schema: Schema, vocab: GroupVocabulary) -> 
             minority |= np.fromiter(map(flags.__getitem__, column), bool, n)
         codes = {t: _parse_label(t) for t in set(label_text)}
         labels = np.fromiter(map(codes.__getitem__, label_text), np.int8, n)
+        return ScoreDataset(ids, scores, minority, labels)
     except (ValueError, InputError):
         _raise_first_error(rows.source, schema, vocab)
-    # a NaN fails both comparisons
-    if not ((scores >= 0.0) & (scores <= 1.0)).all():
-        _raise_first_error(rows.source, schema, vocab)
-    return ScoreDataset(ids, scores, minority, labels)
 
 
 def load_dataset(

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import GroupId, ScoreDataset, TextSource, read_columns, text_writer
+from .dataset import GroupId, ScoreDataset, TextSource, _column, read_columns, text_writer
 from .errors import (
     EmptyGroupError,
     EmptyInputError,
@@ -71,25 +71,22 @@ class CalibModel:
     seed: int
 
     def __post_init__(self):
-        a, b = np.asarray(self.scores_a), np.asarray(self.scores_b)
-        for name, arr in (("scores_a", a), ("scores_b", b)):
+        lists = {name: np.asarray(getattr(self, name)) for name in ("scores_a", "scores_b")}
+        for name, arr in lists.items():
             if arr.ndim != 1 or arr.dtype.kind not in "iuf":
                 raise ValueError(f"{name} must be a flat list of numbers")
-        if a.size == 0 or b.size == 0:
+        if not all(arr.size for arr in lists.values()):
             raise EmptyGroupError("both group score lists must be non-empty")
-        a, b = a.astype(float, copy=False), b.astype(float, copy=False)
         # every check is written so that NaN fails it
-        for name, arr in (("scores_a", a), ("scores_b", b)):
+        for name, arr in lists.items():
+            arr = _column(arr, np.float64)
             if np.any(np.diff(arr) > 0):
                 raise ValueError(f"{name} must be sorted non-increasing")
-            if not (arr.min() >= 0.0 and arr.max() <= 1.0):
-                raise ValueError(f"{name} values must lie in [0, 1]")
+            object.__setattr__(self, name, unit_scores(arr, f"{name} values"))
         if not 0 <= self.sigma < np.inf:
             raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
-        a.setflags(write=False)
-        b.setflags(write=False)
-        object.__setattr__(self, "scores_a", a)
-        object.__setattr__(self, "scores_b", b)
+        if self.seed < 0:  # numpy's generators take no negative seed
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def n_a(self) -> int:
@@ -138,22 +135,18 @@ class StepCurve:
     values: np.ndarray
 
     def __post_init__(self):
-        bp = np.asarray(self.breakpoints, dtype=float)
-        va = np.asarray(self.values, dtype=float)
+        bp = _column(self.breakpoints, np.float64)
+        va = _column(self.values, np.float64)
         if va.size != bp.size + 1:
             raise ValueError(
                 f"need {bp.size + 1} values for {bp.size} breakpoints, got {va.size}"
             )
         # every check is written so that NaN fails it
-        if bp.size:
-            if not np.all(np.diff(bp) > 0):
-                raise ValueError("breakpoints must be strictly increasing")
-            if not (bp[0] >= 0.0 and bp[-1] <= 1.0):
-                raise ValueError("breakpoints must lie in [0, 1]")
+        if not np.all(np.diff(bp) > 0):
+            raise ValueError("breakpoints must be strictly increasing")
+        unit_scores(bp, "breakpoints")
         if not np.isfinite(va).all():
             raise ValueError("values must be finite")
-        bp.setflags(write=False)
-        va.setflags(write=False)
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "values", va)
 
@@ -227,11 +220,9 @@ def pr_curve(scores: Sequence[float]) -> StepCurve:
 
     Non-increasing; equals 1 on [0, min(scores)] and 0 above max(scores).
     """
-    arr = np.asarray(scores, dtype=float)
+    arr = unit_scores(scores, "scores")
     if arr.size == 0:
         raise EmptyInputError("cannot build a curve from an empty score list")
-    if not (arr.min() >= 0.0 and arr.max() <= 1.0):  # NaN fails it
-        raise ValueError("scores must lie in [0, 1]")
     asc = np.sort(arr)
     distinct = np.unique(asc)
     n = arr.size

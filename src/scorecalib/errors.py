@@ -23,7 +23,7 @@ class MalformedRowError(InputError):
     """A CSV row failed to parse (wrong column count, bad number, bad label)."""
 
 
-class ScoreOutOfRangeError(InputError):
+class ScoreOutOfRangeError(InputError, ValueError):
     """A score lies outside [0, 1]."""
 
 

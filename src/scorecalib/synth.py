@@ -62,14 +62,17 @@ def generate(spec: SynthSpec) -> ScoreDataset:
         (spec.n_minority, spec.pos_rate_a, spec.minority_pos, spec.minority_neg),
         (spec.n_majority, spec.pos_rate_b, spec.majority_pos, spec.majority_neg),
     ):
-        drawn = rng.random(count) < rate
-        labels.append(drawn)
-        scores.append(
-            rng.beta(
-                np.where(drawn, pos.shape1, neg.shape1),
-                np.where(drawn, pos.shape2, neg.shape2),
+        try:
+            drawn = rng.random(count) < rate
+            labels.append(drawn)
+            scores.append(
+                rng.beta(
+                    np.where(drawn, pos.shape1, neg.shape1),
+                    np.where(drawn, pos.shape2, neg.shape2),
+                )
             )
-        )
+        except (ValueError, MemoryError) as exc:  # a count numpy cannot allocate
+            raise InvalidSpecError(f"cannot draw {count} pairs: {exc}") from None
     return ScoreDataset(
         [f"p{serial:0{width}d}" for serial in range(1, n + 1)],
         np.concatenate(scores),

@@ -419,6 +419,9 @@ SPEC = {
         pytest.param("plot", {"input": ["scores.csv", 5]}, id="plot-input-holds-a-number"),
         pytest.param("generate", {"pos_rate_a": True}, id="generate-rate-bool"),
         pytest.param("generate", {"minority_pos": [True, 2]}, id="generate-beta-bool"),
+        # the flags (nargs="+") take one value or more, and so does the config
+        pytest.param("measure", {"metric": []}, id="measure-metric-empty"),
+        pytest.param("measure", {"thresholds": []}, id="measure-thresholds-empty"),
     ],
 )
 def test_config_value_of_wrong_type_exit_2(tmp_path, monkeypatch, capsys, command, config):
@@ -500,6 +503,42 @@ def test_generate_negative_seed_exit_2(tmp_path, capsys):
     # the last --seed wins
     assert run(*GEN_ARGS, "--seed", -1, "--out-dir", tmp_path) == 2
     assert "invalid seed -1" in capsys.readouterr().err
+    assert not (tmp_path / "dataset.csv").exists()
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_generate_count_numpy_cannot_allocate_exit_2(tmp_path, capsys, via):
+    # numpy rejects either count before it allocates anything
+    if via == "flag":
+        argv = [*GEN_ARGS, "--n-minority", 10**20]
+    else:
+        (tmp_path / "spec.json").write_text(json.dumps({**SPEC, "n_majority": 10**30}))
+        argv = ["generate", "--config", tmp_path / "spec.json"]
+    assert run(*argv, "--out-dir", tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot draw 1000") and err.count("\n") == 1
+    assert not (tmp_path / "dataset.csv").exists()
+
+
+def test_generate_out_of_memory_exit_2(tmp_path):
+    # 1e9 draws need 8 GB; the child's address space is capped at 1 GB, so
+    # numpy's allocation fails at once instead of exhausting the machine
+    src = str(Path(scorecalib.cli.__file__).resolve().parents[1])
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "from scorecalib.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    argv = [*GEN_ARGS, "--n-minority", 10**9, "--out-dir", tmp_path]
+    result = subprocess.run(
+        [sys.executable, "-c", code, *map(str, argv)],
+        env=dict(os.environ, OPENBLAS_NUM_THREADS="1"), capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.startswith("error: cannot draw 1000000000 pairs: Unable to allocate")
+    assert result.stderr.count("\n") == 1
     assert not (tmp_path / "dataset.csv").exists()
 
 

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 
@@ -26,6 +27,7 @@ from scorecalib.errors import (
     EmptyGroupError,
     EmptyInputError,
     EmptyStratumError,
+    InputError,
     InvalidParameterError,
     MalformedCurveError,
     MalformedModelError,
@@ -165,6 +167,32 @@ def test_group_scores_rejects_non_numeric_or_nested_lists(scores_a):
         CalibModel(scores_a, [0.5], sigma=0.0, seed=0)
 
 
+# each value type with two arrays: a constructor and valid contents for them
+COPY_CASES = {
+    "CalibModel": (lambda x, y: CalibModel(x, y, sigma=0.0, seed=0), [0.9, 0.5, 0.1], [0.7, 0.3]),
+    "StepCurve": (StepCurve, [0.1, 0.5, 0.7], [1.0, 0.6, 0.3, 0.0]),
+}
+
+
+@pytest.mark.parametrize("case", COPY_CASES)
+def test_value_types_hold_private_read_only_copies(case):
+    build, first, second = COPY_CASES[case]
+    own = np.array(first), np.array(second)
+    built = build(*own)
+    held = [getattr(built, f.name) for f in dataclasses.fields(built)[:2]]
+    for arr, kept in zip(own, held):
+        assert arr.flags.writeable and kept is not arr
+        assert not kept.flags.writeable
+    # two views of one buffer: writing to the buffer changes neither array held
+    base = np.concatenate(own)
+    views = base[: len(first)], base[len(first):]
+    built = build(*views)
+    base[:] = 0.99
+    held = [getattr(built, f.name).tolist() for f in dataclasses.fields(built)[:2]]
+    assert held == [first, second]
+    assert all(view.flags.writeable for view in views)
+
+
 # ---------------------------------------------------------------- curves
 
 def test_pr_curve_single_max_score():
@@ -268,8 +296,10 @@ def test_step_curve_rejects_nan_and_inf(breakpoints, values, message):
 )
 @pytest.mark.parametrize("scores", [[0.5, NAN], [NAN], [0.5, INF], [-INF, 0.5]])
 def test_nan_and_inf_scores_are_rejected(fn, scores):
-    with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+    with pytest.raises(ScoreOutOfRangeError, match=r"^scores must lie in \[0, 1\]") as info:
         fn(scores)
+    # an InputError to the CLI, and still a ValueError to older callers
+    assert isinstance(info.value, InputError) and isinstance(info.value, ValueError)
 
 
 def test_step_curve_csv_round_trip():

@@ -355,6 +355,15 @@ def test_model_file_unknown_algorithm(golden_run, algorithm):
         ("calib", {"algorithm": "ccalib"}, "model key 'gamma' must be a number"),
         ("ccalib_gamma", {"algorithm": "calib"}, "model key 'scores_a' must be a list"),
         ("calib", {"algorithm": DELETE, "scores_a": DELETE}, "model key 'scores_a'"),
+        # a key save_model does not write, in each object it writes
+        ("calib", {"extra": 1}, "model key 'extra' is not one save_model writes"),
+        ("calib", {"algorithm": DELETE, "gammma": 0.5}, "model key 'gammma' is not one"),
+        ("calib", {"matched": {}}, "model key 'matched' is not one save_model writes"),
+        ("ccalib_gamma", {"extra": None}, "model key 'extra' is not one save_model writes"),
+        ("ccalib_gamma", {"alpha": 0.5}, "model key 'alpha' is not one save_model writes"),
+        ("ccalib_gamma", {"matched.extra": 1}, "model.matched key 'extra' is not one"),
+        ("ccalib_gamma", {"matched.algorithm": "calib"}, "model.matched key 'algorithm'"),
+        ("ccalib_gamma", {"unmatched.gamma": 0.5}, "model.unmatched key 'gamma' is not one"),
     ],
 )
 def test_model_file_missing_or_mistyped_key(golden_run, step, edits, message):
@@ -377,6 +386,8 @@ def test_model_file_missing_or_mistyped_key(golden_run, step, edits, message):
         ("calib", {"alpha": 0.5}, "model: alpha 0.5 != "),
         ("calib", {"alpha": 10**400}, "model: "),
         ("calib", {"sigma": -1}, "model: sigma must be finite and >= 0"),
+        ("calib", {"seed": -5}, "model: seed must be >= 0, got -5"),
+        ("ccalib_gamma", {"matched.seed": -1}, "model.matched: seed must be >= 0"),
         ("ccalib_gamma", {"matched.scores_b": [0.2, 0.3]}, "model.matched: scores_b"),
         ("ccalib_gamma", {"unmatched.alpha": 1}, "model.unmatched: alpha 1 != "),
     ],
