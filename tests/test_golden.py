@@ -386,10 +386,10 @@ def test_model_file_missing_or_mistyped_key(golden_run, step, edits, message):
         ("calib", {"alpha": 0.5}, "model: alpha 0.5 != "),
         ("calib", {"alpha": 10**400}, "model: "),
         ("calib", {"sigma": -1}, "model: sigma must be finite and >= 0"),
-        ("calib", {"seed": -5}, "model: seed must be >= 0, got -5"),
-        ("ccalib_gamma", {"matched.seed": -1}, "model.matched: seed must be >= 0"),
         ("ccalib_gamma", {"matched.scores_b": [0.2, 0.3]}, "model.matched: scores_b"),
         ("ccalib_gamma", {"unmatched.alpha": 1}, "model.unmatched: alpha 1 != "),
+        ("calib", {"seed": -5}, "model: seed must be >= 0, got -5"),
+        ("ccalib_gamma", {"matched.seed": -1}, "model.matched: seed must be >= 0"),
     ],
 )
 def test_model_file_invalid_score_lists(golden_run, step, edits, message):
