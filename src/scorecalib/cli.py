@@ -1,9 +1,14 @@
 """Command-line surface: generate / measure / calibrate / plot.
 
 All state comes from flags (or a JSON config file via ``--config``;
-explicit flags win).  Outputs are byte-deterministic for a fixed
-command line: JSON is written with sorted keys, floats at full repr
-precision, and the SVG renderer embeds no timestamps.
+explicit flags win).  An option is declared once, as a row of the
+``_COMMANDS`` table: its ``--config`` key, cast, default and flag.  A
+config key that no subcommand's table has is rejected; a key of another
+subcommand is ignored, so one file can drive the whole pipeline.
+
+Outputs are byte-deterministic for a fixed command line: JSON is
+written with sorted keys, floats at full repr precision, and the SVG
+renderer embeds no timestamps.
 
 Exit codes: 0 success, 2 invalid input, 3 algorithm failure (e.g. a
 single-mode score distribution, or an empty group in a gamma
@@ -15,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .bias import BiasMetricKind, curve_bias, curve_gaps, group_curves, risk_estimate
@@ -44,39 +50,9 @@ from .synth import BetaParams, SynthSpec, generate
 
 DEFAULT_THRESHOLDS = (0.1, 0.5, 0.95)
 
-_METRICS = {k.value: k for k in BiasMetricKind}
-
 
 def _pct(value) -> str:
     return "n/a" if value is None else f"{100.0 * value:.2f}%"
-
-
-def _load_config(path: str | None) -> dict:
-    if not path:
-        return {}
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
-        raise InvalidParameterError(f"--config {path}: {exc}") from None
-    if not isinstance(data, dict):
-        raise InvalidParameterError("--config file must contain a JSON object")
-    return data
-
-
-def _opt(args, config: dict, key: str, default=None, cast=None):
-    """Flag value, else config value, else default; ``cast`` applies to the
-    first two and turns a bad value into :class:`InvalidParameterError`."""
-    value = getattr(args, key, None)
-    if value is None:
-        value = config.get(key)
-    if value is None:
-        return default
-    if cast is None:
-        return value
-    try:
-        return cast(value)
-    except (TypeError, ValueError, OverflowError):  # OverflowError: float(10**400)
-        raise InvalidParameterError(f"invalid {key} {value!r}") from None
 
 
 def _float(value) -> float:
@@ -109,12 +85,6 @@ def _str(value) -> str:
     return value
 
 
-def _str_list(value) -> list[str]:
-    if not isinstance(value, list):
-        raise TypeError(f"not a list: {value!r}")
-    return [_str(v) for v in value]
-
-
 def _bool(value) -> bool:
     """Only a JSON boolean (or the flag's True): "false" and 0 are rejected
     rather than read by their truthiness."""
@@ -123,43 +93,41 @@ def _bool(value) -> bool:
     return value
 
 
-def _load_input(args, config, path) -> tuple[ScoreDataset, Schema, list[list[str]]]:
-    """The dataset, its schema, and the raw group-token and label columns
-    (echoed unchanged into ``calibrated.csv``)."""
+def _list(value, item, size=None) -> list:
+    """A JSON list (or a flag's ``nargs`` values) of one item or more, or
+    of exactly ``size``; a str or an object is not a list."""
+    if not isinstance(value, list) or not value or size not in (None, len(value)):
+        raise TypeError(f"not a list of {size or 'one or more'}: {value!r}")
+    return [item(v) for v in value]
+
+
+def _choice(names: list):
+    def cast(value):
+        if value not in names:
+            raise ValueError(f"not one of {names}: {value!r}")
+        return value
+
+    return cast
+
+
+def _metrics(value) -> list[BiasMetricKind]:
+    # a single metric name in --config means a one-item list
+    return list(dict.fromkeys(_list([value] if isinstance(value, str) else value, BiasMetricKind)))
+
+
+def _beta(value) -> BetaParams:
+    """Beta shapes: an "S1,S2" string or a JSON list of two numbers."""
+    return BetaParams(*_list(value.split(",") if isinstance(value, str) else value, _float, 2))
+
+
+def _load_input(s: dict, path) -> tuple[ScoreDataset, list[list[str]]]:
+    """The dataset and its raw group-token and label columns (echoed
+    unchanged into ``calibrated.csv``)."""
     if not path:
         raise InputError("--input is required")
-    schema = _opt(args, config, "schema", Schema.PAIR_LEVEL, Schema)
-    vocab = GroupVocabulary(
-        _opt(args, config, "minority_token", "minority", _str),
-        _opt(args, config, "majority_token", cast=_str),
-    )
-    rows = parse_rows(path, schema)
-    return dataset_from_rows(rows, schema, vocab), schema, rows.columns[2:]
-
-
-def _metric_kinds(args, config) -> list[BiasMetricKind]:
-    # a single metric name in --config means a one-item list
-    names = _opt(
-        args, config, "metric", ["dp"], lambda v: [v] if isinstance(v, str) else list(v)
-    )
-    if not names:  # as for the flag (nargs="+"), one name or more
-        raise InvalidParameterError(f"invalid metric {names!r}")
-    for name in names:
-        if not isinstance(name, str) or name not in _METRICS:
-            raise InputError(f"unknown metric {name!r}")
-    return list(dict.fromkeys(_METRICS[name] for name in names))
-
-
-def _float_list(value) -> list[float]:
-    # a str is iterable, but not a list of thresholds; as for the flag
-    # (nargs="+"), the list holds one threshold or more
-    if isinstance(value, str) or not value:
-        raise TypeError("expected a non-empty list of numbers")
-    return [_float(t) for t in value]
-
-
-def _thresholds(args, config) -> list[float]:
-    return _opt(args, config, "thresholds", list(DEFAULT_THRESHOLDS), _float_list)
+    rows = parse_rows(path, s["schema"])
+    vocab = GroupVocabulary(s["minority_token"], s["majority_token"])
+    return dataset_from_rows(rows, s["schema"], vocab), rows.columns[2:]
 
 
 def _safe_auc(d: ScoreDataset):
@@ -217,8 +185,8 @@ def _auc_by_group(d: ScoreDataset):
     return {group.value: _safe_auc(d.subset(group)) for group in GroupId}
 
 
-def _out_dir(args, config) -> Path:
-    out_dir = Path(_opt(args, config, "out_dir", ".", _str))
+def _out_dir(s: dict) -> Path:
+    out_dir = Path(s["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     return out_dir
 
@@ -237,31 +205,13 @@ def _print_summary(entries: dict, auc_by_group, header: str) -> None:
         print(f"  AUC by group: {shown}")
 
 
-def cmd_generate(args) -> int:
-    config = _load_config(args.config)
-
-    def beta(value) -> BetaParams:
-        shape1, shape2 = value.split(",") if isinstance(value, str) else value
-        return BetaParams(_float(shape1), _float(shape2))
-
-    def required(key, cast):
-        value = _opt(args, config, key, cast=cast)
-        if value is None:
+def cmd_generate(s: dict) -> int:
+    keys = [field.name for field in fields(SynthSpec)]
+    for key in keys:
+        if s[key] is None:
             raise InputError(f"missing synthetic spec field {key!r}")
-        return value
-
-    spec = SynthSpec(
-        n_minority=required("n_minority", _int),
-        n_majority=required("n_majority", _int),
-        pos_rate_a=required("pos_rate_a", _float),
-        pos_rate_b=required("pos_rate_b", _float),
-        minority_pos=required("minority_pos", beta),
-        minority_neg=required("minority_neg", beta),
-        majority_pos=required("majority_pos", beta),
-        majority_neg=required("majority_neg", beta),
-        seed=_opt(args, config, "seed", 0, _seed),
-    )
-    dest = _out_dir(args, config) / "dataset.csv"
+    spec = SynthSpec(**{key: s[key] for key in keys})
+    dest = _out_dir(s) / "dataset.csv"
     dataset = generate(spec)
     dump_dataset(dataset, dest)
     print(
@@ -271,15 +221,12 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def cmd_measure(args) -> int:
-    config = _load_config(args.config)
-    d, _, _ = _load_input(args, config, _opt(args, config, "input", cast=_str))
-    kinds = _metric_kinds(args, config)
-    thresholds = _thresholds(args, config)
-    out_dir = _out_dir(args, config)
+def cmd_measure(s: dict) -> int:
+    d, _ = _load_input(s, s["input"])
+    out_dir = _out_dir(s)
 
     no_after = dict.fromkeys(("risk", "auc_before", "auc_after"))
-    entries = _report_metrics(out_dir, kinds, thresholds, {"before": d}, no_after)
+    entries = _report_metrics(out_dir, s["metric"], s["thresholds"], {"before": d}, no_after)
     auc_groups = _auc_by_group(d)
     payload = {
         "command": "measure",
@@ -292,33 +239,21 @@ def cmd_measure(args) -> int:
     return 0
 
 
-def cmd_calibrate(args) -> int:
-    config = _load_config(args.config)
-    d, schema, raw_columns = _load_input(args, config, _opt(args, config, "input", cast=_str))
-    kinds = _metric_kinds(args, config)
-    thresholds = _thresholds(args, config)
-    algorithm = _opt(args, config, "algorithm", "calib")
-    sigma = _opt(args, config, "sigma", DEFAULT_SIGMA, _float)
-    seed = _opt(args, config, "seed", 0, _seed)
-    gamma = _opt(args, config, "gamma", cast=_float)
-    bandwidth = _opt(args, config, "bandwidth", DEFAULT_BANDWIDTH, _float)
-    use_true_labels = _opt(args, config, "use_true_labels", False, _bool)
-    out_dir = _out_dir(args, config)
+def cmd_calibrate(s: dict) -> int:
+    d, raw_columns = _load_input(s, s["input"])
+    algorithm, sigma, seed, fit_sel = s["algorithm"], s["sigma"], s["seed"], s["fit"]
+    out_dir = _out_dir(s)
+    fit_set = d if fit_sel == "self" else _load_input(s, fit_sel)[0]
 
-    fit_sel = _opt(args, config, "fit", "self", _str)
-    fit_set = d if fit_sel == "self" else _load_input(args, config, fit_sel)[0]
-
-    model = None
-    if algorithm == "none":
-        calibrated = d
-    elif algorithm == "calib":
+    model, calibrated = None, d
+    if algorithm == "calib":
         model = fit(fit_set, sigma, seed)
         calibrated = calibrate_dataset(model, d)
     elif algorithm == "ccalib":
-        model = fit_conditional(fit_set, sigma, seed, gamma, bandwidth, use_true_labels)
+        model = fit_conditional(
+            fit_set, sigma, seed, s["gamma"], s["bandwidth"], s["use_true_labels"]
+        )
         calibrated = cond_calibrate_dataset(model, d)
-    else:
-        raise InputError(f"unknown algorithm {algorithm!r}")
 
     new_scores = calibrated.scores()
     run = {
@@ -327,11 +262,11 @@ def cmd_calibrate(args) -> int:
         "auc_after": _safe_auc(calibrated),
     }
     stages = {"before": d, "after": calibrated}
-    entries = _report_metrics(out_dir, kinds, thresholds, stages, run)
+    entries = _report_metrics(out_dir, s["metric"], s["thresholds"], stages, run)
 
     # emit the calibrated dataset in the input schema, original tokens kept
     with csv_writer(out_dir / "calibrated.csv") as writer:
-        writer.writerow(schema.header)
+        writer.writerow(s["schema"].header)
         writer.writerows(zip(d.ids, map(repr, new_scores.tolist()), *raw_columns))
 
     auc_groups_before = _auc_by_group(d)
@@ -365,26 +300,106 @@ def cmd_calibrate(args) -> int:
     return 0
 
 
-def cmd_plot(args) -> int:
-    config = _load_config(args.config)
-    inputs = _opt(args, config, "input", cast=_str_list)
-    if not inputs or len(inputs) != 2:
+def cmd_plot(s: dict) -> int:
+    inputs = s["input"]
+    if inputs is None:
         raise InputError("plot requires exactly two --input curve CSVs")
-    out_dir = _out_dir(args, config)
+    out_dir = _out_dir(s)
     curve_a = StepCurve.from_csv(inputs[0])
     curve_b = StepCurve.from_csv(inputs[1])
-    title = _opt(args, config, "title", "threshold curves", _str)
     svg = render_gap_svg(
         curve_a,
         curve_b,
         label_a=Path(inputs[0]).stem,
         label_b=Path(inputs[1]).stem,
-        title=title,
+        title=s["title"],
     )
     dest = out_dir / "curves.svg"
     dest.write_text(svg, encoding="utf-8")
     print(f"wrote {dest}")
     return 0
+
+
+def _row(key: str, cast, default=None, flag=None, **kwargs) -> tuple:
+    """One option: its --config key, its cast and default, its flag
+    (``--key-with-dashes`` unless ``flag`` names it) and the rest of its
+    ``add_argument`` keywords."""
+    return key, cast, default, flag or f"--{key.replace('_', '-')}", kwargs
+
+
+_SEED = _row("seed", _seed, 0, type=int)
+_OUT_DIR = _row("out_dir", _str, ".", help="output directory (default .)")
+_DATASET = [
+    _OUT_DIR,
+    _row("input", _str, help="input CSV path"),
+    _row("schema", Schema, "pair", choices=["pair", "record"]),
+    _row("minority_token", _str, "minority"),
+    _row("majority_token", _str,
+         help="declare a closed group vocabulary; other tokens are rejected"),
+    _row("metric", _metrics, "dp", nargs="+", choices=sorted(k.value for k in BiasMetricKind),
+         help="bias metrics to report (default: dp)"),
+    _row("thresholds", lambda v: _list(v, _float), list(DEFAULT_THRESHOLDS), nargs="+", type=float),
+]
+_ALGORITHMS = ["calib", "ccalib", "none"]
+
+# subcommand: (function, help, options in --help order); a --config key is
+# an option's key, and a key that no subcommand has is rejected
+_COMMANDS = {
+    "generate": (cmd_generate, "write a synthetic scored-pair CSV", [
+        _OUT_DIR,
+        *(_row(key, _int, type=int) for key in ("n_minority", "n_majority")),
+        *(_row(key, _float, type=float) for key in ("pos_rate_a", "pos_rate_b")),
+        *(_row(f"{group}_{label}", _beta, flag=f"--beta-{group}-{label}", metavar="S1,S2")
+          for group in ("minority", "majority") for label in ("pos", "neg")),
+        _SEED,
+    ]),
+    "measure": (cmd_measure, "report bias for a scored-pair CSV", _DATASET),
+    "calibrate": (cmd_calibrate, "calibrate scores and report before/after", [
+        *_DATASET,
+        _row("algorithm", _choice(_ALGORITHMS), "calib", choices=_ALGORITHMS),
+        _row("sigma", _float, DEFAULT_SIGMA, type=float, help="jitter stddev (default 0.05)"),
+        _SEED,
+        _row("gamma", _float, type=float, help="explicit split threshold for ccalib"),
+        _row("bandwidth", _float, DEFAULT_BANDWIDTH, type=float,
+             help="meanshift bandwidth for ccalib"),
+        _row("fit", _str, "self",
+             help="'self' to fit on the input, or a CSV path for a held-out fit set"),
+        _row("use_true_labels", _bool, False, action="store_const", const=True,
+             help="partition a labeled fit set by its labels instead of by gamma (ccalib)"),
+    ]),
+    "plot": (cmd_plot, "render two curve CSVs as an SVG with gap band", [
+        _OUT_DIR,
+        _row("input", lambda v: _list(v, _str, 2), nargs=2, metavar=("CURVE_A", "CURVE_B")),
+        _row("title", _str, "threshold curves"),
+    ]),
+}
+_KEYS = {row[0] for _, _, rows in _COMMANDS.values() for row in rows}
+
+
+def _settings(args) -> dict:
+    """Each of the subcommand's options: its flag, else its --config value,
+    else its default, through its cast (None stays None: not given)."""
+    config = {}
+    if args.config:
+        try:
+            config = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
+            raise InvalidParameterError(f"--config {args.config}: {exc}") from None
+        if not isinstance(config, dict):
+            raise InvalidParameterError("--config file must contain a JSON object")
+    for key in config:
+        if key not in _KEYS:
+            raise InvalidParameterError(f"unknown --config key {key!r}")
+    settings = {}
+    for key, cast, default, _, _ in _COMMANDS[args.command][2]:
+        value = getattr(args, key)
+        value = config.get(key) if value is None else value
+        value = default if value is None else value
+        try:
+            settings[key] = None if value is None else cast(value)
+        except (TypeError, ValueError, OverflowError):  # OverflowError: float(10**400)
+            raise InvalidParameterError(f"invalid {key} {value!r}") from None
+    return settings
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -394,73 +409,12 @@ def build_parser() -> argparse.ArgumentParser:
         "and remove it by post-processing calibration.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
+    for name, (func, help_text, rows) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON config file; explicit flags override it")
-        p.add_argument("--out-dir", dest="out_dir", help="output directory (default .)")
-
-    g = sub.add_parser("generate", help="write a synthetic scored-pair CSV")
-    add_common(g)
-    g.add_argument("--n-minority", dest="n_minority", type=int)
-    g.add_argument("--n-majority", dest="n_majority", type=int)
-    g.add_argument("--pos-rate-a", dest="pos_rate_a", type=float)
-    g.add_argument("--pos-rate-b", dest="pos_rate_b", type=float)
-    g.add_argument("--beta-minority-pos", dest="minority_pos", metavar="S1,S2")
-    g.add_argument("--beta-minority-neg", dest="minority_neg", metavar="S1,S2")
-    g.add_argument("--beta-majority-pos", dest="majority_pos", metavar="S1,S2")
-    g.add_argument("--beta-majority-neg", dest="majority_neg", metavar="S1,S2")
-    g.add_argument("--seed", type=int)
-    g.set_defaults(func=cmd_generate)
-
-    def add_dataset_flags(p):
-        p.add_argument("--input", help="input CSV path")
-        p.add_argument("--schema", choices=["pair", "record"])
-        p.add_argument("--minority-token", dest="minority_token")
-        p.add_argument(
-            "--majority-token",
-            dest="majority_token",
-            help="declare a closed group vocabulary; other tokens are rejected",
-        )
-        p.add_argument(
-            "--metric",
-            nargs="+",
-            choices=sorted(_METRICS),
-            help="bias metrics to report (default: dp)",
-        )
-        p.add_argument("--thresholds", nargs="+", type=float)
-
-    m = sub.add_parser("measure", help="report bias for a scored-pair CSV")
-    add_common(m)
-    add_dataset_flags(m)
-    m.set_defaults(func=cmd_measure)
-
-    c = sub.add_parser("calibrate", help="calibrate scores and report before/after")
-    add_common(c)
-    add_dataset_flags(c)
-    c.add_argument("--algorithm", choices=["calib", "ccalib", "none"])
-    c.add_argument("--sigma", type=float, help="jitter stddev (default 0.05)")
-    c.add_argument("--seed", type=int)
-    c.add_argument("--gamma", type=float, help="explicit split threshold for ccalib")
-    c.add_argument("--bandwidth", type=float, help="meanshift bandwidth for ccalib")
-    c.add_argument(
-        "--fit",
-        help="'self' to fit on the input, or a CSV path for a held-out fit set",
-    )
-    c.add_argument(
-        "--use-true-labels",
-        dest="use_true_labels",
-        action="store_const",
-        const=True,
-        help="partition a labeled fit set by its labels instead of by gamma (ccalib)",
-    )
-    c.set_defaults(func=cmd_calibrate)
-
-    p = sub.add_parser("plot", help="render two curve CSVs as an SVG with gap band")
-    add_common(p)
-    p.add_argument("--input", nargs=2, metavar=("CURVE_A", "CURVE_B"))
-    p.add_argument("--title")
-    p.set_defaults(func=cmd_plot)
-
+        for key, _, _, flag, kwargs in rows:
+            p.add_argument(flag, dest=key, **kwargs)
+        p.set_defaults(func=func)
     return parser
 
 
@@ -468,7 +422,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(_settings(args))
     except SingleModeError as exc:
         print(f"error: {exc} (use --gamma to set the threshold)", file=sys.stderr)
         return 3

@@ -58,11 +58,11 @@ def generate(spec: SynthSpec) -> ScoreDataset:
     n = spec.n_minority + spec.n_majority
     width = len(str(n))
     scores, labels = [], []
-    for count, rate, pos, neg in (
-        (spec.n_minority, spec.pos_rate_a, spec.minority_pos, spec.minority_neg),
-        (spec.n_majority, spec.pos_rate_b, spec.majority_pos, spec.majority_neg),
-    ):
-        try:
+    try:  # a count numpy cannot allocate, in the draws or in the columns
+        for count, rate, pos, neg in (
+            (spec.n_minority, spec.pos_rate_a, spec.minority_pos, spec.minority_neg),
+            (spec.n_majority, spec.pos_rate_b, spec.majority_pos, spec.majority_neg),
+        ):
             drawn = rng.random(count) < rate
             labels.append(drawn)
             scores.append(
@@ -71,11 +71,12 @@ def generate(spec: SynthSpec) -> ScoreDataset:
                     np.where(drawn, pos.shape2, neg.shape2),
                 )
             )
-        except (ValueError, MemoryError) as exc:  # a count numpy cannot allocate
-            raise InvalidSpecError(f"cannot draw {count} pairs: {exc}") from None
-    return ScoreDataset(
-        [f"p{serial:0{width}d}" for serial in range(1, n + 1)],
-        np.concatenate(scores),
-        np.arange(n) < spec.n_minority,
-        np.concatenate(labels),
-    )
+        count = n  # every pair's id, group and label columns
+        return ScoreDataset(
+            [f"p{serial:0{width}d}" for serial in range(1, n + 1)],
+            np.concatenate(scores),
+            np.arange(n) < spec.n_minority,
+            np.concatenate(labels),
+        )
+    except (ValueError, MemoryError) as exc:
+        raise InvalidSpecError(f"cannot draw {count} pairs: {exc}") from None

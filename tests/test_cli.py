@@ -1,14 +1,17 @@
 import csv
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import scorecalib.cli
@@ -387,6 +390,8 @@ def test_calibrated_csv_round_trips_any_id(tmp_path_factory, ids):
         pytest.param([], {"algorithm": "ccalib", "bandwidth": True}, id="config-bandwidth-bool"),
         pytest.param([], {"thresholds": [True]}, id="config-threshold-bool"),
         pytest.param([], {"majority_token": 5}, id="config-majority-token-number"),
+        # a key that no subcommand takes is rejected, not ignored
+        pytest.param([], {"sigmma": 0.3}, id="config-unknown-key"),
     ],
 )
 def test_cli_boundary_errors_exit_2(tmp_path, capsys, extra, config):
@@ -422,6 +427,10 @@ SPEC = {
         # the flags (nargs="+") take one value or more, and so does the config
         pytest.param("measure", {"metric": []}, id="measure-metric-empty"),
         pytest.param("measure", {"thresholds": []}, id="measure-thresholds-empty"),
+        # a JSON object is not a list, nor a pair of Beta shapes
+        pytest.param("measure", {"metric": {"dp": 1}}, id="measure-metric-object"),
+        pytest.param("measure", {"thresholds": {"0.5": 1}}, id="measure-thresholds-object"),
+        pytest.param("generate", {"minority_pos": {"6": 0, "2": 0}}, id="generate-beta-object"),
     ],
 )
 def test_config_value_of_wrong_type_exit_2(tmp_path, monkeypatch, capsys, command, config):
@@ -672,3 +681,190 @@ def test_report_equals_library_bias_exactly(tmp_path):
                     assert entry["components"][component][stage] == want
         for shared in ("risk", "auc_before", "auc_after"):
             assert entry[shared] == report[shared]
+
+
+def test_generate_columns_out_of_memory_exit_2(tmp_path):
+    # 1e7 draws fit under a 1 GB address-space cap, but the id, group and
+    # label columns of 1e7 pairs do not: the run still exits 2 without a file
+    src = str(Path(scorecalib.cli.__file__).resolve().parents[1])
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "from scorecalib.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    argv = [*GEN_ARGS, "--n-minority", 10**7, "--out-dir", tmp_path]
+    result = subprocess.run(
+        [sys.executable, "-c", code, *map(str, argv)],
+        env=dict(os.environ, OPENBLAS_NUM_THREADS="1"), capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.startswith("error: cannot draw 10000090 pairs: ")
+    assert result.stderr.count("\n") == 1
+    assert not (tmp_path / "dataset.csv").exists()
+
+
+def _flag_text(item, integer: bool) -> str | None:
+    """A config value as a flag's text, or None when no flag text is it."""
+    if isinstance(item, bool) or not isinstance(item, (int, float, str)):
+        return None
+    if integer and isinstance(item, float) and item.is_integer():
+        return str(int(item))  # 4.0 in JSON is the integer 4
+    return item if isinstance(item, str) else repr(item)
+
+
+def _argv_for(command: str, settings: dict) -> list[str] | None:
+    """The flags that give each of ``settings`` (config-file values) to
+    ``command``, or None when some value has no flag spelling."""
+    rows = {row[0]: row for row in scorecalib.cli._COMMANDS[command][2]}
+    argv = [command]
+    for key, value in settings.items():
+        _, _, _, flag, kwargs = rows[key]
+        integer = kwargs.get("type") is int
+        if kwargs.get("action") == "store_const":
+            if not isinstance(value, bool):
+                return None
+            argv += [flag] if value else []
+            continue
+        if kwargs.get("nargs"):
+            # only metric takes a single name as well as a list
+            items = [value] if key == "metric" and isinstance(value, str) else value
+        else:  # a Beta flag's "S1,S2" is a list of two
+            items = value if kwargs.get("metavar") == "S1,S2" and isinstance(value, list) else [value]
+        texts = [_flag_text(item, integer) for item in items] if isinstance(items, list) else [None]
+        if None in texts:
+            return None
+        argv += [flag, *texts] if kwargs.get("nargs") else [f"{flag}={','.join(texts)}"]
+    return argv
+
+
+def _run_in_fresh_dir(files: dict[str, bytes], argv: list[str], config=None):
+    """Exit code, stdout, stderr and every file left behind by one run in a
+    new directory that holds ``files`` (and ``config`` as run.json)."""
+    with tempfile.TemporaryDirectory() as work:
+        root = Path(work)
+        for name, data in files.items():
+            (root / name).write_bytes(data)
+        if config is not None:
+            (root / "run.json").write_text(json.dumps(config), encoding="utf-8")
+            argv = [*argv, "--config", "run.json"]
+        out, err, cwd = io.StringIO(), io.StringIO(), os.getcwd()
+        os.chdir(root)
+        try:
+            with redirect_stdout(out), redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # argparse rejected a flag
+                    code = exc.code
+        finally:
+            os.chdir(cwd)
+        left = {
+            str(p.relative_to(root)): p.read_bytes()
+            for p in sorted(root.rglob("*"))
+            if p.is_file() and p.name != "run.json"
+        }
+    return code, out.getvalue(), err.getvalue(), left
+
+
+def _option_fixture_files() -> dict[str, bytes]:
+    lines = ["id,score,group,label"]
+    for i, ((score, group), label) in enumerate(zip(EXAMPLE_PAIRS_RAW, LABELS)):
+        lines.append(f"p{i+1},{score},{group},{label}")
+    with tempfile.TemporaryDirectory() as work:
+        for name, scores in (("curve_a.csv", [0.2, 0.6]), ("curve_b.csv", [0.4])):
+            pr_curve(scores).to_csv(Path(work) / name)
+        curves = {p.name: p.read_bytes() for p in Path(work).iterdir()}
+    return {"scores.csv": ("\n".join(lines) + "\n").encode(), **curves}
+
+
+OPTION_FILES = _option_fixture_files()
+
+# every other option of each subcommand, as --config values
+OPTION_BASES = {
+    "generate": {**SPEC, "seed": 3},
+    "measure": {"input": "scores.csv", "minority_token": "a"},
+    "calibrate": {"input": "scores.csv", "minority_token": "a", "algorithm": "ccalib", "gamma": 0.5},
+    "plot": {"input": ["curve_a.csv", "curve_b.csv"]},
+}
+
+WORDS = ["", "a", "-1", "2", "0.5", "6,2", "dp", "eod", "pair", "record", "calib", "ccalib",
+         "none", "self", "scores.csv", "curve_a.csv", "curve_b.csv"]
+SHORT_FLOATS = st.floats(-0.5, 2).map(lambda x: round(x, 3))  # no exponent in repr
+SCALARS = st.one_of(st.integers(-1, 3), SHORT_FLOATS, st.sampled_from(WORDS))
+JSON_VALUES = {
+    "bool": st.booleans(),
+    "integer": st.integers(-1, 3),
+    "float": SHORT_FLOATS,
+    "string": st.sampled_from(WORDS),
+    "list": st.lists(st.one_of(st.booleans(), SCALARS), max_size=3),
+    # keys that would pass as list items, were an object read as its keys
+    "object": st.dictionaries(st.sampled_from(["dp", "0.5", "2", "6", "curve_a.csv"]), SCALARS,
+                              min_size=1, max_size=2),
+    "null": st.none(),
+}
+
+
+@pytest.mark.parametrize(
+    "command,key",
+    [
+        pytest.param(command, row[0], id=f"{command}-{row[0]}")
+        for command, (_, _, rows) in scorecalib.cli._COMMANDS.items()
+        for row in rows
+    ],
+)
+@settings(max_examples=3)
+@given(data=st.data())
+def test_config_value_of_each_json_type_is_rejected_or_acts_as_its_flag(command, key, data):
+    base = {k: v for k, v in OPTION_BASES[command].items() if k != key}
+    for kind, values in JSON_VALUES.items():
+        value = data.draw(values, label=kind)
+        got = _run_in_fresh_dir(OPTION_FILES, _argv_for(command, base), {key: value})
+        code, out, err, files = got
+        if code == 2 and err.startswith(f"error: invalid {key} ") and err.count("\n") == 1:
+            assert out == "" and files == OPTION_FILES
+            continue
+        # a value the config takes acts as the same value given as a flag,
+        # and null as the key left out
+        argv = _argv_for(command, base if value is None else {**base, key: value})
+        assert argv is not None, f"{key}={value!r} has no flag spelling but is accepted"
+        assert got == _run_in_fresh_dir(OPTION_FILES, argv)
+
+
+@pytest.mark.parametrize("command", list(scorecalib.cli._COMMANDS))
+@settings(max_examples=10)
+@given(key=st.text(max_size=8).filter(lambda k: k not in scorecalib.cli._KEYS))
+@example(key="config")  # --config is a flag, but not a key
+def test_config_key_no_subcommand_takes_exit_2(command, key):
+    argv = _argv_for(command, OPTION_BASES[command])
+    code, out, err, files = _run_in_fresh_dir(OPTION_FILES, argv, {key: 1})
+    assert (code, out, files) == (2, "", OPTION_FILES)
+    assert err == f"error: unknown --config key {key!r}\n"
+
+
+def test_one_config_file_drives_the_whole_pipeline(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    spec = {
+        **SPEC, "n_minority": 60, "n_majority": 90, "seed": 11,
+        "input": "gen/dataset.csv", "minority_token": "minority", "metric": ["dp", "eod"],
+        "thresholds": [0.25, 0.5], "algorithm": "ccalib", "gamma": 0.5, "sigma": 0.01,
+        "title": "dp before",
+    }
+    Path("run.json").write_text(json.dumps(spec), encoding="utf-8")
+    curves = ["measure/dp_minority_before.csv", "measure/dp_majority_before.csv"]
+    steps = [
+        ("generate", "gen", []),
+        ("measure", "measure", []),
+        ("calibrate", "calibrate", []),
+        ("plot", "plot", ["--input", *curves]),
+    ]
+    for command, out_dir, extra in steps:
+        assert run(command, "--config", "run.json", "--out-dir", out_dir, *extra) == 0
+        # plot's --input flag wins over the input key measure and calibrate read
+        keys = {row[0] for row in scorecalib.cli._COMMANDS[command][2]} - {"out_dir"}
+        keys -= {"input"} if extra else set()
+        flags = _argv_for(command, {k: v for k, v in spec.items() if k in keys})
+        assert run(*flags, "--out-dir", f"{out_dir}-flags", *extra) == 0
+        from_config = {p.name: p.read_bytes() for p in sorted(Path(out_dir).iterdir())}
+        from_flags = {p.name: p.read_bytes() for p in sorted(Path(f"{out_dir}-flags").iterdir())}
+        assert from_config == from_flags and from_config
