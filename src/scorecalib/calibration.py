@@ -79,11 +79,17 @@ def calibrate_dataset(model: CalibModel, d: ScoreDataset) -> ScoreDataset:
     return d.with_scores(calibrate_scores(model, d.scores(), d.is_minority))
 
 
-def model_to_dict(model: CalibModel) -> dict:
+def model_to_dict(model: CalibModel, arrays: bool = False) -> dict:
+    """The model as ``model.json`` holds it; the score lists are JSON lists,
+    or with ``arrays`` the model's read-only arrays, which
+    :func:`~scorecalib.dataset.write_json` writes as those lists."""
+    scores_a, scores_b = model.scores_a, model.scores_b
+    if not arrays:
+        scores_a, scores_b = scores_a.tolist(), scores_b.tolist()
     return {
         "alpha": model.alpha,
         "sigma": model.sigma,
         "seed": model.seed,
-        "scores_a": model.scores_a.tolist(),
-        "scores_b": model.scores_b.tolist(),
+        "scores_a": scores_a,
+        "scores_b": scores_b,
     }

@@ -31,10 +31,10 @@ from .dataset import (
     GroupVocabulary,
     Schema,
     ScoreDataset,
-    csv_writer,
     dataset_from_rows,
     dump_dataset,
     parse_rows,
+    write_csv,
     write_json,
 )
 from .empirical import DEFAULT_SIGMA, StepCurve, auc
@@ -265,9 +265,7 @@ def cmd_calibrate(s: dict) -> int:
     entries = _report_metrics(out_dir, s["metric"], s["thresholds"], stages, run)
 
     # emit the calibrated dataset in the input schema, original tokens kept
-    with csv_writer(out_dir / "calibrated.csv") as writer:
-        writer.writerow(s["schema"].header)
-        writer.writerows(zip(d.ids, map(repr, new_scores.tolist()), *raw_columns))
+    write_csv(out_dir / "calibrated.csv", [s["schema"].header], [d.ids, new_scores, *raw_columns])
 
     auc_groups_before = _auc_by_group(d)
     auc_groups_after = _auc_by_group(calibrated)

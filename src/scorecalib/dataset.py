@@ -13,6 +13,7 @@ import enum
 import gc
 import io
 import json
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import compress, islice
@@ -212,10 +213,14 @@ class GroupVocabulary:
 
 
 def read_text(source) -> str:
-    """Text of a path, bytes, or a text or binary file object (UTF-8)."""
+    """Text of a path, bytes, or a text or binary file object (UTF-8).
+
+    A path is read with ``newline=""``, as ``csv`` asks, so a CR inside a
+    quoted field is kept."""
     try:
         if isinstance(source, (str, Path)):
-            return Path(source).read_text(encoding="utf-8")
+            with open(source, encoding="utf-8", newline="") as f:
+                return f.read()
         data = source if isinstance(source, bytes) else source.read()
         return data.decode("utf-8") if isinstance(data, bytes) else data
     except UnicodeDecodeError as exc:
@@ -233,17 +238,86 @@ def text_writer(dest):
         yield dest
 
 
-@contextmanager
-def csv_writer(dest):
-    """A CSV writer on a path (opened and closed here) or an open text file."""
+WRITE_ROWS = 8192  # rows joined and written per batch; only one batch's text is alive at a time
+_QUOTED = (",", '"', "\r", "\n")
+
+
+def float_text(values: np.ndarray) -> list[str]:
+    """``repr`` of each float, computed once per distinct bit pattern.
+
+    Distinct values are found on the bit patterns, so -0.0 keeps its
+    sign (a value-unique would merge it with 0.0)."""
+    bits, inverse = np.unique(np.asarray(values, np.float64).view(np.uint64), return_inverse=True)
+    text = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+    return text[inverse].tolist()
+
+
+def _csv_field(field: str) -> str:
+    if any(c in field for c in _QUOTED):
+        return '"' + field.replace('"', '""') + '"'
+    return field
+
+
+def _column_text(part) -> Sequence[str]:
+    """One batch of a column as CSV fields: a float as its ``repr``, a str
+    holding a comma, a quote, CR or LF quoted (once per distinct field),
+    any other str as it is."""
+    if isinstance(part, np.ndarray) and part.dtype == np.float64:
+        return float_text(part)
+    joined = "".join(part)
+    if not any(c in joined for c in _QUOTED):
+        return part
+    quoted = {field: _csv_field(field) for field in set(part)}
+    return list(map(quoted.__getitem__, part))
+
+
+def write_csv(dest, header: Sequence[Sequence[str]], columns: Sequence) -> None:
+    """Write CSV rows: the ``header`` rows, then one row per index of the
+    equal-length ``columns``, with ``\\n`` line ends.
+
+    A column is a float64 array (each float written as its ``repr``, see
+    :func:`float_text`) or a sequence of str.  Fields are quoted as
+    ``csv.writer`` quotes them, except that a CR is quoted on every
+    Python version.  Rows are joined and written :data:`WRITE_ROWS` at a
+    time, so the writer never holds the whole file's text.
+    """
     with text_writer(dest) as f:
-        yield csv.writer(f, lineterminator="\n")
+        f.writelines(",".join(map(_csv_field, row)) + "\n" for row in header)
+        for start in range(0, len(columns[0]), WRITE_ROWS):
+            batch = [_column_text(col[start:start + WRITE_ROWS]) for col in columns]
+            f.write("\n".join(map(",".join, zip(*batch))) + "\n")
 
 
 def write_json(dest, payload) -> None:
-    """``payload`` as indented JSON with sorted keys and a final newline."""
+    """``payload`` as indented JSON with sorted keys and a final newline.
+
+    A float array that is a value of a (nested) dict is written as the
+    JSON list of its finite floats, in the bytes ``json`` gives that list,
+    :data:`WRITE_ROWS` floats at a time, each distinct float formatted
+    once (:func:`float_text`).
+    """
+    arrays = []
+
+    def swap(value, depth):
+        if isinstance(value, dict):
+            return {k: swap(v, depth + 1) for k, v in value.items()}
+        if isinstance(value, np.ndarray) and value.size:
+            arrays.append((value, "\n" + "  " * (depth + 1)))
+            return f"\0{len(arrays) - 1}"  # json.dumps writes it as "\u0000<index>"
+        return value.tolist() if isinstance(value, np.ndarray) else value
+
+    skeleton = json.dumps(swap(payload, 0), indent=2, sort_keys=True)
+    # the JSON text before the first array, then each array's index and the text after it
+    text, *rest = re.split(r'"\\u0000(\d+)"', skeleton)
     with text_writer(dest) as f:
-        f.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        f.write(text)
+        for index, after in zip(rest[::2], rest[1::2]):
+            arr, pad = arrays[int(index)]
+            for start in range(0, arr.size, WRITE_ROWS):
+                items = float_text(arr[start:start + WRITE_ROWS])
+                f.write(("," if start else "[") + pad + ("," + pad).join(items))
+            f.write(pad[:-2] + "]" + after)
+        f.write("\n")
 
 
 CHUNK_ROWS = 1 << 16  # rows read per batch; only one batch's row lists are alive at a time
@@ -269,6 +343,8 @@ class TextSource:
     A path is streamed from disk and re-read only on the error path.
     Bytes and file objects are decoded to one string up front (as
     :func:`read_text` does), since a file object cannot be read twice.
+    A path is opened with ``newline=""``, as ``csv`` asks: a CR or CRLF
+    inside a quoted field is kept as it is, as it is from bytes.
     """
 
     def __init__(self, source):
@@ -280,11 +356,14 @@ class TextSource:
     def open(self):
         if self._path is None:
             return io.StringIO(self._text)
-        return open(self._path, encoding="utf-8")
+        return open(self._path, encoding="utf-8", newline="")
 
-    def text(self) -> str:
-        """The whole text; raises :class:`InputError` if it is not UTF-8."""
-        return read_text(self._path) if self._path is not None else self._text
+    def reread(self) -> io.StringIO:
+        """The whole text, split into lines as :meth:`open` splits them;
+        raises :class:`InputError` if any of it is not UTF-8."""
+        if self._path is None:
+            return io.StringIO(self._text)
+        return io.StringIO(read_text(self._path), newline="")
 
 
 def read_columns(source: TextSource, width: int):
@@ -388,7 +467,7 @@ def _raise_first_error(
     the file changed after it was read.
     """
     expected = schema.header
-    reader = csv.reader(io.StringIO(source.text()))
+    reader = csv.reader(source.reread())
     try:
         header = next(reader, None)
         if header is None:
@@ -460,13 +539,11 @@ def dump_dataset(dataset: ScoreDataset, dest) -> None:
     Round-trips: re-loading with ``minority_token="minority"`` yields an
     identical dataset.  Scores are written at full (repr) precision.
     """
-    with csv_writer(dest) as writer:
-        writer.writerow(PAIR_HEADER)
-        writer.writerows(
-            zip(
-                dataset.ids,
-                map(repr, dataset._scores.tolist()),
-                [_GROUP_OF[m].value for m in dataset.is_minority.tolist()],
-                ["" if label < 0 else label for label in dataset._labels.tolist()],
-            )
-        )
+    groups = np.array([g.value for g in _GROUP_OF], dtype=object)
+    labels = np.array(["", "0", "1"], dtype=object)  # indexed by label + 1
+    write_csv(dest, [PAIR_HEADER], [
+        dataset.ids,
+        dataset._scores,
+        groups[dataset.is_minority.view(np.uint8)],
+        labels[dataset._labels + 1],
+    ])

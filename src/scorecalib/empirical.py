@@ -9,13 +9,12 @@ distributions on [0, 1].
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .dataset import GroupId, ScoreDataset, TextSource, _column, read_columns, text_writer
+from .dataset import GroupId, ScoreDataset, TextSource, _column, read_columns, write_csv
 from .errors import (
     EmptyGroupError,
     EmptyInputError,
@@ -158,12 +157,8 @@ class StepCurve:
 
     def to_csv(self, dest) -> None:
         """Write ``theta,value`` rows: one for theta=0, one per breakpoint."""
-        # a float's repr holds no comma or quote, so rows need no CSV quoting
-        with text_writer(dest) as f:
-            f.write(f"theta,value\n0,{float(self.values[0])!r}\n")
-            f.writelines(
-                map("{!r},{!r}\n".format, self.breakpoints.tolist(), self.values[1:].tolist())
-            )
+        header = [("theta", "value"), ("0", repr(float(self.values[0])))]
+        write_csv(dest, header, [self.breakpoints, self.values[1:]])
 
     @classmethod
     def from_csv(cls, source) -> "StepCurve":
@@ -185,7 +180,7 @@ class StepCurve:
                 parsed = [np.fromiter(map(float, col), np.float64, len(col)) for col in columns]
             except ValueError:
                 pass
-        thetas, values = parsed or _curve_fields(source.text())
+        thetas, values = parsed or _curve_fields(source.reread())
         if not (np.isfinite(thetas).all() and np.isfinite(values).all()):
             raise MalformedCurveError("curve CSV holds a NaN or infinite number")
         if thetas[0] != 0.0:
@@ -196,9 +191,9 @@ class StepCurve:
             raise MalformedCurveError(str(exc)) from None
 
 
-def _curve_fields(text: str) -> tuple[np.ndarray, np.ndarray]:
-    """Thetas and values of a curve CSV's text, parsed one field at a time."""
-    reader = csv.reader(io.StringIO(text))
+def _curve_fields(text) -> tuple[np.ndarray, np.ndarray]:
+    """Thetas and values of a curve CSV's text stream, parsed one field at a time."""
+    reader = csv.reader(text)
     try:
         rows = [row for row in reader if row]
     except csv.Error as exc:

@@ -26,14 +26,17 @@ from scorecalib.errors import (
 )
 
 
-def read_text(source) -> str:
-    """Text of a path, bytes, or text file object (UTF-8)."""
+def text_stream(source) -> io.StringIO:
+    """Text of a path, bytes, or text file object (UTF-8), as a stream for
+    ``csv``.  A path is read with ``newline=""``, as ``csv`` asks, so a CR
+    inside a quoted field is kept."""
     try:
         if isinstance(source, (str, Path)):
-            return Path(source).read_text(encoding="utf-8")
+            with open(source, encoding="utf-8", newline="") as f:
+                return io.StringIO(f.read(), newline="")
         if isinstance(source, bytes):
-            return source.decode("utf-8")
-        return source.read()
+            return io.StringIO(source.decode("utf-8"))
+        return io.StringIO(source.read())
     except UnicodeDecodeError as exc:
         raise InputError(f"input is not UTF-8 text: {exc}") from None
 
@@ -48,7 +51,7 @@ class CsvRows(list):
 
 def parse_rows(source, schema) -> CsvRows:
     expected = schema.header
-    reader = csv.reader(io.StringIO(read_text(source)))
+    reader = csv.reader(text_stream(source))
     try:
         header = next(reader)
     except StopIteration:
@@ -111,7 +114,7 @@ def dataset_from_rows(rows: CsvRows, schema, vocab) -> ScoreDataset:
 
 
 def curve_from_csv(source) -> StepCurve:
-    reader = csv.reader(io.StringIO(read_text(source)))
+    reader = csv.reader(text_stream(source))
     rows = [row for row in reader if row]
     if not rows or tuple(rows[0]) != ("theta", "value"):
         raise MalformedCurveError("curve CSV must start with header 'theta,value'")

@@ -147,7 +147,8 @@ def test_mutated_file_matches_oracle(schema, data, majority, chunk_rows):
 
 @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
 def test_line_endings_and_multiline_ids_match_oracle(tmp_path, newline):
-    # a path is streamed with newline translation, as a whole-file read is
+    # a path is streamed with newline="", as the oracle's whole-file read is,
+    # so each line end is kept inside the quoted id
     lines = ["id,score,group,label", '"p\r\n1",0.5,a,1', "", "p2,0.25,b,0", "p3,2,a,"]
     path = tmp_path / "in.csv"
     path.write_bytes(newline.join(lines).encode("utf-8"))
@@ -159,6 +160,7 @@ def test_line_endings_and_multiline_ids_match_oracle(tmp_path, newline):
     assert got[0] is ScoreOutOfRangeError and got[1].startswith("line 6: ")
     path.write_bytes(newline.join(lines[:-1]).encode("utf-8"))
     _, d = ingest(path, Schema.PAIR_LEVEL, vocab)
+    assert d.ids == ("p\r\n1", "p2")
     assert d == oracle.dataset_from_rows(
         oracle.parse_rows(path, Schema.PAIR_LEVEL), Schema.PAIR_LEVEL, vocab
     )
@@ -175,7 +177,7 @@ def test_field_larger_than_csv_limit_matches_oracle():
 
 
 def test_bare_carriage_return_in_bytes_is_a_malformed_row():
-    # a path is read with universal newlines; bytes are not, so csv rejects the \r
+    # a path's lines are split at a bare \r too (newline=""); bytes' are not, so csv rejects it
     data = b"id,score,group,label\np1,0.5,a,\np\rx,0.5,a,\n"
     with pytest.raises(MalformedRowError, match="^line 3: new-line character seen"):
         parse_rows(data, Schema.PAIR_LEVEL)
