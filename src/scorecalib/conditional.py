@@ -55,33 +55,55 @@ def check_bandwidth(bandwidth: float) -> None:
 
 
 # float64 entries in the mean-shift kernel buffer (2 MB): small enough
-# to stay in cache; above this many distinct values the buffer is one row
+# to stay in cache, and at least 256 rows of the widest kernel
 _KERNEL_BUDGET = 1 << 18
+# most weighted points mean shift iterates over; above this many distinct
+# scores, the occupied cells of a grid of this many cells on [0, 1]
+_MAX_POINTS = 1024
+
+
+def _weighted_points(data: np.ndarray):
+    """Distinct values and their integer masses, or, when there are more
+    than :data:`_MAX_POINTS` of them, the occupied cells of a fixed grid.
+
+    Cell ``min(floor(v * _MAX_POINTS), _MAX_POINTS - 1)`` holds value v,
+    so 0 and -0 fall in the first cell and 1 in the last.  A cell's mass
+    is its summed counts and its position the mass-weighted mean of its
+    values (binned kernel estimation, Fan & Marron 1994).
+    """
+    values, masses = np.unique(data.astype(float), return_counts=True)
+    if values.size <= _MAX_POINTS:
+        return values, masses
+    cells = np.minimum((values * _MAX_POINTS).astype(np.intp), _MAX_POINTS - 1)
+    cell_mass = np.bincount(cells, weights=masses)
+    occupied = np.flatnonzero(cell_mass)
+    weighted = np.bincount(cells, weights=values * masses)
+    return weighted[occupied] / cell_mass[occupied], cell_mass[occupied].astype(np.int64)
 
 
 def _mean_shift_modes(data: np.ndarray, bandwidth: float):
     """Run mean shift from every point; return (modes, attracted counts).
 
-    Equal points are one point with a mass: the iteration runs over
-    distinct values, both as starts and as kernel columns weighted by
-    their multiplicities (binned kernel estimation, Fan & Marron 1994).
-    Modes within ``bandwidth / 2`` of each other are merged; a merged
-    mode's center is the mass-weighted mean of its members.
+    The points are :func:`_weighted_points`: at most :data:`_MAX_POINTS`
+    values, each with a mass.  They are both the starts and the kernel
+    columns, weighted by their masses.  Modes within ``bandwidth / 2`` of
+    each other are merged; a merged mode's center is the mass-weighted
+    mean of its members.
 
-    Each iteration takes O(distinct^2) time.  The (active starts x
-    distinct) kernel is built in row blocks, in place, inside one buffer
-    of at most ``_KERNEL_BUDGET`` entries, or of one row when there are
-    more distinct values than that.
+    An iteration takes O(points^2) time, at most ``_MAX_POINTS**2``
+    kernel entries whatever the number of scores.  The (active starts x
+    points) kernel is built in row blocks, in place, inside one buffer of
+    at most ``_KERNEL_BUDGET`` entries.
     """
-    values, masses = np.unique(data.astype(float), return_counts=True)
+    values, masses = _weighted_points(data)
     weights = masses.astype(float)
     weighted = values * weights
     positions = values.copy()
     active = np.ones(positions.size, dtype=bool)
     neg_inv_two_h2 = -1.0 / (2.0 * bandwidth**2)
-    distinct = values.size
-    step = max(1, _KERNEL_BUDGET // distinct)
-    buffer = np.empty(min(step, distinct) * distinct)
+    points = values.size
+    step = _KERNEL_BUDGET // points
+    buffer = np.empty(min(step, points) * points)
     for _ in range(MAX_ITERATIONS):
         if not active.any():
             break
@@ -89,7 +111,7 @@ def _mean_shift_modes(data: np.ndarray, bandwidth: float):
         shifted = np.empty_like(current)
         for lo in range(0, current.size, step):
             block = current[lo : lo + step]
-            kernel = buffer[: block.size * distinct].reshape(block.size, distinct)
+            kernel = buffer[: block.size * points].reshape(block.size, points)
             np.subtract(block[:, None], values[None, :], out=kernel)
             np.square(kernel, out=kernel)
             np.multiply(kernel, neg_inv_two_h2, out=kernel)

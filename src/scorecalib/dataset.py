@@ -343,8 +343,9 @@ class TextSource:
     A path is streamed from disk and re-read only on the error path.
     Bytes and file objects are decoded to one string up front (as
     :func:`read_text` does), since a file object cannot be read twice.
-    A path is opened with ``newline=""``, as ``csv`` asks: a CR or CRLF
-    inside a quoted field is kept as it is, as it is from bytes.
+    Both are read with ``newline=""``, as ``csv`` asks, so they split
+    lines alike: at LF, CRLF and a bare CR, while a CR or CRLF inside a
+    quoted field is kept as it is.
     """
 
     def __init__(self, source):
@@ -355,15 +356,14 @@ class TextSource:
 
     def open(self):
         if self._path is None:
-            return io.StringIO(self._text)
+            return io.StringIO(self._text, newline="")
         return open(self._path, encoding="utf-8", newline="")
 
     def reread(self) -> io.StringIO:
         """The whole text, split into lines as :meth:`open` splits them;
         raises :class:`InputError` if any of it is not UTF-8."""
-        if self._path is None:
-            return io.StringIO(self._text)
-        return io.StringIO(read_text(self._path), newline="")
+        text = self._text if self._path is None else read_text(self._path)
+        return io.StringIO(text, newline="")
 
 
 def read_columns(source: TextSource, width: int):

@@ -28,15 +28,15 @@ from scorecalib.errors import (
 
 def text_stream(source) -> io.StringIO:
     """Text of a path, bytes, or text file object (UTF-8), as a stream for
-    ``csv``.  A path is read with ``newline=""``, as ``csv`` asks, so a CR
-    inside a quoted field is kept."""
+    ``csv``.  Each is read with ``newline=""``, as ``csv`` asks, so lines
+    end at LF, CRLF or a bare CR and a CR inside a quoted field is kept."""
     try:
         if isinstance(source, (str, Path)):
             with open(source, encoding="utf-8", newline="") as f:
                 return io.StringIO(f.read(), newline="")
         if isinstance(source, bytes):
-            return io.StringIO(source.decode("utf-8"))
-        return io.StringIO(source.read())
+            return io.StringIO(source.decode("utf-8"), newline="")
+        return io.StringIO(source.read(), newline="")
     except UnicodeDecodeError as exc:
         raise InputError(f"input is not UTF-8 text: {exc}") from None
 

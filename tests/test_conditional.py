@@ -7,11 +7,13 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from scorecalib import conditional
+from scorecalib.cli import main as cli_main
 from scorecalib.bias import BiasMetricKind, risk_estimate, score_bias
 from scorecalib.conditional import (
     CONVERGENCE_TOL,
     MAX_ITERATIONS,
     _mean_shift_modes,
+    _weighted_points,
     check_bandwidth,
     cond_calibrate,
     cond_calibrate_dataset,
@@ -136,7 +138,9 @@ def _lone_trailing_row_scores():
 )
 def test_blocked_kernel_matches_dense_oracle(monkeypatch, make_scores):
     # the weighted kernel sums each row over distinct values, the dense
-    # one over every point, so centers may differ in the last bits
+    # one over every point, so centers may differ in the last bits; the
+    # cap is raised so that 3000 distinct values run the exact kernel, not the grid
+    monkeypatch.setattr(conditional, "_MAX_POINTS", 3000)
     data = make_scores()
     centers, counts = _mean_shift_modes(data, 0.1)
     ref_centers, ref_counts = dense_mean_shift_modes(data, 0.1)
@@ -180,6 +184,93 @@ def test_kernel_work_depends_on_distinct_values_only(monkeypatch):
         _mean_shift_modes(points, 0.1)
         work.append(sum(entries))
     assert work[0] > 0 and work[0] == work[1]
+
+
+@pytest.mark.parametrize(
+    "n, seed", [(2000, 41), (3000, 42), (4000, 43), (4000, 44)], ids=lambda v: str(v)
+)
+def test_binned_points_match_the_exact_kernel(monkeypatch, n, seed):
+    # the exact side raises the cap above the distinct count, so it runs
+    # over every distinct value; the binned side over at most 1024 cells
+    data = _two_cluster_scores(n, seed)
+    assert np.unique(data).size == n
+    assert _weighted_points(data)[0].size <= conditional._MAX_POINTS < n
+    centers, _ = _mean_shift_modes(data, 0.1)
+    gamma = meanshift_threshold(data, 0.1)
+    monkeypatch.setattr(conditional, "_MAX_POINTS", n)
+    exact_centers, _ = _mean_shift_modes(data, 0.1)
+    assert centers.size == exact_centers.size
+    assert abs(gamma - meanshift_threshold(data, 0.1)) <= 1e-6
+
+
+def test_grid_cells_hold_zero_and_one():
+    # 0.0 and -0.0 are one value of the first cell, 1.0 (twice) falls in
+    # the last cell (index 1023, not 1024) with 0.9995, and a cell sits at
+    # its mass-weighted mean; 2000 values fill the middle
+    middle = np.linspace(0.25, 0.75, 2000, endpoint=False)
+    data = np.concatenate([[0.0, -0.0, 0.0005, 0.9995, 1.0, 1.0], middle])
+    values, masses = _weighted_points(data)
+    assert values.size <= 1024 and masses.dtype.kind == "i"
+    assert masses.sum() == data.size
+    assert (values[0], masses[0]) == (0.0005 / 3, 3)
+    assert (values[-1], masses[-1]) == ((0.9995 + 2.0) / 3, 3)
+    assert np.all(np.diff(values) > 0)
+
+
+def test_distinct_scores_in_one_cell_are_a_single_mode(monkeypatch, tmp_path, capsys):
+    # 2000 distinct scores in [0.5, 0.5 + 2e-4), all in cell 512
+    data = 0.5 + np.arange(2000) * 1e-7
+    assert _weighted_points(data)[0].size == 1
+    with pytest.raises(SingleModeError):
+        meanshift_threshold(data)
+    lines = ["id,score,group,label"]
+    lines += [f"p{i},{s!r},{'a' if i % 2 else 'b'}," for i, s in enumerate(data.tolist())]
+    csv_path = tmp_path / "one_cell.csv"
+    csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    argv = ["calibrate", "--input", str(csv_path), "--minority-token", "a",
+            "--algorithm", "ccalib", "--out-dir", str(tmp_path / "out")]
+    assert cli_main(argv) == 3
+    assert "--gamma" in capsys.readouterr().err
+    monkeypatch.setattr(conditional, "_MAX_POINTS", 2000)
+    with pytest.raises(SingleModeError):
+        meanshift_threshold(data)
+
+
+def test_kernel_work_is_capped_above_the_grid_size(monkeypatch):
+    # a work count, not a wall time: kernel entries passed to exp, at 1e3,
+    # 1e4 and 1e5 distinct scores; a quadratic path would grow 100x a step
+    real_exp = np.exp
+    entries = []
+
+    def counting_exp(x, *args, **kwargs):
+        entries.append(np.size(x))
+        return real_exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", counting_exp)
+    work = []
+    for n in (1_000, 10_000, 100_000):
+        data = _two_cluster_scores(n, 8)
+        assert np.unique(data).size == n
+        entries.clear()
+        _mean_shift_modes(data, 0.1)
+        work.append(sum(entries))
+        # checked at each step, so a quadratic path fails at 1e4, not after hours at 1e5
+        assert 0 < work[-1] <= MAX_ITERATIONS * 1024**2
+        assert len(work) == 1 or work[-1] < 15 * work[-2]
+
+
+def test_meanshift_memory_per_score_does_not_grow():
+    peaks = []
+    for n in (10_000, 100_000):
+        data = _two_cluster_scores(n, 9)
+        tracemalloc.start()
+        try:
+            meanshift_threshold(data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak / n)
+    assert peaks[1] <= peaks[0]
 
 
 def test_meanshift_memory_is_bounded():

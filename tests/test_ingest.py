@@ -176,13 +176,36 @@ def test_field_larger_than_csv_limit_matches_oracle():
     assert got == (MalformedRowError, f"line 2: {want[1]}")
 
 
-def test_bare_carriage_return_in_bytes_is_a_malformed_row():
-    # a path's lines are split at a bare \r too (newline=""); bytes' are not, so csv rejects it
-    data = b"id,score,group,label\np1,0.5,a,\np\rx,0.5,a,\n"
-    with pytest.raises(MalformedRowError, match="^line 3: new-line character seen"):
-        parse_rows(data, Schema.PAIR_LEVEL)
-    with pytest.raises(MalformedCurveError, match="^curve CSV line 3: new-line character seen"):
-        StepCurve.from_csv(b"theta,value\n0,1.0\n0.5\r,0.5\n")
+def _loaded(result):
+    """A load's outcome, a curve as its lists (a dataset compares with ``==``)."""
+    if result[0] == "ok" and isinstance(result[1], StepCurve):
+        return "ok", result[1].breakpoints.tolist(), result[1].values.tolist()
+    return result
+
+
+@pytest.mark.parametrize(
+    "loader, data, expected",
+    [
+        pytest.param(load_dataset, b"id,score,group,label\rp1,0.5,a,1\rp2,0.25,b,0\r",
+                     "ok", id="cr-rows"),
+        pytest.param(load_dataset, b'id,score,group,label\r"p\r1",0.5,a,\rp2,0.25,b,\r',
+                     "ok", id="cr-rows-and-quoted-cr"),
+        pytest.param(load_dataset, b"id,score,group,label\np1,0.5,a,\np\rx,0.5,a,\n",
+                     MalformedRowError, id="cr-in-unquoted-id"),
+        pytest.param(StepCurve.from_csv, b"theta,value\r0,1.0\r0.5,0.5\r",
+                     "ok", id="curve-cr-rows"),
+        pytest.param(StepCurve.from_csv, b"theta,value\n0,1.0\n0.5\r,0.5\n",
+                     MalformedCurveError, id="curve-cr-in-unquoted-field"),
+    ],
+)
+def test_bytes_and_path_split_lines_alike(tmp_path, loader, data, expected):
+    # bytes are read with newline="", as a path is, so a bare CR ends a row in both
+    path = tmp_path / "in.csv"
+    path.write_bytes(data)
+    args = (Schema.PAIR_LEVEL, "a") if loader is load_dataset else ()
+    from_path = _loaded(outcome(loader, path, *args))
+    assert from_path[0] == expected
+    assert _loaded(outcome(loader, data, *args)) == from_path
 
 
 # ---------------------------------------------------------------- past the first batch
