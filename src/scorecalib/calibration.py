@@ -16,6 +16,7 @@ import numpy as np
 
 from .dataset import GroupId, ScoreDataset, minority_mask
 from .empirical import CalibModel, build_group_scores, unit_scores
+from .errors import LengthMismatchError
 
 
 def fit(d: ScoreDataset, sigma: float, seed: int) -> CalibModel:
@@ -42,7 +43,7 @@ def check_queries(scores: Sequence[float], groups) -> tuple[np.ndarray, np.ndarr
     scores = unit_scores(scores, "query scores")
     is_minority = minority_mask(groups)
     if is_minority.size != scores.size:
-        raise ValueError("scores and groups must have equal length")
+        raise LengthMismatchError(f"{scores.size} scores for {is_minority.size} groups")
     return scores, is_minority
 
 
@@ -79,17 +80,14 @@ def calibrate_dataset(model: CalibModel, d: ScoreDataset) -> ScoreDataset:
     return d.with_scores(calibrate_scores(model, d.scores(), d.is_minority))
 
 
-def model_to_dict(model: CalibModel, arrays: bool = False) -> dict:
-    """The model as ``model.json`` holds it; the score lists are JSON lists,
-    or with ``arrays`` the model's read-only arrays, which
-    :func:`~scorecalib.dataset.write_json` writes as those lists."""
-    scores_a, scores_b = model.scores_a, model.scores_b
-    if not arrays:
-        scores_a, scores_b = scores_a.tolist(), scores_b.tolist()
+def model_to_dict(model: CalibModel) -> dict:
+    """The model as ``model.json`` holds it; the score lists are the model's
+    read-only arrays, which :func:`~scorecalib.dataset.write_json` writes
+    as JSON lists."""
     return {
         "alpha": model.alpha,
         "sigma": model.sigma,
         "seed": model.seed,
-        "scores_a": scores_a,
-        "scores_b": scores_b,
+        "scores_a": model.scores_a,
+        "scores_b": model.scores_b,
     }

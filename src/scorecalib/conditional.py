@@ -231,12 +231,12 @@ def cond_calibrate_dataset(model: CondCalibModel, d: ScoreDataset) -> ScoreDatas
     return d.with_scores(cond_calibrate_scores(model, d.scores(), d.is_minority))
 
 
-def model_to_dict_conditional(model: CondCalibModel, arrays: bool = False) -> dict:
+def model_to_dict_conditional(model: CondCalibModel) -> dict:
     """As :func:`~scorecalib.calibration.model_to_dict`, one block per side."""
     return {
         "gamma": model.gamma,
-        "matched": model_to_dict(model.matched, arrays),
-        "unmatched": model_to_dict(model.unmatched, arrays),
+        "matched": model_to_dict(model.matched),
+        "unmatched": model_to_dict(model.unmatched),
         "meanshift": _meanshift_block(model.bandwidth),
     }
 
@@ -255,9 +255,9 @@ def save_model(model: CalibModel | CondCalibModel, dest) -> None:
     """Write a fitted model as the CLI's ``model.json``: its dict plus
     ``"algorithm"`` ("calib" or "ccalib")."""
     if isinstance(model, CondCalibModel):
-        payload = {"algorithm": "ccalib", **model_to_dict_conditional(model, arrays=True)}
+        payload = {"algorithm": "ccalib", **model_to_dict_conditional(model)}
     else:
-        payload = {"algorithm": "calib", **model_to_dict(model, arrays=True)}
+        payload = {"algorithm": "calib", **model_to_dict(model)}
     write_json(dest, payload)
 
 

@@ -337,8 +337,9 @@ def _gc_paused():
             gc.enable()
 
 
-class TextSource:
-    """A CSV input that is streamed once and can be read whole again.
+class CsvRows:
+    """The rows of a CSV input after its first row, as ``width`` columns of
+    raw strings.
 
     A path is streamed from disk and re-read only on the error path.
     Bytes and file objects are decoded to one string up front (as
@@ -346,28 +347,6 @@ class TextSource:
     Both are read with ``newline=""``, as ``csv`` asks, so they split
     lines alike: at LF, CRLF and a bare CR, while a CR or CRLF inside a
     quoted field is kept as it is.
-    """
-
-    def __init__(self, source):
-        if isinstance(source, (str, Path)):
-            self._path, self._text = Path(source), None
-        else:
-            self._path, self._text = None, read_text(source)
-
-    def open(self):
-        if self._path is None:
-            return io.StringIO(self._text, newline="")
-        return open(self._path, encoding="utf-8", newline="")
-
-    def reread(self) -> io.StringIO:
-        """The whole text, split into lines as :meth:`open` splits them;
-        raises :class:`InputError` if any of it is not UTF-8."""
-        text = self._text if self._path is None else read_text(self._path)
-        return io.StringIO(text, newline="")
-
-
-def read_columns(source: TextSource, width: int):
-    """The first row, and the rows after it as ``width`` columns of raw strings.
 
     Rows are read through ``csv.reader`` in batches of :data:`CHUNK_ROWS`
     with cyclic GC paused; each batch is checked for shape with one
@@ -376,41 +355,48 @@ def read_columns(source: TextSource, width: int):
     Fields from the third on are categorical (group tokens and labels),
     so equal strings there are stored as one object.
 
-    Returns ``(header, None)`` when a row has another width, and
-    ``(None, None)`` when the text is not UTF-8 or ``csv`` rejects it: the
-    caller then parses the whole text row by row, which names the line.
+    ``header`` is the first row (None if the text has none).  ``columns``
+    is None when the stream fails: a row has another width, the text is
+    not UTF-8, or ``csv`` rejects it; the caller then parses
+    :meth:`reread` row by row, which names the line.
     """
-    columns = [[] for _ in range(width)]
-    interned = {}
-    try:
-        with _gc_paused(), source.open() as f:
-            reader = csv.reader(f)
-            header = next(reader, None)
-            while chunk := list(islice(reader, CHUNK_ROWS)):
-                widths = set(map(len, chunk))
-                if 0 in widths:
-                    chunk = [row for row in chunk if row]
-                    widths.discard(0)
-                if widths - {width}:
-                    return header, None
-                for j, column in enumerate(columns):
-                    raw = [row[j] for row in chunk]
-                    column += raw if j < 2 else map(interned.setdefault, raw, raw)
-    except (UnicodeDecodeError, csv.Error):
-        return None, None
-    return header, columns
 
-
-class CsvRows:
-    """Data rows of a CSV file as columns of raw strings, one per header
-    field, and the :class:`TextSource` they came from (for the error path)."""
-
-    def __init__(self, columns: list[list[str]], source: TextSource):
+    def __init__(self, source, width: int):
+        self.header = self.columns = None
+        columns = [[] for _ in range(width)]
+        interned = {}
+        if isinstance(source, (str, Path)):
+            self._path, self._text = Path(source), None
+            stream = open(self._path, encoding="utf-8", newline="")  # closed by the with below
+        else:
+            self._path, self._text = None, read_text(source)
+            stream = io.StringIO(self._text, newline="")
+        try:
+            with _gc_paused(), stream as f:
+                reader = csv.reader(f)
+                self.header = next(reader, None)
+                while chunk := list(islice(reader, CHUNK_ROWS)):
+                    widths = set(map(len, chunk))
+                    if 0 in widths:
+                        chunk = [row for row in chunk if row]
+                        widths.discard(0)
+                    if widths - {width}:
+                        return
+                    for j, column in enumerate(columns):
+                        raw = [row[j] for row in chunk]
+                        column += raw if j < 2 else map(interned.setdefault, raw, raw)
+        except (UnicodeDecodeError, csv.Error):
+            return
         self.columns = columns
-        self.source = source
 
     def __len__(self) -> int:
         return len(self.columns[0])
+
+    def reread(self) -> io.StringIO:
+        """The whole text, split into lines as the stream splits it;
+        raises :class:`InputError` if any of it is not UTF-8."""
+        text = self._text if self._path is None else read_text(self._path)
+        return io.StringIO(text, newline="")
 
 
 def _header_matches(header, schema: Schema) -> bool:
@@ -421,7 +407,7 @@ def parse_rows(source, schema: Schema) -> CsvRows:
     """Read and shape-check CSV rows, keeping raw string fields as columns.
 
     Returns data rows only (header consumed; blank rows skipped).  The
-    file is streamed in batches (:func:`read_columns`), so no row list or
+    file is streamed in batches (:class:`CsvRows`), so no row list or
     second copy of the text outlives its batch.  When the stream fails
     (a bad header, a row of the wrong width, text that is not UTF-8),
     the whole text is parsed again row by row, so the error is the one a
@@ -429,11 +415,10 @@ def parse_rows(source, schema: Schema) -> CsvRows:
     :class:`MalformedRowError` for the header or the first bad row, with
     its file line.
     """
-    source = TextSource(source)
-    header, columns = read_columns(source, len(schema.header))
-    if columns is None or not _header_matches(header, schema):
-        _raise_first_error(source, schema)
-    return CsvRows(columns, source)
+    rows = CsvRows(source, len(schema.header))
+    if rows.columns is None or not _header_matches(rows.header, schema):
+        _raise_first_error(rows, schema)
+    return rows
 
 
 def _parse_score(text: str) -> float:
@@ -454,9 +439,7 @@ def _parse_label(text: str) -> int:
     return _LABELS[text]
 
 
-def _raise_first_error(
-    source: TextSource, schema: Schema, vocab: GroupVocabulary | None = None
-):
+def _raise_first_error(rows: CsvRows, schema: Schema, vocab: GroupVocabulary | None = None):
     """Parse the whole text one row at a time and raise its first error.
 
     The order is that of a whole-file read: a decode error anywhere, then
@@ -467,7 +450,7 @@ def _raise_first_error(
     the file changed after it was read.
     """
     expected = schema.header
-    reader = csv.reader(source.reread())
+    reader = csv.reader(rows.reread())
     try:
         header = next(reader, None)
         if header is None:
@@ -519,7 +502,7 @@ def dataset_from_rows(rows: CsvRows, schema: Schema, vocab: GroupVocabulary) -> 
         labels = np.fromiter(map(codes.__getitem__, label_text), np.int8, n)
         return ScoreDataset(ids, scores, minority, labels)
     except (ValueError, InputError):
-        _raise_first_error(rows.source, schema, vocab)
+        _raise_first_error(rows, schema, vocab)
 
 
 def load_dataset(

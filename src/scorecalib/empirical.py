@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import GroupId, ScoreDataset, TextSource, _column, read_columns, write_csv
+from .dataset import CsvRows, GroupId, ScoreDataset, _column, write_csv
 from .errors import (
     EmptyGroupError,
     EmptyInputError,
@@ -164,7 +164,7 @@ class StepCurve:
     def from_csv(cls, source) -> "StepCurve":
         """Read a curve that :meth:`to_csv` wrote (path, bytes or file object).
 
-        The file is streamed through :func:`~scorecalib.dataset.read_columns`
+        The file is streamed through :class:`~scorecalib.dataset.CsvRows`
         in batches, and each column is parsed with one ``float`` map.  A
         file the stream cannot take as it is (not UTF-8, a header other
         than ``theta,value``, a row of other than two fields, a field
@@ -172,15 +172,14 @@ class StepCurve:
         that parse accepts rows with extra fields, and raises
         :class:`MalformedCurveError` for a malformed one.
         """
-        source = TextSource(source)
-        header, columns = read_columns(source, 2)
+        rows = CsvRows(source, 2)
         parsed = None
-        if header == ["theta", "value"] and columns and columns[0]:
+        if rows.header == ["theta", "value"] and rows.columns and len(rows):
             try:
-                parsed = [np.fromiter(map(float, col), np.float64, len(col)) for col in columns]
+                parsed = [np.fromiter(map(float, c), np.float64, len(c)) for c in rows.columns]
             except ValueError:
                 pass
-        thetas, values = parsed or _curve_fields(source.reread())
+        thetas, values = parsed or _curve_fields(rows.reread())
         if not (np.isfinite(thetas).all() and np.isfinite(values).all()):
             raise MalformedCurveError("curve CSV holds a NaN or infinite number")
         if thetas[0] != 0.0:

@@ -90,6 +90,12 @@ def test_eod_is_sum_of_components():
     )
 
 
+def test_eod_has_no_curves_of_its_own():
+    d = make_dataset([(0.2, "a"), (0.8, "b")], [1, 0])
+    with pytest.raises(ValueError, match="^EOD is composite"):
+        group_curves(d, BiasMetricKind.EOD)
+
+
 def test_eod_parts_are_eo_and_fpr_gap():
     assert BiasMetricKind.EOD.parts == (BiasMetricKind.EO, BiasMetricKind.FPR_GAP)
     for kind in (BiasMetricKind.DP, BiasMetricKind.EO, BiasMetricKind.FPR_GAP):
@@ -225,6 +231,10 @@ def test_risk_worked_example():
 
 def test_risk_maximal_shift():
     assert risk_estimate([0.0], [1.0]) == 1.0
+
+
+def test_risk_of_no_scores_is_zero():
+    assert risk_estimate([], []) == 0.0
 
 
 def test_risk_length_mismatch():

@@ -18,7 +18,7 @@ from scorecalib.calibration import (
 from scorecalib.conditional import load_model, save_model
 from scorecalib.dataset import GroupId, ScoreDataset
 from scorecalib.empirical import w1_distance
-from scorecalib.errors import EmptyGroupError, ScoreOutOfRangeError
+from scorecalib.errors import EmptyGroupError, LengthMismatchError, ScoreOutOfRangeError
 
 from conftest import make_dataset, random_dataset
 
@@ -103,6 +103,12 @@ def test_calibrate_rejects_out_of_range(example_dataset):
         calibrate(model, 1.2, MAJ)
     with pytest.raises(ScoreOutOfRangeError):
         calibrate(model, float("nan"), MIN)
+
+
+def test_calibrate_scores_rejects_unequal_lengths(example_dataset):
+    model = fit(example_dataset, sigma=0.0, seed=0)
+    with pytest.raises(LengthMismatchError, match="^2 scores for 1 groups$"):
+        calibrate_scores(model, [0.5, 0.6], [GroupId.MINORITY])
 
 
 model_strategy = st.builds(
@@ -222,7 +228,7 @@ def test_model_persistence_round_trip(tmp_path, example_dataset):
 def test_model_dict_schema(example_dataset):
     payload = model_to_dict(fit(example_dataset, sigma=0.0, seed=0))
     assert set(payload) == {"alpha", "sigma", "seed", "scores_a", "scores_b"}
-    rebuilt = load_model(io.StringIO(json.dumps(payload)))
+    rebuilt = load_model(io.StringIO(json.dumps(payload, default=np.ndarray.tolist)))
     assert rebuilt.alpha == payload["alpha"]
 
 

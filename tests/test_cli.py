@@ -314,6 +314,16 @@ def test_config_file_with_flag_override(tmp_path):
     assert (tmp_path / "flag" / "report.json").exists()
 
 
+def test_config_file_holding_a_list_exits_2(tmp_path, capsys):
+    csv_path = tmp_path / "scores.csv"
+    write_example_csv(csv_path)
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(["sigma", 0.3]), encoding="utf-8")
+    argv = ["measure", "--input", csv_path, "--minority-token", "a", "--config", cfg_path]
+    assert run(*argv, "--out-dir", tmp_path / "out") == 2
+    assert capsys.readouterr().err == "error: --config file must contain a JSON object\n"
+
+
 def test_end_to_end_determinism(tmp_path):
     csv_path = tmp_path / "scores.csv"
     labels = [1, 1, 1, 1, 1, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0]

@@ -30,6 +30,7 @@ from scorecalib.errors import (
     EmptyGroupInPartitionError,
     EmptyInputError,
     InvalidParameterError,
+    LengthMismatchError,
     ScoreOutOfRangeError,
     SingleModeError,
     UnlabeledDatasetError,
@@ -393,6 +394,12 @@ def test_cond_calibrate_rejects_out_of_range(example_dataset):
     model = fit_conditional(example_dataset, sigma=0.0, seed=0, gamma_override=0.57)
     with pytest.raises(ScoreOutOfRangeError):
         cond_calibrate(model, -0.1, MIN)
+
+
+def test_cond_calibrate_scores_rejects_unequal_lengths(example_dataset):
+    model = fit_conditional(example_dataset, sigma=0.0, seed=0, gamma_override=0.57)
+    with pytest.raises(LengthMismatchError, match="^1 scores for 2 groups$"):
+        cond_calibrate_scores(model, [0.5], [MIN, MAJ])
 
 
 def test_cond_calibrate_dataset_matches_scalar(example_dataset):

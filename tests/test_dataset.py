@@ -216,6 +216,13 @@ def test_constructor_validates_columns():
         ScoreDataset(["p1", "p2"], [0.5, 0.6], [1, 0])
 
 
+def test_with_scores_requires_one_score_per_pair():
+    d = make_dataset([(0.2, "a"), (0.8, "b")])
+    with pytest.raises(LengthMismatchError, match="^1 scores for 2 pairs$"):
+        d.with_scores([0.5])
+    assert d.with_scores([0.5, 0.6]).scores().tolist() == [0.5, 0.6]
+
+
 def test_minority_mask_accepts_bools_and_group_ids_only():
     assert minority_mask([True, False]).tolist() == [True, False]
     assert minority_mask([GroupId.MAJORITY, GroupId.MINORITY]).tolist() == [False, True]

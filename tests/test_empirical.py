@@ -36,6 +36,7 @@ from scorecalib.errors import (
     UnlabeledDatasetError,
 )
 
+import ingest_oracle as oracle
 from conftest import make_dataset
 
 MIN, MAJ = GroupId.MINORITY, GroupId.MAJORITY
@@ -351,6 +352,18 @@ def test_step_curve_csv_matches_csv_writer(tmp_path_factory, bps, data):
 def test_step_curve_csv_malformed(text):
     with pytest.raises(MalformedCurveError):
         StepCurve.from_csv(io.StringIO(text))
+
+
+def test_curve_field_larger_than_csv_limit_matches_oracle():
+    # the oracle lets csv.Error out; the library names the line in a
+    # MalformedCurveError, raised by the whole-text parse after the stream gives up
+    data = b"theta,value\n0,1.0\n" + b"0" * (csv.field_size_limit() + 1) + b",0.5\n"
+    with pytest.raises(csv.Error) as want:
+        oracle.curve_from_csv(data)
+    assert str(want.value) == "field larger than field limit (131072)"
+    with pytest.raises(MalformedCurveError) as got:
+        StepCurve.from_csv(data)
+    assert str(got.value) == f"curve CSV line 3: {want.value}"
 
 
 # ---------------------------------------------------------------- AUC

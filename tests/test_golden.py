@@ -33,6 +33,7 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from scorecalib import conditional
@@ -257,9 +258,12 @@ CALIBRATE_INPUTS = {
 
 
 def model_dict(model) -> dict:
+    """The model's dict with each score array as the JSON list it is written as."""
     if isinstance(model, CondCalibModel):
-        return model_to_dict_conditional(model)
-    return model_to_dict(model)
+        payload = model_to_dict_conditional(model)
+    else:
+        payload = model_to_dict(model)
+    return json.loads(json.dumps(payload, default=np.ndarray.tolist))
 
 
 @pytest.mark.parametrize("step", CALIBRATE_INPUTS)

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from scorecalib import dataset
 from scorecalib.calibration import calibrate_dataset, fit, model_to_dict
 from scorecalib.cli import main
-from scorecalib.conditional import fit_conditional, model_to_dict_conditional
+from scorecalib.conditional import fit_conditional, model_to_dict_conditional, save_model
 from scorecalib.dataset import (
     Schema,
     dump_dataset,
@@ -145,11 +145,18 @@ def test_write_json_equals_json_dumps_of_lists(payload):
 @pytest.mark.parametrize("algorithm", ["calib", "ccalib"])
 def test_model_dict_arrays_are_the_model_lists(example_dataset, algorithm):
     if algorithm == "calib":
-        model, to_dict = fit(example_dataset, sigma=0.0, seed=0), model_to_dict
+        model = side = fit(example_dataset, sigma=0.0, seed=0)
+        payload = block = model_to_dict(model)
     else:
         model = fit_conditional(example_dataset, sigma=0.0, seed=0, gamma_override=0.57)
-        to_dict = model_to_dict_conditional
-    assert as_lists(to_dict(model, arrays=True)) == to_dict(model)
+        payload = model_to_dict_conditional(model)
+        side, block = model.matched, payload["matched"]
+    # the dict holds the model's own read-only arrays, not copies
+    assert block["scores_a"] is side.scores_a and block["scores_b"] is side.scores_b
+    # and save_model writes them as the JSON lists of their floats
+    buf = io.StringIO()
+    save_model(model, buf)
+    assert json.loads(buf.getvalue()) == {"algorithm": algorithm, **as_lists(payload)}
 
 
 # ---------------------------------------------------------------- memory
