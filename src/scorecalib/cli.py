@@ -85,6 +85,13 @@ def _str(value) -> str:
     return value
 
 
+def _path(value) -> str:
+    """A path string; a NUL is rejected here, as no file name can hold one."""
+    if "\0" in _str(value):
+        raise ValueError(f"NUL in path: {value!r}")
+    return value
+
+
 def _bool(value) -> bool:
     """Only a JSON boolean (or the flag's True): "false" and 0 are rejected
     rather than read by their truthiness."""
@@ -326,10 +333,10 @@ def _row(key: str, cast, default=None, flag=None, **kwargs) -> tuple:
 
 
 _SEED = _row("seed", _seed, 0, type=int)
-_OUT_DIR = _row("out_dir", _str, ".", help="output directory (default .)")
+_OUT_DIR = _row("out_dir", _path, ".", help="output directory (default .)")
 _DATASET = [
     _OUT_DIR,
-    _row("input", _str, help="input CSV path"),
+    _row("input", _path, help="input CSV path"),
     _row("schema", Schema, "pair", choices=["pair", "record"]),
     _row("minority_token", _str, "minority"),
     _row("majority_token", _str,
@@ -360,14 +367,14 @@ _COMMANDS = {
         _row("gamma", _float, type=float, help="explicit split threshold for ccalib"),
         _row("bandwidth", _float, DEFAULT_BANDWIDTH, type=float,
              help="meanshift bandwidth for ccalib"),
-        _row("fit", _str, "self",
+        _row("fit", _path, "self",
              help="'self' to fit on the input, or a CSV path for a held-out fit set"),
         _row("use_true_labels", _bool, False, action="store_const", const=True,
              help="partition a labeled fit set by its labels instead of by gamma (ccalib)"),
     ]),
     "plot": (cmd_plot, "render two curve CSVs as an SVG with gap band", [
         _OUT_DIR,
-        _row("input", lambda v: _list(v, _str, 2), nargs=2, metavar=("CURVE_A", "CURVE_B")),
+        _row("input", lambda v: _list(v, _path, 2), nargs=2, metavar=("CURVE_A", "CURVE_B")),
         _row("title", _str, "threshold curves"),
     ]),
 }

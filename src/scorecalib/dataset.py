@@ -238,7 +238,7 @@ def text_writer(dest):
         yield dest
 
 
-WRITE_ROWS = 8192  # rows joined and written per batch; only one batch's text is alive at a time
+BATCH_ROWS = 8192  # rows read or written per batch; only one batch's rows or text are alive at a time
 _QUOTED = (",", '"', "\r", "\n")
 
 
@@ -278,13 +278,13 @@ def write_csv(dest, header: Sequence[Sequence[str]], columns: Sequence) -> None:
     A column is a float64 array (each float written as its ``repr``, see
     :func:`float_text`) or a sequence of str.  Fields are quoted as
     ``csv.writer`` quotes them, except that a CR is quoted on every
-    Python version.  Rows are joined and written :data:`WRITE_ROWS` at a
+    Python version.  Rows are joined and written :data:`BATCH_ROWS` at a
     time, so the writer never holds the whole file's text.
     """
     with text_writer(dest) as f:
         f.writelines(",".join(map(_csv_field, row)) + "\n" for row in header)
-        for start in range(0, len(columns[0]), WRITE_ROWS):
-            batch = [_column_text(col[start:start + WRITE_ROWS]) for col in columns]
+        for start in range(0, len(columns[0]), BATCH_ROWS):
+            batch = [_column_text(col[start:start + BATCH_ROWS]) for col in columns]
             f.write("\n".join(map(",".join, zip(*batch))) + "\n")
 
 
@@ -293,7 +293,7 @@ def write_json(dest, payload) -> None:
 
     A float array that is a value of a (nested) dict is written as the
     JSON list of its finite floats, in the bytes ``json`` gives that list,
-    :data:`WRITE_ROWS` floats at a time, each distinct float formatted
+    :data:`BATCH_ROWS` floats at a time, each distinct float formatted
     once (:func:`float_text`).
     """
     arrays = []
@@ -313,14 +313,11 @@ def write_json(dest, payload) -> None:
         f.write(text)
         for index, after in zip(rest[::2], rest[1::2]):
             arr, pad = arrays[int(index)]
-            for start in range(0, arr.size, WRITE_ROWS):
-                items = float_text(arr[start:start + WRITE_ROWS])
+            for start in range(0, arr.size, BATCH_ROWS):
+                items = float_text(arr[start:start + BATCH_ROWS])
                 f.write(("," if start else "[") + pad + ("," + pad).join(items))
             f.write(pad[:-2] + "]" + after)
         f.write("\n")
-
-
-CHUNK_ROWS = 1 << 16  # rows read per batch; only one batch's row lists are alive at a time
 
 
 @contextmanager
@@ -337,9 +334,18 @@ def _gc_paused():
             gc.enable()
 
 
+def _floats(raw: list[str]) -> np.ndarray:
+    """One batch of a column through ``float``; all NaN if ``float``
+    rejects any field (the row-by-row pass then names it)."""
+    try:
+        return np.fromiter(map(float, raw), np.float64, len(raw))
+    except ValueError:
+        return np.full(len(raw), np.nan)
+
+
 class CsvRows:
-    """The rows of a CSV input after its first row, as ``width`` columns of
-    raw strings.
+    """The rows of a CSV input after its first row, as ``width`` columns: a
+    float64 array for each index in ``floats``, raw strings for the rest.
 
     A path is streamed from disk and re-read only on the error path.
     Bytes and file objects are decoded to one string up front (as
@@ -348,12 +354,16 @@ class CsvRows:
     lines alike: at LF, CRLF and a bare CR, while a CR or CRLF inside a
     quoted field is kept as it is.
 
-    Rows are read through ``csv.reader`` in batches of :data:`CHUNK_ROWS`
+    Rows are read through ``csv.reader`` in batches of :data:`BATCH_ROWS`
     with cyclic GC paused; each batch is checked for shape with one
     ``set(map(len, ...))``, blank rows are dropped, and each column is
     taken with one comprehension before the batch's row lists are freed.
-    Fields from the third on are categorical (group tokens and labels),
-    so equal strings there are stored as one object.
+    A column in ``floats`` is parsed there, one ``float`` map per batch,
+    so none of its strings outlives its batch.  If ``float`` rejects a
+    field, its whole batch reads NaN, which fails every range and finite
+    check, so the caller parses :meth:`reread` for the message.  Fields
+    from the third on are categorical (group tokens and labels), so
+    equal strings there are stored as one object.
 
     ``header`` is the first row (None if the text has none).  ``columns``
     is None when the stream fails: a row has another width, the text is
@@ -361,7 +371,7 @@ class CsvRows:
     :meth:`reread` row by row, which names the line.
     """
 
-    def __init__(self, source, width: int):
+    def __init__(self, source, width: int, floats: Sequence[int] = ()):
         self.header = self.columns = None
         columns = [[] for _ in range(width)]
         interned = {}
@@ -375,7 +385,7 @@ class CsvRows:
             with _gc_paused(), stream as f:
                 reader = csv.reader(f)
                 self.header = next(reader, None)
-                while chunk := list(islice(reader, CHUNK_ROWS)):
+                while chunk := list(islice(reader, BATCH_ROWS)):
                     widths = set(map(len, chunk))
                     if 0 in widths:
                         chunk = [row for row in chunk if row]
@@ -384,9 +394,14 @@ class CsvRows:
                         return
                     for j, column in enumerate(columns):
                         raw = [row[j] for row in chunk]
-                        column += raw if j < 2 else map(interned.setdefault, raw, raw)
+                        if j in floats:
+                            column.append(_floats(raw))
+                        else:
+                            column += raw if j < 2 else map(interned.setdefault, raw, raw)
         except (UnicodeDecodeError, csv.Error):
             return
+        for j in floats:
+            columns[j] = np.concatenate(columns[j] or [np.empty(0)])
         self.columns = columns
 
     def __len__(self) -> int:
@@ -404,18 +419,19 @@ def _header_matches(header, schema: Schema) -> bool:
 
 
 def parse_rows(source, schema: Schema) -> CsvRows:
-    """Read and shape-check CSV rows, keeping raw string fields as columns.
+    """Read and shape-check CSV rows: the score column as a float64 array,
+    every other field as a column of raw strings.
 
     Returns data rows only (header consumed; blank rows skipped).  The
-    file is streamed in batches (:class:`CsvRows`), so no row list or
-    second copy of the text outlives its batch.  When the stream fails
-    (a bad header, a row of the wrong width, text that is not UTF-8),
-    the whole text is parsed again row by row, so the error is the one a
-    whole-file read gives: a decode error anywhere wins, else
-    :class:`MalformedRowError` for the header or the first bad row, with
-    its file line.
+    file is streamed in batches (:class:`CsvRows`), so no row list, score
+    string or second copy of the text outlives its batch.  When the
+    stream fails (a bad header, a row of the wrong width, text that is
+    not UTF-8), the whole text is parsed again row by row, so the error
+    is the one a whole-file read gives: a decode error anywhere wins,
+    else :class:`MalformedRowError` for the header or the first bad row,
+    with its file line.
     """
-    rows = CsvRows(source, len(schema.header))
+    rows = CsvRows(source, len(schema.header), floats=(1,))
     if rows.columns is None or not _header_matches(rows.header, schema):
         _raise_first_error(rows, schema)
     return rows
@@ -483,17 +499,18 @@ def _raise_first_error(rows: CsvRows, schema: Schema, vocab: GroupVocabulary | N
 def dataset_from_rows(rows: CsvRows, schema: Schema, vocab: GroupVocabulary) -> ScoreDataset:
     """Build the dataset from shape-checked rows, one column at a time.
 
-    Scores go through ``float`` (one ``map`` into an array) and are range
-    checked by the :class:`ScoreDataset` constructor; group tokens and labels are resolved
-    once per distinct string.  A record-level pair is minority iff
-    either of its records is.  If any check fails, the rows are checked
-    again one at a time (:func:`_raise_first_error`) so that the error
-    names the file line of the first bad row, as a row-by-row parse would.
+    The score column is the float64 array :func:`parse_rows` parsed (NaN
+    for a batch holding a field ``float`` rejects); the
+    :class:`ScoreDataset` constructor checks its range.  Group tokens
+    and labels are resolved once per distinct string.  A record-level
+    pair is minority iff either of its records is.  If any check fails,
+    the rows are checked again one at a time (:func:`_raise_first_error`)
+    so that the error names the file line of the first bad row, as a
+    row-by-row parse would.
     """
-    ids, score_text, *group_columns, label_text = rows.columns
+    ids, scores, *group_columns, label_text = rows.columns
     n = len(ids)
     try:
-        scores = np.fromiter(map(float, score_text), np.float64, n)
         minority = np.zeros(n, dtype=bool)
         for column in group_columns:
             flags = {t: vocab.resolve(t.strip()) is GroupId.MINORITY for t in set(column)}
@@ -501,7 +518,7 @@ def dataset_from_rows(rows: CsvRows, schema: Schema, vocab: GroupVocabulary) -> 
         codes = {t: _parse_label(t) for t in set(label_text)}
         labels = np.fromiter(map(codes.__getitem__, label_text), np.int8, n)
         return ScoreDataset(ids, scores, minority, labels)
-    except (ValueError, InputError):
+    except InputError:
         _raise_first_error(rows, schema, vocab)
 
 

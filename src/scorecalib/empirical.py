@@ -165,21 +165,20 @@ class StepCurve:
         """Read a curve that :meth:`to_csv` wrote (path, bytes or file object).
 
         The file is streamed through :class:`~scorecalib.dataset.CsvRows`
-        in batches, and each column is parsed with one ``float`` map.  A
-        file the stream cannot take as it is (not UTF-8, a header other
-        than ``theta,value``, a row of other than two fields, a field
+        in batches, which parses both columns as floats.  A file the
+        stream cannot take as it is (not UTF-8, a header other than
+        ``theta,value``, a row of other than two fields, no data rows) or
+        that reads a NaN (a ``nan`` field, or a batch holding a field
         ``float`` rejects) is parsed again whole, one field at a time:
         that parse accepts rows with extra fields, and raises
         :class:`MalformedCurveError` for a malformed one.
         """
-        rows = CsvRows(source, 2)
-        parsed = None
-        if rows.header == ["theta", "value"] and rows.columns and len(rows):
-            try:
-                parsed = [np.fromiter(map(float, c), np.float64, len(c)) for c in rows.columns]
-            except ValueError:
-                pass
-        thetas, values = parsed or _curve_fields(rows.reread())
+        rows = CsvRows(source, 2, floats=(0, 1))
+        if (rows.header == ["theta", "value"] and rows.columns and len(rows)
+                and not any(np.isnan(c).any() for c in rows.columns)):
+            thetas, values = rows.columns
+        else:
+            thetas, values = _curve_fields(rows.reread())
         if not (np.isfinite(thetas).all() and np.isfinite(values).all()):
             raise MalformedCurveError("curve CSV holds a NaN or infinite number")
         if thetas[0] != 0.0:

@@ -441,13 +441,20 @@ SPEC = {
         pytest.param("measure", {"metric": {"dp": 1}}, id="measure-metric-object"),
         pytest.param("measure", {"thresholds": {"0.5": 1}}, id="measure-thresholds-object"),
         pytest.param("generate", {"minority_pos": {"6": 0, "2": 0}}, id="generate-beta-object"),
+        # no file name holds a NUL: each path key rejects one rather than
+        # letting open() or mkdir() raise
+        pytest.param("measure", {"input": "scores\u0000.csv"}, id="measure-input-nul"),
+        pytest.param("measure", {"out_dir": "out\u0000"}, id="measure-out-dir-nul"),
+        pytest.param("calibrate", {"fit": "scores.csv\u0000"}, id="calibrate-fit-nul"),
+        pytest.param("plot", {"input": ["a\u0000b", "scores.csv"]}, id="plot-input-nul"),
     ],
 )
 def test_config_value_of_wrong_type_exit_2(tmp_path, monkeypatch, capsys, command, config):
     # only --config is passed, so each value is read from the file
     monkeypatch.chdir(tmp_path)
     write_example_csv(tmp_path / "scores.csv")
-    base = {"measure": {"input": "scores.csv", "minority_token": "a"}, "generate": SPEC}
+    dataset_base = {"input": "scores.csv", "minority_token": "a"}
+    base = {"measure": dataset_base, "calibrate": dataset_base, "generate": SPEC}
     (tmp_path / "run.json").write_text(json.dumps({**base.get(command, {}), **config}))
     assert run(command, "--config", "run.json") == 2
     err = capsys.readouterr().err

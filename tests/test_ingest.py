@@ -136,12 +136,12 @@ def mutated_file(draw, schema):
     st.sampled_from(list(Schema)),
     st.data(),
     st.sampled_from([None, "b"]),
-    st.sampled_from([1, 2, 5, dataset.CHUNK_ROWS]),
+    st.sampled_from([1, 2, 5, dataset.BATCH_ROWS]),
 )
 def test_mutated_file_matches_oracle(schema, data, majority, chunk_rows):
     text = data.draw(mutated_file(schema))
     vocab = GroupVocabulary("a", majority)
-    with mock.patch.object(dataset, "CHUNK_ROWS", chunk_rows):
+    with mock.patch.object(dataset, "BATCH_ROWS", chunk_rows):
         assert_same_ingest(text, schema, vocab)
 
 
@@ -153,7 +153,7 @@ def test_line_endings_and_multiline_ids_match_oracle(tmp_path, newline):
     path = tmp_path / "in.csv"
     path.write_bytes(newline.join(lines).encode("utf-8"))
     vocab = GroupVocabulary("a")
-    with mock.patch.object(dataset, "CHUNK_ROWS", 1):
+    with mock.patch.object(dataset, "BATCH_ROWS", 1):
         got = outcome(ingest, path, Schema.PAIR_LEVEL, vocab)
     assert got == outcome(ingest_oracle, path, Schema.PAIR_LEVEL, vocab)
     # the quoted id spans lines 2-3 and line 4 is blank, so p3 is on line 6
@@ -320,11 +320,68 @@ def curve_outcome(fn, data):
 
 
 @settings(max_examples=200)
-@given(mutated_curve(), st.sampled_from([1, 3, dataset.CHUNK_ROWS]))
+@given(mutated_curve(), st.sampled_from([1, 3, dataset.BATCH_ROWS]))
 def test_mutated_curve_matches_oracle(data, chunk_rows):
-    with mock.patch.object(dataset, "CHUNK_ROWS", chunk_rows):
+    with mock.patch.object(dataset, "BATCH_ROWS", chunk_rows):
         got = curve_outcome(StepCurve.from_csv, data)
     assert got == curve_outcome(oracle.curve_from_csv, data)
+
+
+# ---------------------------------------------------------------- typed columns at batch edges
+
+EDGE_BATCH = 4  # rows[1:5] are the first batch, rows[9:13] the third
+
+
+def small_file(n: int) -> list[list[str]]:
+    return [list(Schema.PAIR_LEVEL.header)] + [
+        [f"p{i}", repr((i + 0.5) / n), "ga" if i % 3 else "gb", str(i % 2)] for i in range(n)
+    ]
+
+
+@pytest.mark.parametrize("score", ["abc", "nan", "1e999"])
+@pytest.mark.parametrize("index", [9, 12])  # the first and last row of the third batch
+def test_bad_score_in_the_third_batch_matches_oracle(score, index):
+    rows = small_file(14)
+    rows[index][1] = score
+    data = render(rows)
+    with mock.patch.object(dataset, "BATCH_ROWS", EDGE_BATCH):
+        parsed = parse_rows(data, Schema.PAIR_LEVEL)
+        want = assert_same_ingest(data, Schema.PAIR_LEVEL, GroupVocabulary("ga"))
+    # a field float() rejects turns its whole batch to NaN; a float that is
+    # not in [0, 1] stays as it is, for the range check to reject
+    nan_rows = range(8, 12) if score == "abc" else [index - 1] if score == "nan" else []
+    assert np.flatnonzero(np.isnan(parsed.columns[1])).tolist() == list(nan_rows)
+    assert want[0] is (MalformedRowError if score == "abc" else ScoreOutOfRangeError)
+    assert want[1].startswith(f"line {index + 1}: ")
+
+
+@pytest.mark.parametrize("theta", ["x", "nan"])
+def test_bad_theta_in_a_later_batch_matches_oracle(theta):
+    buf = io.StringIO()
+    pr_curve(np.linspace(0.05, 0.95, 14)).to_csv(buf)
+    rows = list(csv.reader(io.StringIO(buf.getvalue())))
+    rows[10][0] = theta  # the third batch: rows[1] is theta=0
+    with mock.patch.object(dataset, "BATCH_ROWS", EDGE_BATCH):
+        got = curve_outcome(StepCurve.from_csv, render(rows))
+    assert got == curve_outcome(oracle.curve_from_csv, render(rows))
+    message = "has a malformed row" if theta == "x" else "holds a NaN or infinite number"
+    assert got == (MalformedCurveError, f"curve CSV {message}")
+
+
+@pytest.mark.parametrize("schema", list(Schema))
+def test_header_only_dataset_matches_oracle(schema):
+    data = render([list(schema.header)])
+    with mock.patch.object(dataset, "BATCH_ROWS", EDGE_BATCH):
+        assert_same_ingest(data, schema, GroupVocabulary("ga"))
+        scores = parse_rows(data, schema).columns[1]
+    assert scores.dtype == np.float64 and scores.size == 0
+
+
+def test_header_only_curve_matches_oracle():
+    with mock.patch.object(dataset, "BATCH_ROWS", EDGE_BATCH):
+        got = curve_outcome(StepCurve.from_csv, b"theta,value\n")
+    assert got == curve_outcome(oracle.curve_from_csv, b"theta,value\n")
+    assert got == (MalformedCurveError, "curve CSV has no data rows")
 
 
 # ---------------------------------------------------------------- sources and state

@@ -70,7 +70,7 @@ def test_write_csv_equals_csv_writer(table, batch_rows):
     header, columns = table
     # csv.writer is given each float as its repr, which never needs quoting
     text_columns = [list(map(repr, c.tolist())) if isinstance(c, np.ndarray) else c for c in columns]
-    with mock.patch.object(dataset, "WRITE_ROWS", batch_rows):
+    with mock.patch.object(dataset, "BATCH_ROWS", batch_rows):
         got = written(header, columns)
     assert got == csv_writer_text(header, zip(*text_columns))
 
@@ -81,7 +81,7 @@ def test_write_csv_equals_csv_writer(table, batch_rows):
 def test_float_text_is_repr_of_each_float(values, batch_rows):
     arr = np.array(values, dtype=np.float64)
     assert float_text(arr) == list(map(repr, values))
-    with mock.patch.object(dataset, "WRITE_ROWS", batch_rows):
+    with mock.patch.object(dataset, "BATCH_ROWS", batch_rows):
         got = written([], [arr, list(map(str, range(len(values))))])
     assert got == "".join(f"{v!r},{i}\n" for i, v in enumerate(values))
 
@@ -183,7 +183,7 @@ def test_writer_memory_does_not_grow_with_rows(tmp_path):
     large = traced_peak(100_000, tmp_path / "large.csv")
     assert os.path.getsize(tmp_path / "large.csv") > 2_000_000
     assert large <= small * 1.25
-    assert large < dataset.WRITE_ROWS * 300  # bytes per row of one batch: its floats, fields and text
+    assert large < dataset.BATCH_ROWS * 300  # bytes per row of one batch: its floats, fields and text
 
 
 # ---------------------------------------------------------------- CR inside a quoted field
