@@ -127,9 +127,9 @@ def _beta(value) -> BetaParams:
     return BetaParams(*_list(value.split(",") if isinstance(value, str) else value, _float, 2))
 
 
-def _load_input(s: dict, path) -> tuple[ScoreDataset, list[list[str]]]:
-    """The dataset and its raw group-token and label columns (echoed
-    unchanged into ``calibrated.csv``)."""
+def _load_input(s: dict, path) -> tuple[ScoreDataset, list]:
+    """The dataset and its raw group-token and label columns as
+    :class:`~scorecalib.dataset.Tokens`, echoed into ``calibrated.csv``."""
     if not path:
         raise InputError("--input is required")
     rows = parse_rows(path, s["schema"])

@@ -14,9 +14,10 @@ import gc
 import io
 import json
 import re
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import compress, islice
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -84,25 +85,124 @@ def minority_mask(groups) -> np.ndarray:
     return np.array([g is GroupId.MINORITY for g in flags], dtype=bool)
 
 
+class PackedText:
+    """A column of str held as one str and int64 offsets, with no object per
+    item: item ``i`` is ``text[offsets[i]:offsets[i + 1]]``.  This is the
+    variable-size binary layout of the Apache Arrow columnar format.
+
+    It has a ``len``, indexes (negative too) and iterates as a tuple of its
+    str does, and equals such a tuple.  A slice (step 1) is a packed column
+    of that range, with its own copy of the range's text.
+    """
+
+    __slots__ = ("text", "offsets")
+
+    def __init__(self, text: str, offsets: np.ndarray):
+        self.text, self.offsets = text, offsets
+
+    @classmethod
+    def join(cls, texts: list[str], lengths) -> "PackedText":
+        """The column of consecutive ``texts``, given 0 and then each item's length."""
+        offsets = np.cumsum(lengths, dtype=np.int64)
+        offsets.setflags(write=False)
+        return cls("".join(texts), offsets)
+
+    @classmethod
+    def pack(cls, strings: Iterable[str]) -> "PackedText":
+        """``strings`` packed one :data:`BATCH_ROWS` batch at a time (a packed
+        column as it is); raises TypeError for a str or bytes passed whole
+        and for an item that is not a str."""
+        if isinstance(strings, PackedText):
+            return strings
+        if isinstance(strings, (str, bytes)):
+            raise TypeError(f"expected an iterable of str, got {type(strings).__name__}")
+        items, texts, lengths = iter(strings), [], array("q", [0])
+        while batch := list(islice(items, BATCH_ROWS)):
+            texts.append("".join(batch))  # TypeError for an item that is not a str
+            lengths.extend(map(len, batch))
+        return cls.join(texts, lengths)
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def __getitem__(self, i):
+        if not isinstance(i, slice):
+            i = range(len(self))[i]  # a negative index, and IndexError, as a tuple has them
+            return self.text[self.offsets[i]:self.offsets[i + 1]]
+        start, stop, step = i.indices(len(self))
+        if step != 1:
+            raise ValueError("a packed column is sliced with step 1 only")
+        offsets = self.offsets[start:max(start, stop) + 1]
+        return PackedText(self.text[offsets[0]:offsets[-1]], offsets - offsets[0])
+
+    def __iter__(self):
+        for start in range(0, len(self), BATCH_ROWS):
+            yield from self[start:start + BATCH_ROWS].tolist()
+
+    def tolist(self) -> list[str]:
+        """Every item as a str, all at once (meant for one batch)."""
+        ends = self.offsets.tolist()
+        return [self.text[a:b] for a, b in zip(ends, ends[1:])]
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, PackedText):
+            return self.text == other.text and np.array_equal(self.offsets, other.offsets)
+        if isinstance(other, tuple):
+            return len(other) == len(self) and all(a == b for a, b in zip(self, other))
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"PackedText({tuple(self)!r})"
+
+    def take(self, mask: np.ndarray) -> "PackedText":
+        """The items where the bool ``mask`` is true.  Each batch's text is
+        masked as an array of its characters, so no item becomes a str."""
+        codec, dtype = ("ascii", np.uint8) if self.text.isascii() else ("utf-32-le", np.uint32)
+        texts = []
+        for start in range(0, len(self), BATCH_ROWS):
+            offsets = self.offsets[start:start + BATCH_ROWS + 1]
+            chars = self.text[offsets[0]:offsets[-1]].encode(codec, "surrogatepass")
+            keep = np.repeat(mask[start:start + BATCH_ROWS], np.diff(offsets))
+            texts.append(np.frombuffer(chars, dtype)[keep].tobytes().decode(codec, "surrogatepass"))
+        return PackedText.join(texts, np.concatenate(([0], np.diff(self.offsets)[mask])))
+
+
+class Tokens:
+    """A column of str held as integer codes into ``table``, an object
+    array of its distinct str: item ``i`` is ``table[codes[i]]``, and a
+    slice is an object array of the slice's str."""
+
+    __slots__ = ("codes", "table")
+
+    def __init__(self, codes: np.ndarray, table: np.ndarray):
+        self.codes, self.table = codes, table
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, i):
+        return self.table[self.codes[i]]
+
+
 @dataclass(frozen=True, eq=False, init=False, repr=False)
 class ScoreDataset:
     """Immutable, validated scored pairs held as read-only columns.
 
-    ``ids`` is a tuple of str and ``is_minority`` a bool array; scores
+    ``ids`` is a :class:`PackedText` and ``is_minority`` a bool array; scores
     (float64 in [0, 1]) and labels (int8: 0, 1, or -1 for missing) are
     read through :meth:`scores` and :meth:`labels`.  ``labeled`` is true
     iff every pair carries a label; mixed labeling is permitted and
     simply yields an unlabeled dataset.
     """
 
-    ids: tuple[str, ...]
+    ids: PackedText
     is_minority: np.ndarray
     labeled: bool
     _scores: np.ndarray
     _labels: np.ndarray
 
     def __init__(self, ids: Iterable[str], scores, is_minority, labels=None):
-        ids = tuple(ids)
+        ids = PackedText.pack(ids)
         is_minority = np.asarray(is_minority)
         if is_minority.size and is_minority.dtype != bool:
             raise TypeError(f"is_minority must hold bools, got dtype {is_minority.dtype}")
@@ -168,7 +268,7 @@ class ScoreDataset:
     def subset(self, group: GroupId) -> "ScoreDataset":
         mask = self._mask(group)
         return ScoreDataset(
-            compress(self.ids, mask),
+            self.ids.take(mask),
             self._scores[mask],
             self.is_minority[mask],
             self._labels[mask],
@@ -264,7 +364,10 @@ def _column_text(part) -> Sequence[str]:
     any other str as it is."""
     if isinstance(part, np.ndarray) and part.dtype == np.float64:
         return float_text(part)
-    joined = "".join(part)
+    if isinstance(part, PackedText):
+        part, joined = part.tolist(), part.text
+    else:
+        joined = "".join(part)
     if not any(c in joined for c in _QUOTED):
         return part
     quoted = {field: _csv_field(field) for field in set(part)}
@@ -276,7 +379,8 @@ def write_csv(dest, header: Sequence[Sequence[str]], columns: Sequence) -> None:
     equal-length ``columns``, with ``\\n`` line ends.
 
     A column is a float64 array (each float written as its ``repr``, see
-    :func:`float_text`) or a sequence of str.  Fields are quoted as
+    :func:`float_text`) or a sequence of str, such as :class:`PackedText`
+    or :class:`Tokens`, sliced one batch at a time.  Fields are quoted as
     ``csv.writer`` quotes them, except that a CR is quoted on every
     Python version.  Rows are joined and written :data:`BATCH_ROWS` at a
     time, so the writer never holds the whole file's text.
@@ -343,9 +447,19 @@ def _floats(raw: list[str]) -> np.ndarray:
         return np.full(len(raw), np.nan)
 
 
+def _codes(raw: list[str], table: dict) -> np.ndarray:
+    """One batch of a token column as codes into ``table``, which gains
+    each str it does not hold yet, in the smallest unsigned type that
+    holds every code so far (so any number of distinct tokens fits)."""
+    for token in dict.fromkeys(raw):
+        table.setdefault(token, len(table))
+    return np.fromiter(map(table.__getitem__, raw), np.min_scalar_type(len(table)), len(raw))
+
+
 class CsvRows:
     """The rows of a CSV input after its first row, as ``width`` columns: a
-    float64 array for each index in ``floats``, raw strings for the rest.
+    float64 array for each index in ``floats``, and for the rest the
+    first field as :class:`PackedText` and the others as :class:`Tokens`.
 
     A path is streamed from disk and re-read only on the error path.
     Bytes and file objects are decoded to one string up front (as
@@ -361,9 +475,9 @@ class CsvRows:
     A column in ``floats`` is parsed there, one ``float`` map per batch,
     so none of its strings outlives its batch.  If ``float`` rejects a
     field, its whole batch reads NaN, which fails every range and finite
-    check, so the caller parses :meth:`reread` for the message.  Fields
-    from the third on are categorical (group tokens and labels), so
-    equal strings there are stored as one object.
+    check, so the caller parses :meth:`reread` for the message.  Every
+    other column is packed or coded batch by batch, so no field keeps an
+    object of its own; a token column stores each distinct str once.
 
     ``header`` is the first row (None if the text has none).  ``columns``
     is None when the stream fails: a row has another width, the text is
@@ -374,7 +488,8 @@ class CsvRows:
     def __init__(self, source, width: int, floats: Sequence[int] = ()):
         self.header = self.columns = None
         columns = [[] for _ in range(width)]
-        interned = {}
+        tables = [{} for _ in range(width)]  # each token column's code of each distinct str
+        lengths = array("q", [0])  # 0, then each id's length
         if isinstance(source, (str, Path)):
             self._path, self._text = Path(source), None
             stream = open(self._path, encoding="utf-8", newline="")  # closed by the with below
@@ -396,13 +511,20 @@ class CsvRows:
                         raw = [row[j] for row in chunk]
                         if j in floats:
                             column.append(_floats(raw))
+                        elif j:
+                            column.append(_codes(raw, tables[j]))
                         else:
-                            column += raw if j < 2 else map(interned.setdefault, raw, raw)
+                            column.append("".join(raw))
+                            lengths.extend(map(len, raw))
         except (UnicodeDecodeError, csv.Error):
             return
-        for j in floats:
-            columns[j] = np.concatenate(columns[j] or [np.empty(0)])
-        self.columns = columns
+        self.columns = [
+            np.concatenate(column or [np.empty(0)]) if j in floats
+            else Tokens(np.concatenate(column or [np.empty(0, np.uint8)]),
+                        np.array(list(tables[j]), dtype=object)) if j
+            else PackedText.join(column, lengths)
+            for j, column in enumerate(columns)
+        ]
 
     def __len__(self) -> int:
         return len(self.columns[0])
@@ -420,10 +542,10 @@ def _header_matches(header, schema: Schema) -> bool:
 
 def parse_rows(source, schema: Schema) -> CsvRows:
     """Read and shape-check CSV rows: the score column as a float64 array,
-    every other field as a column of raw strings.
+    the ids as :class:`PackedText`, every other field as :class:`Tokens`.
 
     Returns data rows only (header consumed; blank rows skipped).  The
-    file is streamed in batches (:class:`CsvRows`), so no row list, score
+    file is streamed in batches (:class:`CsvRows`), so no row list, field
     string or second copy of the text outlives its batch.  When the
     stream fails (a bad header, a row of the wrong width, text that is
     not UTF-8), the whole text is parsed again row by row, so the error
@@ -502,22 +624,20 @@ def dataset_from_rows(rows: CsvRows, schema: Schema, vocab: GroupVocabulary) -> 
     The score column is the float64 array :func:`parse_rows` parsed (NaN
     for a batch holding a field ``float`` rejects); the
     :class:`ScoreDataset` constructor checks its range.  Group tokens
-    and labels are resolved once per distinct string.  A record-level
-    pair is minority iff either of its records is.  If any check fails,
+    and labels are resolved once per entry of their column's table.  A
+    record-level pair is minority iff either of its records is.  If any check fails,
     the rows are checked again one at a time (:func:`_raise_first_error`)
     so that the error names the file line of the first bad row, as a
     row-by-row parse would.
     """
-    ids, scores, *group_columns, label_text = rows.columns
-    n = len(ids)
+    ids, scores, *group_columns, label_column = rows.columns
     try:
-        minority = np.zeros(n, dtype=bool)
+        minority = np.zeros(len(ids), dtype=bool)
         for column in group_columns:
-            flags = {t: vocab.resolve(t.strip()) is GroupId.MINORITY for t in set(column)}
-            minority |= np.fromiter(map(flags.__getitem__, column), bool, n)
-        codes = {t: _parse_label(t) for t in set(label_text)}
-        labels = np.fromiter(map(codes.__getitem__, label_text), np.int8, n)
-        return ScoreDataset(ids, scores, minority, labels)
+            flags = [vocab.resolve(t.strip()) is GroupId.MINORITY for t in column.table]
+            minority |= np.array(flags, dtype=bool)[column.codes]
+        labels = np.array([_parse_label(t) for t in label_column.table], dtype=np.int8)
+        return ScoreDataset(ids, scores, minority, labels[label_column.codes])
     except InputError:
         _raise_first_error(rows, schema, vocab)
 
@@ -544,6 +664,6 @@ def dump_dataset(dataset: ScoreDataset, dest) -> None:
     write_csv(dest, [PAIR_HEADER], [
         dataset.ids,
         dataset._scores,
-        groups[dataset.is_minority.view(np.uint8)],
-        labels[dataset._labels + 1],
+        Tokens(dataset.is_minority.view(np.uint8), groups),
+        Tokens(dataset._labels + 1, labels),
     ])

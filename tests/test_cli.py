@@ -361,6 +361,33 @@ def test_calibrated_csv_round_trips_any_id(tmp_path_factory, ids):
     assert run("measure", "--input", work / "out" / "calibrated.csv", *args) == 0
 
 
+record_field = st.sampled_from(["f", " f", "f ", " f ", "\tf", "m", " m ", "x y", "m,", '"m"'])
+label_field = st.sampled_from(["0", "1", " 1 ", "0\t"])
+record_id = st.lists(
+    st.sampled_from(["", "r", ",", '"', "\r", "\n", "\r\n", " ", "\U0001F600"]), max_size=4
+).map("".join)
+
+
+@given(st.lists(st.tuples(record_id, record_field, record_field, label_field), max_size=8))
+def test_calibrated_csv_echoes_record_fields(tmp_path_factory, rows):
+    # group tokens and labels come back as they were read, spaces and all
+    rows = [("r1", "f", "f", "1"), ("r2", "m", "m", "0"), *rows]
+    work = tmp_path_factory.mktemp("record")
+    with open(work / "in.csv", "w", encoding="utf-8", newline="") as f:
+        writer = csv.writer(f, lineterminator="\n", quoting=csv.QUOTE_ALL)
+        writer.writerow(Schema.RECORD_LEVEL.header)
+        for i, (rid, left, right, label) in enumerate(rows):
+            writer.writerow([rid, (i + 1) / (len(rows) + 1), left, right, label])
+    code = run("calibrate", "--input", work / "in.csv", "--schema", "record",
+               "--minority-token", "f", "--sigma", 0, "--out-dir", work / "out")
+    assert code == 0
+    tables = []
+    for path in (work / "in.csv", work / "out" / "calibrated.csv"):
+        with open(path, encoding="utf-8", newline="") as f:
+            tables.append([row[:1] + row[2:] for row in csv.reader(f)])
+    assert tables[0] == tables[1]
+
+
 @pytest.mark.parametrize(
     "extra,config",
     [

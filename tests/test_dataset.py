@@ -1,11 +1,14 @@
 import io
 import tracemalloc
+from itertools import compress
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from scorecalib import dataset
 from scorecalib.calibration import calibrate_dataset, fit
 from scorecalib.dataset import (
     GroupId,
@@ -15,6 +18,7 @@ from scorecalib.dataset import (
     dump_dataset,
     load_dataset,
     minority_mask,
+    write_csv,
 )
 from scorecalib.errors import (
     LengthMismatchError,
@@ -218,6 +222,14 @@ def test_constructor_validates_columns():
         ScoreDataset(["p1", "p2"], [0.5, 0.6], [1, 0])
 
 
+@pytest.mark.parametrize("ids", ["pq", b"pq", [1, 2], ["p1", b"p2"], ("p1", None)])
+def test_ids_must_be_str(ids):
+    # a str passed whole was split into its characters, and an int id
+    # failed only when the dataset was written
+    with pytest.raises(TypeError):
+        ScoreDataset(ids, [0.1, 0.2], [True, False])
+
+
 def test_with_scores_requires_one_score_per_pair():
     d = make_dataset([(0.2, "a"), (0.8, "b")])
     with pytest.raises(LengthMismatchError, match="^1 scores for 2 pairs$"):
@@ -271,6 +283,38 @@ def test_round_trip(rows, data):
     assert buf2.getvalue() == buf.getvalue()
 
 
+# pieces of an id: CSV specials, line ends, a non-BMP and a non-ASCII character
+id_text = st.lists(
+    st.sampled_from(["", "p", "7", ",", '"', "\r", "\n", "\r\n", " ", "é", "\U0001F600"]),
+    max_size=4,
+).map("".join)
+
+
+@given(st.lists(id_text, min_size=1, max_size=20), st.data())
+def test_packed_ids_behave_as_a_tuple(tmp_path_factory, ids, data):
+    n = len(ids)
+    minority = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    start, stop = data.draw(st.integers(-n - 1, n + 1)), data.draw(st.integers(-n - 1, n + 1))
+    with mock.patch.object(dataset, "BATCH_ROWS", data.draw(st.sampled_from([1, 3, 8192]))):
+        d = ScoreDataset(iter(ids), np.linspace(0, 1, n), minority, [1] * n)
+        assert len(d.ids) == n and d.ids == tuple(ids) and list(d.ids) == ids
+        assert [d.ids[i] for i in range(-n, n)] == ids + ids and d.ids[-1] == ids[-1]
+        with pytest.raises(IndexError):
+            d.ids[n]
+        assert d.ids[start:stop] == tuple(ids[start:stop])
+        for group, flags in ((MIN, minority), (MAJ, [not m for m in minority])):
+            assert d.subset(group).ids == tuple(compress(ids, flags))
+        assert d.with_scores(np.zeros(n)).ids is d.ids
+        buf = io.StringIO()
+        dump_dataset(d, buf)
+        text = buf.getvalue().encode("utf-8")
+        path = tmp_path_factory.mktemp("ids") / "d.csv"
+        path.write_bytes(text)
+        for source in (text, path):
+            again = load_dataset(source, Schema.PAIR_LEVEL, "minority")
+            assert again == d and again.ids == tuple(ids)
+
+
 # ---------------------------------------------------------------- memory
 
 
@@ -292,12 +336,40 @@ def load_and_calibrate_peak_per_row(n: int, path) -> float:
 
 
 def test_load_and_calibrate_memory_is_linear_in_rows(tmp_path):
-    # measured on Python 3.11: 311 B/row at 1e4 (one read batch of row lists
-    # covers most of the file) and 127 B/row at 1e5, where the dataset itself
-    # (id strings, their tuple, three columns) and the fit's copies dominate.
-    # Read batches of 65,536 rows give 303 B/row at 1e5, and a score column
-    # kept as strings until the build gives 187 B/row
+    # measured on Python 3.11: 303 B/row at 1e4 (one read batch of row lists
+    # covers most of the file) and 78 B/row at 1e5, where the dataset itself
+    # (packed ids, three columns) and the fit's copies dominate.  Read batches
+    # of 65,536 rows gave 303 B/row at 1e5, a score column kept as strings
+    # until the build 187 B/row, and ids held as one str each 127 B/row
     small = load_and_calibrate_peak_per_row(10_000, tmp_path / "small.csv")
     large = load_and_calibrate_peak_per_row(100_000, tmp_path / "large.csv")
     assert large <= small
-    assert large < 150
+    assert large < 100
+
+
+def load_held_per_row(n: int, path, schema: Schema) -> float:
+    """Traced bytes per row that a loaded n-row file holds once
+    ``load_dataset`` has returned."""
+    rng = np.random.default_rng(n)
+    groups = np.where(rng.random(n) < 0.4, "minority", "majority").astype(object)
+    group_columns = [groups] if schema is Schema.PAIR_LEVEL else [groups, groups[::-1]]
+    labels = rng.integers(0, 2, n).astype(str).astype(object)
+    write_csv(path, [schema.header],
+              [[f"p{i}" for i in range(n)], rng.random(n), *group_columns, labels])
+    load_dataset(path, schema, "minority")  # untraced: one-time allocations are not counted
+    tracemalloc.start()
+    try:
+        d = load_dataset(path, schema, "minority")
+        return tracemalloc.get_traced_memory()[0] / len(d)
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("schema", list(Schema))
+@pytest.mark.parametrize("n", [10_000, 100_000])
+def test_loaded_dataset_holds_few_bytes_per_row(tmp_path, schema, n):
+    # measured on Python 3.11: 23.5 B/row at 1e4 and 24.0 at 1e5, either
+    # schema; the packed ids take their characters plus an 8-byte offset,
+    # the columns 8 + 1 + 1 bytes.  Ids held as one str each, in a tuple,
+    # took 72.4 and 72.9 B/row
+    assert load_held_per_row(n, tmp_path / "d.csv", schema) < 40

@@ -59,8 +59,8 @@ def assert_same_ingest(data: bytes, schema, vocab):
     assert len(rows) == len(old_rows)
     # the raw columns the CLI echoes, with each distinct token stored once
     for j, column in enumerate(rows.columns[2:], start=2):
-        assert column == [row[j] for row in old_rows]
-        assert len({id(token) for token in column}) == len(set(column))
+        assert column[:].tolist() == [row[j] for row in old_rows]
+        assert len(column.table) == len(set(column.table.tolist()))
     return want
 
 
