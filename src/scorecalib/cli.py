@@ -127,12 +127,13 @@ def _beta(value) -> BetaParams:
     return BetaParams(*_list(value.split(",") if isinstance(value, str) else value, _float, 2))
 
 
-def _load_input(s: dict, path) -> tuple[ScoreDataset, list]:
-    """The dataset and its raw group-token and label columns as
-    :class:`~scorecalib.dataset.Tokens`, echoed into ``calibrated.csv``."""
-    if not path:
-        raise InputError("--input is required")
-    rows = parse_rows(path, s["schema"])
+def _load_input(s: dict, key: str) -> tuple[ScoreDataset, list]:
+    """The dataset at the path option ``key`` and its raw group-token and
+    label columns as :class:`~scorecalib.dataset.Tokens`, echoed into
+    ``calibrated.csv``."""
+    if not s[key]:
+        raise InputError(f"--{key} is required")
+    rows = parse_rows(s[key], s["schema"])
     vocab = GroupVocabulary(s["minority_token"], s["majority_token"])
     return dataset_from_rows(rows, s["schema"], vocab), rows.columns[2:]
 
@@ -229,7 +230,7 @@ def cmd_generate(s: dict) -> int:
 
 
 def cmd_measure(s: dict) -> int:
-    d, _ = _load_input(s, s["input"])
+    d, _ = _load_input(s, "input")
     out_dir = _out_dir(s)
 
     no_after = dict.fromkeys(("risk", "auc_before", "auc_after"))
@@ -247,10 +248,10 @@ def cmd_measure(s: dict) -> int:
 
 
 def cmd_calibrate(s: dict) -> int:
-    d, raw_columns = _load_input(s, s["input"])
+    d, raw_columns = _load_input(s, "input")
     algorithm, sigma, seed, fit_sel = s["algorithm"], s["sigma"], s["seed"], s["fit"]
     out_dir = _out_dir(s)
-    fit_set = d if fit_sel == "self" else _load_input(s, fit_sel)[0]
+    fit_set = d if fit_sel == "self" else _load_input(s, "fit")[0]
 
     model, calibrated = None, d
     if algorithm == "calib":

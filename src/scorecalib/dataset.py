@@ -14,7 +14,6 @@ import gc
 import io
 import json
 import re
-from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import islice
@@ -73,6 +72,10 @@ def _column(values, dtype) -> np.ndarray:
     return col
 
 
+# UTF-8 text with no object per id; an id of up to 15 bytes is held inline
+_ID = np.dtypes.StringDType(coerce=False)
+
+
 def minority_mask(groups) -> np.ndarray:
     """Minority flags from bool flags (returned as an array) or GroupIds."""
     arr = np.asarray(groups)
@@ -83,88 +86,6 @@ def minority_mask(groups) -> np.ndarray:
         if not isinstance(g, GroupId):
             raise TypeError(f"group must be a GroupId or a bool flag, got {g!r}")
     return np.array([g is GroupId.MINORITY for g in flags], dtype=bool)
-
-
-class PackedText:
-    """A column of str held as one str and int64 offsets, with no object per
-    item: item ``i`` is ``text[offsets[i]:offsets[i + 1]]``.  This is the
-    variable-size binary layout of the Apache Arrow columnar format.
-
-    It has a ``len``, indexes (negative too) and iterates as a tuple of its
-    str does, and equals such a tuple.  A slice (step 1) is a packed column
-    of that range, with its own copy of the range's text.
-    """
-
-    __slots__ = ("text", "offsets")
-
-    def __init__(self, text: str, offsets: np.ndarray):
-        self.text, self.offsets = text, offsets
-
-    @classmethod
-    def join(cls, texts: list[str], lengths) -> "PackedText":
-        """The column of consecutive ``texts``, given 0 and then each item's length."""
-        offsets = np.cumsum(lengths, dtype=np.int64)
-        offsets.setflags(write=False)
-        return cls("".join(texts), offsets)
-
-    @classmethod
-    def pack(cls, strings: Iterable[str]) -> "PackedText":
-        """``strings`` packed one :data:`BATCH_ROWS` batch at a time (a packed
-        column as it is); raises TypeError for a str or bytes passed whole
-        and for an item that is not a str."""
-        if isinstance(strings, PackedText):
-            return strings
-        if isinstance(strings, (str, bytes)):
-            raise TypeError(f"expected an iterable of str, got {type(strings).__name__}")
-        items, texts, lengths = iter(strings), [], array("q", [0])
-        while batch := list(islice(items, BATCH_ROWS)):
-            texts.append("".join(batch))  # TypeError for an item that is not a str
-            lengths.extend(map(len, batch))
-        return cls.join(texts, lengths)
-
-    def __len__(self) -> int:
-        return len(self.offsets) - 1
-
-    def __getitem__(self, i):
-        if not isinstance(i, slice):
-            i = range(len(self))[i]  # a negative index, and IndexError, as a tuple has them
-            return self.text[self.offsets[i]:self.offsets[i + 1]]
-        start, stop, step = i.indices(len(self))
-        if step != 1:
-            raise ValueError("a packed column is sliced with step 1 only")
-        offsets = self.offsets[start:max(start, stop) + 1]
-        return PackedText(self.text[offsets[0]:offsets[-1]], offsets - offsets[0])
-
-    def __iter__(self):
-        for start in range(0, len(self), BATCH_ROWS):
-            yield from self[start:start + BATCH_ROWS].tolist()
-
-    def tolist(self) -> list[str]:
-        """Every item as a str, all at once (meant for one batch)."""
-        ends = self.offsets.tolist()
-        return [self.text[a:b] for a, b in zip(ends, ends[1:])]
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, PackedText):
-            return self.text == other.text and np.array_equal(self.offsets, other.offsets)
-        if isinstance(other, tuple):
-            return len(other) == len(self) and all(a == b for a, b in zip(self, other))
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return f"PackedText({tuple(self)!r})"
-
-    def take(self, mask: np.ndarray) -> "PackedText":
-        """The items where the bool ``mask`` is true.  Each batch's text is
-        masked as an array of its characters, so no item becomes a str."""
-        codec, dtype = ("ascii", np.uint8) if self.text.isascii() else ("utf-32-le", np.uint32)
-        texts = []
-        for start in range(0, len(self), BATCH_ROWS):
-            offsets = self.offsets[start:start + BATCH_ROWS + 1]
-            chars = self.text[offsets[0]:offsets[-1]].encode(codec, "surrogatepass")
-            keep = np.repeat(mask[start:start + BATCH_ROWS], np.diff(offsets))
-            texts.append(np.frombuffer(chars, dtype)[keep].tobytes().decode(codec, "surrogatepass"))
-        return PackedText.join(texts, np.concatenate(([0], np.diff(self.offsets)[mask])))
 
 
 class Tokens:
@@ -188,21 +109,32 @@ class Tokens:
 class ScoreDataset:
     """Immutable, validated scored pairs held as read-only columns.
 
-    ``ids`` is a :class:`PackedText` and ``is_minority`` a bool array; scores
-    (float64 in [0, 1]) and labels (int8: 0, 1, or -1 for missing) are
-    read through :meth:`scores` and :meth:`labels`.  ``labeled`` is true
-    iff every pair carries a label; mixed labeling is permitted and
-    simply yields an unlabeled dataset.
+    ``ids`` is a numpy ``StringDType`` array and ``is_minority`` a bool
+    array; scores (float64 in [0, 1]) and labels (int8: 0, 1, or -1 for
+    missing) are read through :meth:`scores` and :meth:`labels`.
+    ``labeled`` is true iff every pair carries a label; mixed labeling is
+    permitted and simply yields an unlabeled dataset.
     """
 
-    ids: PackedText
+    ids: np.ndarray
     is_minority: np.ndarray
     labeled: bool
     _scores: np.ndarray
     _labels: np.ndarray
 
     def __init__(self, ids: Iterable[str], scores, is_minority, labels=None):
-        ids = PackedText.pack(ids)
+        if isinstance(ids, (str, bytes)):
+            raise TypeError(f"expected an iterable of str, got {type(ids).__name__}")
+        try:
+            ids = np.fromiter(ids, _ID)  # a private copy of any iterable of str
+        except ValueError as exc:  # an item not a str, or a lone surrogate (no UTF-8 form)
+            raise TypeError(f"ids must be str: {exc}") from None
+        self._hold(ids, scores, is_minority, labels)
+
+    def _hold(self, ids: np.ndarray, scores, is_minority, labels) -> "ScoreDataset":
+        """Check and set the columns, copying all but ``ids``: an id column
+        built in this module, held as it is and made read-only here."""
+        ids.setflags(write=False)
         is_minority = np.asarray(is_minority)
         if is_minority.size and is_minority.dtype != bool:
             raise TypeError(f"is_minority must hold bools, got dtype {is_minority.dtype}")
@@ -226,6 +158,7 @@ class ScoreDataset:
         for name, col in columns.items():
             object.__setattr__(self, name, col)
         object.__setattr__(self, "labeled", bool((columns["_labels"] >= 0).all()))
+        return self
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -233,9 +166,9 @@ class ScoreDataset:
     def __eq__(self, other) -> bool:
         if not isinstance(other, ScoreDataset):
             return NotImplemented
-        return self.ids == other.ids and all(
+        return all(
             np.array_equal(getattr(self, c), getattr(other, c))
-            for c in ("_scores", "is_minority", "_labels")
+            for c in ("ids", "_scores", "is_minority", "_labels")
         )
 
     def _require_labels(self) -> None:
@@ -267,8 +200,8 @@ class ScoreDataset:
 
     def subset(self, group: GroupId) -> "ScoreDataset":
         mask = self._mask(group)
-        return ScoreDataset(
-            self.ids.take(mask),
+        return object.__new__(ScoreDataset)._hold(
+            self.ids[mask],
             self._scores[mask],
             self.is_minority[mask],
             self._labels[mask],
@@ -278,7 +211,9 @@ class ScoreDataset:
         """Same pairs (ids, groups, labels) with scores replaced."""
         if len(new_scores) != len(self):
             raise LengthMismatchError(f"{len(new_scores)} scores for {len(self)} pairs")
-        return ScoreDataset(self.ids, new_scores, self.is_minority, self._labels)
+        return object.__new__(ScoreDataset)._hold(
+            self.ids, new_scores, self.is_minority, self._labels
+        )
 
 
 class GroupVocabulary:
@@ -364,11 +299,8 @@ def _column_text(part) -> Sequence[str]:
     any other str as it is."""
     if isinstance(part, np.ndarray) and part.dtype == np.float64:
         return float_text(part)
-    if isinstance(part, PackedText):
-        part, joined = part.tolist(), part.text
-    else:
-        joined = "".join(part)
-    if not any(c in joined for c in _QUOTED):
+    part = list(part)  # an id array's str are made once, for the check and the rows
+    if not any(c in "".join(part) for c in _QUOTED):
         return part
     quoted = {field: _csv_field(field) for field in set(part)}
     return list(map(quoted.__getitem__, part))
@@ -379,8 +311,8 @@ def write_csv(dest, header: Sequence[Sequence[str]], columns: Sequence) -> None:
     equal-length ``columns``, with ``\\n`` line ends.
 
     A column is a float64 array (each float written as its ``repr``, see
-    :func:`float_text`) or a sequence of str, such as :class:`PackedText`
-    or :class:`Tokens`, sliced one batch at a time.  Fields are quoted as
+    :func:`float_text`) or a sequence of str, such as an id array or
+    :class:`Tokens`, sliced one batch at a time.  Fields are quoted as
     ``csv.writer`` quotes them, except that a CR is quoted on every
     Python version.  Rows are joined and written :data:`BATCH_ROWS` at a
     time, so the writer never holds the whole file's text.
@@ -459,7 +391,8 @@ def _codes(raw: list[str], table: dict) -> np.ndarray:
 class CsvRows:
     """The rows of a CSV input after its first row, as ``width`` columns: a
     float64 array for each index in ``floats``, and for the rest the
-    first field as :class:`PackedText` and the others as :class:`Tokens`.
+    first field as a numpy ``StringDType`` array and the others as
+    :class:`Tokens`.
 
     A path is streamed from disk and re-read only on the error path.
     Bytes and file objects are decoded to one string up front (as
@@ -476,7 +409,7 @@ class CsvRows:
     so none of its strings outlives its batch.  If ``float`` rejects a
     field, its whole batch reads NaN, which fails every range and finite
     check, so the caller parses :meth:`reread` for the message.  Every
-    other column is packed or coded batch by batch, so no field keeps an
+    other column is built or coded batch by batch, so no field keeps an
     object of its own; a token column stores each distinct str once.
 
     ``header`` is the first row (None if the text has none).  ``columns``
@@ -489,7 +422,6 @@ class CsvRows:
         self.header = self.columns = None
         columns = [[] for _ in range(width)]
         tables = [{} for _ in range(width)]  # each token column's code of each distinct str
-        lengths = array("q", [0])  # 0, then each id's length
         if isinstance(source, (str, Path)):
             self._path, self._text = Path(source), None
             stream = open(self._path, encoding="utf-8", newline="")  # closed by the with below
@@ -514,15 +446,13 @@ class CsvRows:
                         elif j:
                             column.append(_codes(raw, tables[j]))
                         else:
-                            column.append("".join(raw))
-                            lengths.extend(map(len, raw))
+                            column.append(np.array(raw, _ID))
         except (UnicodeDecodeError, csv.Error):
             return
         self.columns = [
-            np.concatenate(column or [np.empty(0)]) if j in floats
-            else Tokens(np.concatenate(column or [np.empty(0, np.uint8)]),
-                        np.array(list(tables[j]), dtype=object)) if j
-            else PackedText.join(column, lengths)
+            Tokens(np.concatenate(column or [np.empty(0, np.uint8)]),
+                   np.array(list(tables[j]), dtype=object)) if j and j not in floats
+            else np.concatenate(column or [np.empty(0, np.float64 if j in floats else _ID)])
             for j, column in enumerate(columns)
         ]
 
@@ -542,7 +472,8 @@ def _header_matches(header, schema: Schema) -> bool:
 
 def parse_rows(source, schema: Schema) -> CsvRows:
     """Read and shape-check CSV rows: the score column as a float64 array,
-    the ids as :class:`PackedText`, every other field as :class:`Tokens`.
+    the ids as a numpy ``StringDType`` array, every other field as
+    :class:`Tokens`.
 
     Returns data rows only (header consumed; blank rows skipped).  The
     file is streamed in batches (:class:`CsvRows`), so no row list, field
@@ -637,7 +568,8 @@ def dataset_from_rows(rows: CsvRows, schema: Schema, vocab: GroupVocabulary) -> 
             flags = [vocab.resolve(t.strip()) is GroupId.MINORITY for t in column.table]
             minority |= np.array(flags, dtype=bool)[column.codes]
         labels = np.array([_parse_label(t) for t in label_column.table], dtype=np.int8)
-        return ScoreDataset(ids, scores, minority, labels[label_column.codes])
+        labels = labels[label_column.codes]
+        return object.__new__(ScoreDataset)._hold(ids, scores, minority, labels)
     except InputError:
         _raise_first_error(rows, schema, vocab)
 

@@ -77,7 +77,7 @@ def test_calibrate_dataset_worked_example(example_dataset):
     out = calibrate_dataset(model, example_dataset)
     assert out.scores().tolist() == pytest.approx(HAND_TRACE, abs=1e-9)
     # ids, groups and labels untouched
-    assert out.ids == example_dataset.ids
+    assert out.ids is example_dataset.ids
     assert out.groups() == example_dataset.groups()
 
 

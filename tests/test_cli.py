@@ -200,6 +200,17 @@ def test_calibrate_held_out_fit(tmp_path):
     assert report["fit"] == str(fit_file)
 
 
+def test_calibrate_empty_fit_path_exit_2(tmp_path, capsys):
+    csv_path = tmp_path / "scores.csv"
+    write_example_csv(csv_path)
+    code = run(
+        "calibrate", "--input", csv_path, "--minority-token", "a",
+        "--fit", "", "--out-dir", tmp_path / "out",
+    )
+    assert code == 2
+    assert capsys.readouterr().err == "error: --fit is required\n"
+
+
 def test_calibrate_ccalib_with_gamma(tmp_path):
     csv_path = tmp_path / "scores.csv"
     write_example_csv(csv_path)
@@ -344,11 +355,14 @@ def test_end_to_end_determinism(tmp_path):
 
 
 @given(st.lists(st.text(max_size=6), min_size=2, max_size=6))
+@example(["", "0\r"])
 def test_calibrated_csv_round_trips_any_id(tmp_path_factory, ids):
-    # ids needing quotes ("a,1", c"x, line breaks) must survive calibrate
+    # ids needing quotes ("a,1", c"x, line breaks) must survive calibrate.
+    # The input keeps csv.writer's "\r\n" line end: with "\n", Python
+    # before 3.12 leaves a lone CR unquoted, and reading splits the row there
     work = tmp_path_factory.mktemp("ids")
     with open(work / "in.csv", "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
+        writer = csv.writer(f)
         writer.writerow(["id", "score", "group", "label"])
         for i, pid in enumerate(ids):
             writer.writerow([pid, (i + 1) / 10, "ab"[i % 2], ""])
@@ -356,7 +370,7 @@ def test_calibrated_csv_round_trips_any_id(tmp_path_factory, ids):
     assert run("calibrate", "--input", work / "in.csv", "--sigma", 0, *args) == 0
     d_in = load_dataset(work / "in.csv", Schema.PAIR_LEVEL, "a")
     d_out = load_dataset(work / "out" / "calibrated.csv", Schema.PAIR_LEVEL, "a")
-    assert d_out.ids == d_in.ids
+    assert d_out.ids.tolist() == d_in.ids.tolist()
     assert d_out.groups() == d_in.groups()
     assert run("measure", "--input", work / "out" / "calibrated.csv", *args) == 0
 

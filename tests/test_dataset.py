@@ -197,13 +197,13 @@ def test_mixed_labels_survive_dump():
 
 def test_columns_are_read_only_arrays():
     d = make_dataset([(0.2, "a"), (0.9, "b")], labels=[1, 0])
-    assert d.ids == ("p1", "p2")
+    assert isinstance(d.ids.dtype, np.dtypes.StringDType) and d.ids.tolist() == ["p1", "p2"]
     assert d.scores().dtype == np.float64 and d.scores().tolist() == [0.2, 0.9]
     assert d.is_minority.tolist() == [True, False]
     assert d.labels().dtype == np.int8 and d.labels().tolist() == [1, 0]
-    for column in (d.scores(), d.is_minority, d.labels()):
-        with pytest.raises(ValueError):
-            column[0] = 0
+    for column in (d.ids, d.scores(), d.is_minority, d.labels()):
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = column[1]
     assert ScoreDataset(d.ids, d.scores(), d.is_minority, d.labels()) == d
 
 
@@ -222,12 +222,27 @@ def test_constructor_validates_columns():
         ScoreDataset(["p1", "p2"], [0.5, 0.6], [1, 0])
 
 
-@pytest.mark.parametrize("ids", ["pq", b"pq", [1, 2], ["p1", b"p2"], ("p1", None)])
+@pytest.mark.parametrize(
+    "ids", ["pq", b"pq", [1, 2], ["p1", b"p2"], ("p1", None), ["p1", "\ud800"]]
+)
 def test_ids_must_be_str(ids):
     # a str passed whole was split into its characters, and an int id
-    # failed only when the dataset was written
+    # failed only when the dataset was written; a lone surrogate has no
+    # UTF-8 form, so it is no id either
     with pytest.raises(TypeError):
         ScoreDataset(ids, [0.1, 0.2], [True, False])
+
+
+def test_id_arrays_from_callers_are_copied():
+    # the dataset's ids stay as they were when the caller's array changes
+    writable = np.array(["p1", "p2"], dtype=np.dtypes.StringDType())
+    view = writable[:]
+    view.setflags(write=False)
+    for ids in (writable, view):
+        d = ScoreDataset(ids, [0.1, 0.2], [True, False])
+        writable[0] = "changed"
+        assert d.ids.tolist() == ["p1", "p2"] and not d.ids.flags.writeable
+        writable[0] = "p1"
 
 
 def test_with_scores_requires_one_score_per_pair():
@@ -291,19 +306,21 @@ id_text = st.lists(
 
 
 @given(st.lists(id_text, min_size=1, max_size=20), st.data())
-def test_packed_ids_behave_as_a_tuple(tmp_path_factory, ids, data):
+def test_ids_are_a_read_only_string_array(tmp_path_factory, ids, data):
     n = len(ids)
     minority = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
     start, stop = data.draw(st.integers(-n - 1, n + 1)), data.draw(st.integers(-n - 1, n + 1))
     with mock.patch.object(dataset, "BATCH_ROWS", data.draw(st.sampled_from([1, 3, 8192]))):
         d = ScoreDataset(iter(ids), np.linspace(0, 1, n), minority, [1] * n)
-        assert len(d.ids) == n and d.ids == tuple(ids) and list(d.ids) == ids
+        assert isinstance(d.ids.dtype, np.dtypes.StringDType) and not d.ids.flags.writeable
+        assert len(d.ids) == n and d.ids.tolist() == ids and list(d.ids) == ids
         assert [d.ids[i] for i in range(-n, n)] == ids + ids and d.ids[-1] == ids[-1]
         with pytest.raises(IndexError):
             d.ids[n]
-        assert d.ids[start:stop] == tuple(ids[start:stop])
+        assert d.ids[start:stop].tolist() == ids[start:stop]
         for group, flags in ((MIN, minority), (MAJ, [not m for m in minority])):
-            assert d.subset(group).ids == tuple(compress(ids, flags))
+            part = d.subset(group).ids
+            assert part.tolist() == list(compress(ids, flags)) and not part.flags.writeable
         assert d.with_scores(np.zeros(n)).ids is d.ids
         buf = io.StringIO()
         dump_dataset(d, buf)
@@ -312,7 +329,7 @@ def test_packed_ids_behave_as_a_tuple(tmp_path_factory, ids, data):
         path.write_bytes(text)
         for source in (text, path):
             again = load_dataset(source, Schema.PAIR_LEVEL, "minority")
-            assert again == d and again.ids == tuple(ids)
+            assert again == d and again.ids.tolist() == ids and not again.ids.flags.writeable
 
 
 # ---------------------------------------------------------------- memory
@@ -336,9 +353,9 @@ def load_and_calibrate_peak_per_row(n: int, path) -> float:
 
 
 def test_load_and_calibrate_memory_is_linear_in_rows(tmp_path):
-    # measured on Python 3.11: 303 B/row at 1e4 (one read batch of row lists
-    # covers most of the file) and 78 B/row at 1e5, where the dataset itself
-    # (packed ids, three columns) and the fit's copies dominate.  Read batches
+    # measured on Python 3.11: 306 B/row at 1e4 (one read batch of row lists
+    # covers most of the file) and 80 B/row at 1e5, where the dataset itself
+    # (ids, three columns) and the fit's copies dominate.  Read batches
     # of 65,536 rows gave 303 B/row at 1e5, a score column kept as strings
     # until the build 187 B/row, and ids held as one str each 127 B/row
     small = load_and_calibrate_peak_per_row(10_000, tmp_path / "small.csv")
@@ -368,8 +385,8 @@ def load_held_per_row(n: int, path, schema: Schema) -> float:
 @pytest.mark.parametrize("schema", list(Schema))
 @pytest.mark.parametrize("n", [10_000, 100_000])
 def test_loaded_dataset_holds_few_bytes_per_row(tmp_path, schema, n):
-    # measured on Python 3.11: 23.5 B/row at 1e4 and 24.0 at 1e5, either
-    # schema; the packed ids take their characters plus an 8-byte offset,
-    # the columns 8 + 1 + 1 bytes.  Ids held as one str each, in a tuple,
-    # took 72.4 and 72.9 B/row
+    # measured on Python 3.11: 26.6 B/row at 1e4 and 26.1 at 1e5, either
+    # schema; each id takes a 16-byte StringDType slot (which holds up to 15
+    # bytes inline), the columns 8 + 1 + 1 bytes.  Ids held as one str
+    # each, in a tuple, took 72.4 and 72.9 B/row
     assert load_held_per_row(n, tmp_path / "d.csv", schema) < 40

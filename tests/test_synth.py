@@ -30,6 +30,8 @@ def test_counts_and_labels():
     assert d.count(GroupId.MAJORITY) == 300
     assert d.labeled
     assert d.scores().min() >= 0.0 and d.scores().max() <= 1.0
+    assert isinstance(d.ids.dtype, np.dtypes.StringDType) and not d.ids.flags.writeable
+    assert d.ids[[0, -1]].tolist() == ["p001", "p500"]
 
 
 def test_deterministic():

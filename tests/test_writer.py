@@ -188,7 +188,7 @@ def test_writer_memory_does_not_grow_with_rows(tmp_path):
 
 # ---------------------------------------------------------------- CR inside a quoted field
 
-CR_IDS = ("a\rb", "c\r\nd", "plain", 'q"\r')
+CR_IDS = ["a\rb", "c\r\nd", "plain", 'q"\r']
 CR_TEXT = (
     "id,score,group,label\n"
     '"a\rb",0.25,a,1\n'
@@ -203,7 +203,7 @@ def test_ids_holding_cr_survive_load_and_dump(tmp_path, from_path):
     source = tmp_path / "in.csv"
     source.write_bytes(CR_TEXT.encode("utf-8"))
     d = load_dataset(source if from_path else CR_TEXT.encode("utf-8"), Schema.PAIR_LEVEL, "a")
-    assert d.ids == CR_IDS
+    assert d.ids.tolist() == CR_IDS
     dumped = tmp_path / "dumped.csv"
     dump_dataset(d, dumped)
     for again in (dumped, dumped.read_bytes()):
@@ -223,7 +223,7 @@ def test_ids_holding_cr_survive_calibrate_then_measure(tmp_path, from_path):
     back = load_dataset(
         calibrated if from_path else calibrated.read_bytes(), Schema.PAIR_LEVEL, "a"
     )
-    assert back.ids == CR_IDS
+    assert back.ids.tolist() == CR_IDS
     assert main(["measure", "--input", str(calibrated), "--minority-token", "a",
                  "--out-dir", str(tmp_path / "measure")]) == 0
 
