@@ -37,7 +37,7 @@ from .dataset import (
     write_csv,
     write_json,
 )
-from .empirical import DEFAULT_SIGMA, StepCurve, auc
+from .empirical import DEFAULT_SIGMA, StepCurve, auc, write_curves
 from .errors import (
     AlgorithmError,
     InputError,
@@ -147,7 +147,8 @@ def _safe_auc(d: ScoreDataset):
 
 def _report_metrics(out_dir: Path, kinds, thresholds, stages: dict, run: dict) -> dict:
     """Every metric's report.json entry, read off one pair of group curves
-    per (curve kind, stage); writes those curves once every entry is built.
+    per (curve kind, stage); writes those curves once every entry is built,
+    the curves of one (stage, group) in one walk (:func:`write_curves`).
 
     ``stages`` maps "before" (and "after") to a dataset.  ``run`` holds
     the run's risk and overall AUCs, which every entry repeats.
@@ -159,7 +160,8 @@ def _report_metrics(out_dir: Path, kinds, thresholds, stages: dict, run: dict) -
             bias[part, stage] = curve_bias(pair)
             gaps[part, stage] = curve_gaps(pair, thresholds)
             for group, curve in pair.items():
-                curves[f"{part.value}_{group.value}_{stage}"] = curve
+                stem = f"{part.value}_{group.value}_{stage}"
+                curves.setdefault((stage, group), {})[out_dir / f"{stem}.csv"] = curve
     entries = {}
     for kind in kinds:
         entry = entries[kind.value] = {"metric": kind.value, "after": None, **run}
@@ -173,8 +175,8 @@ def _report_metrics(out_dir: Path, kinds, thresholds, stages: dict, run: dict) -
             part.name.lower(): {stage: bias[part, stage] for stage in stages}
             for part in kind.parts
         }
-    for stem, curve in sorted(curves.items()):
-        curve.to_csv(out_dir / f"{stem}.csv")
+    for same_group in curves.values():
+        write_curves(same_group)
     return entries
 
 

@@ -282,7 +282,10 @@ def float_text(values: np.ndarray) -> list[str]:
 
     Distinct values are found on the bit patterns, so -0.0 keeps its
     sign (a value-unique would merge it with 0.0)."""
-    bits, inverse = np.unique(np.asarray(values, np.float64).view(np.uint64), return_inverse=True)
+    values = np.asarray(values, np.float64)
+    bits, inverse = np.unique(values.view(np.uint64), return_inverse=True)
+    if bits.size == values.size:  # no text to share
+        return list(map(repr, values.tolist()))
     text = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
     return text[inverse].tolist()
 
@@ -320,8 +323,12 @@ def write_csv(dest, header: Sequence[Sequence[str]], columns: Sequence) -> None:
     with text_writer(dest) as f:
         f.writelines(",".join(map(_csv_field, row)) + "\n" for row in header)
         for start in range(0, len(columns[0]), BATCH_ROWS):
-            batch = [_column_text(col[start:start + BATCH_ROWS]) for col in columns]
-            f.write("\n".join(map(",".join, zip(*batch))) + "\n")
+            _write_rows(f, [_column_text(col[start:start + BATCH_ROWS]) for col in columns])
+
+
+def _write_rows(f, batch: Sequence[Sequence[str]]) -> None:
+    """One batch of rows, given as equal-length columns of CSV field text."""
+    f.write("\n".join(map(",".join, zip(*batch))) + "\n")
 
 
 def write_json(dest, payload) -> None:

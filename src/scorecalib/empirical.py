@@ -9,12 +9,14 @@ distributions on [0, 1].
 from __future__ import annotations
 
 import csv
+from contextlib import ExitStack
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .dataset import CsvRows, GroupId, ScoreDataset, _column, write_csv
+from . import dataset  # BATCH_ROWS and float_text, looked up at each call
+from .dataset import CsvRows, GroupId, ScoreDataset, _column, _write_rows, text_writer
 from .errors import (
     EmptyGroupError,
     EmptyInputError,
@@ -157,8 +159,7 @@ class StepCurve:
 
     def to_csv(self, dest) -> None:
         """Write ``theta,value`` rows: one for theta=0, one per breakpoint."""
-        header = [("theta", "value"), ("0", repr(float(self.values[0])))]
-        write_csv(dest, header, [self.breakpoints, self.values[1:]])
+        write_curves({dest: self})
 
     @classmethod
     def from_csv(cls, source) -> "StepCurve":
@@ -187,6 +188,41 @@ class StepCurve:
             return cls(thetas[1:], values)
         except ValueError as exc:
             raise MalformedCurveError(str(exc)) from None
+
+
+def write_curves(curves: dict) -> None:
+    """Write each curve of ``curves`` (destination: :class:`StepCurve`) as
+    :meth:`StepCurve.to_csv` does, in one walk over the sorted union of
+    their breakpoints: in batches of the longest curve's
+    :data:`~scorecalib.dataset.BATCH_ROWS` thetas, each joined by the other
+    curves' rows up to its last (contiguous rows, as breakpoints increase).
+    A batch's union is formatted once and each curve's rows index its text;
+    a row whose bits differ from the union's (-0.0 against 0.0) is
+    formatted itself.  Each open file holds one batch of text."""
+    longest = max((curve.breakpoints for curve in curves.values()), key=len)
+    with ExitStack() as stack:
+        files = []
+        for dest, curve in curves.items():
+            f = stack.enter_context(text_writer(dest))
+            f.write(f"theta,value\n0,{float(curve.values[0])!r}\n")
+            files.append((f, curve.breakpoints, curve.values[1:]))
+        low, batch = -np.inf, dataset.BATCH_ROWS
+        for end in range(batch, longest.size + batch, batch):
+            top = longest[end - 1] if end < longest.size else np.inf
+            rows = [(f, bp[lo:hi], rates[lo:hi]) for f, bp, rates in files
+                    for lo, hi in [np.searchsorted(bp, (low, top), "right")]]
+            part = np.unique(np.concatenate([own for _, own, _ in rows]))
+            text = dataset.float_text(part)
+            for f, own, rates in rows:
+                if not own.size:
+                    continue
+                at = np.searchsorted(part, own)
+                thetas = list(map(text.__getitem__, at.tolist()))
+                differ = np.flatnonzero(own.view(np.uint64) != part[at].view(np.uint64))
+                for i, field in zip(differ.tolist(), dataset.float_text(own[differ])):
+                    thetas[i] = field
+                _write_rows(f, [thetas, dataset.float_text(rates)])
+            low = top
 
 
 def _curve_fields(text) -> tuple[np.ndarray, np.ndarray]:
@@ -268,7 +304,11 @@ def merged_grid(c1: StepCurve, c2: StepCurve) -> tuple[np.ndarray, np.ndarray, n
 
 def integrate_abs_difference(c1: StepCurve, c2: StepCurve) -> float:
     """Exact integral of |c1 - c2| over [0, 1] via merged breakpoints."""
-    grid, v1, v2 = merged_grid(c1, c2)
+    return grid_area(*merged_grid(c1, c2))
+
+
+def grid_area(grid: np.ndarray, v1: np.ndarray, v2: np.ndarray) -> float:
+    """Exact integral of |v1 - v2| over [0, 1] for a :func:`merged_grid`."""
     if grid.size > 1 and grid[-2] == 1.0:  # a breakpoint at 1 ends the last interval
         grid, v1, v2 = grid[:-1], v1[:-1], v2[:-1]
     return float(np.sum(np.abs(v1 - v2) * np.diff(grid, prepend=0.0)))

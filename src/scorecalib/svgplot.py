@@ -16,7 +16,7 @@ import re
 
 import numpy as np
 
-from .empirical import StepCurve, integrate_abs_difference, merged_grid
+from .empirical import StepCurve, grid_area, merged_grid
 from .errors import InvalidParameterError
 
 WIDTH, HEIGHT = 720, 480
@@ -68,11 +68,12 @@ def _step_points(breakpoints: np.ndarray, values: np.ndarray) -> list[tuple[floa
     """
     thetas = np.concatenate(([0.0], np.repeat(breakpoints, 2), [1.0]))
     values = np.repeat(values, 2)
-    col = np.floor(_x(thetas))
+    col = np.floor(_x(thetas)).astype(np.int16)  # fewer than WIDTH columns
     new_col = np.concatenate(([True], col[1:] != col[:-1]))
+    del col
     starts = np.flatnonzero(new_col)
-    sizes = np.diff(np.append(starts, col.size))
-    seg = np.cumsum(new_col) - 1  # column number of each corner
+    sizes = np.diff(np.append(starts, new_col.size))
+    seg = np.cumsum(new_col, dtype=np.int32) - 1  # column number of each corner
     keep = new_col | np.repeat(sizes <= 4, sizes)
     keep[starts + sizes - 1] = True
     for reduce in (np.minimum, np.maximum):
@@ -93,9 +94,8 @@ def render_gap_svg(
     title: str = "threshold curves",
 ) -> str:
     """SVG document overlaying two step curves with the |gap| shaded."""
-    area = integrate_abs_difference(curve_a, curve_b)
-
     grid, va, vb = merged_grid(curve_a, curve_b)
+    area = grid_area(grid, va, vb)
     upper = _step_points(grid[:-1], np.maximum(va, vb))
     lower = _step_points(grid[:-1], np.minimum(va, vb))
     band = _polyline(upper) + " " + _polyline(lower[::-1])

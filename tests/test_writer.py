@@ -1,6 +1,8 @@
 """The batched table writer (``write_csv``, ``float_text``, ``write_json``)
-against ``csv.writer``, ``repr`` and ``json.dumps``, its memory bound, and
-ids holding a CR that must survive every write and read."""
+against ``csv.writer``, ``repr`` and ``json.dumps``, the one-walk curve
+writer (``write_curves``) against one ``write_csv`` per curve, the count
+of floats formatted, both writers' memory bounds, and ids holding a CR
+that must survive every write and read."""
 
 import csv
 import io
@@ -8,6 +10,7 @@ import json
 import math
 import os
 import tracemalloc
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -21,12 +24,14 @@ from scorecalib.cli import main
 from scorecalib.conditional import fit_conditional, model_to_dict_conditional, save_model
 from scorecalib.dataset import (
     Schema,
+    ScoreDataset,
     dump_dataset,
     float_text,
     load_dataset,
     write_csv,
     write_json,
 )
+from scorecalib.empirical import StepCurve, pr_curve, write_curves
 
 # csv.writer leaves a bare CR unquoted before Python 3.12 and quotes it
 # from 3.13 on; the writer always quotes it, which the tests pin separately
@@ -159,6 +164,108 @@ def test_model_dict_arrays_are_the_model_lists(example_dataset, algorithm):
     assert json.loads(buf.getvalue()) == {"algorithm": algorithm, **as_lists(payload)}
 
 
+# ---------------------------------------------------------------- curves in one walk
+
+def oracle_to_csv(curve: StepCurve, dest) -> None:
+    """``StepCurve.to_csv`` before the curves of one stage and group were
+    written in one walk: one ``write_csv`` per curve, formatting its own
+    thetas."""
+    header = [("theta", "value"), ("0", repr(float(curve.values[0])))]
+    write_csv(dest, header, [curve.breakpoints, curve.values[1:]])
+
+
+def group_curve_set(scores, labels) -> list[StepCurve]:
+    """One group's dp, eo and fprgap curves, as ``measure`` builds them."""
+    scores, labels = np.array(scores, dtype=np.float64), np.array(labels)
+    return [pr_curve(scores), pr_curve(scores[labels == 1]), pr_curve(scores[labels == 0])]
+
+
+@st.composite
+def curve_sets(draw):
+    """1-4 curves whose breakpoints are value-subsets of one union of
+    thetas in [0, 1]; each curve picks its own sign for a zero theta."""
+    union = sorted(set(draw(st.lists(st.floats(min_value=-0.0, max_value=1.0), max_size=30))))
+    curves = []
+    for _ in range(draw(st.integers(1, 4))):
+        keep = draw(st.lists(st.booleans(), min_size=len(union), max_size=len(union)))
+        thetas = [-t if t == 0 and draw(st.booleans()) else t for t, k in zip(union, keep) if k]
+        values = draw(st.lists(finite_floats, min_size=len(thetas) + 1, max_size=len(thetas) + 1))
+        curves.append(StepCurve(np.array(thetas, dtype=np.float64), np.array(values)))
+    return curves
+
+
+def oracle_texts(curves) -> list[str]:
+    bufs = [io.StringIO() for _ in curves]
+    for curve, buf in zip(curves, bufs):
+        oracle_to_csv(curve, buf)
+    return [buf.getvalue() for buf in bufs]
+
+
+@given(curve_sets(), st.sampled_from([1, 3, 8192]))
+# one group holding -0.0 (label 1) and 0.0 (label 0): eo keeps -0.0, fprgap 0.0
+@example(group_curve_set([-0.0, 0.0, 0.5, 1.0], [1, 0, 1, 0]), 1)
+@example(group_curve_set([0.0, -0.0, 0.25, 0.75, 0.5], [0, 1, 1, 0, 1]), 3)
+@example(group_curve_set([0.0, 5e-324, 1e-300, 1.0], [0, 1, 1, 0]), 8192)
+@example(group_curve_set([-0.0, 5e-324, 0.0], [1, 0, 0]), 1)
+@example([StepCurve(np.array([0.5]), np.array([1.0, 0.0]))], 8192)  # a single breakpoint
+@example([pr_curve([0.5]), pr_curve([0.25, 0.5, 1.0]), StepCurve(np.array([]), np.array([0.5]))], 1)
+def test_write_curves_equals_one_write_csv_per_curve(curves, batch_rows):
+    bufs = [io.StringIO() for _ in curves]
+    with mock.patch.object(dataset, "BATCH_ROWS", batch_rows):
+        write_curves(dict(zip(bufs, curves)))
+        want = oracle_texts(curves)
+        assert [buf.getvalue() for buf in bufs] == want
+        one = io.StringIO()
+        curves[0].to_csv(one)  # the one-curve case of the same walk
+        assert one.getvalue() == want[0]
+
+
+def test_each_curve_keeps_its_own_zero(tmp_path):
+    dp, eo, fprgap = group_curve_set([-0.0, 0.0, 0.5], [1, 0, 1])
+    paths = [tmp_path / f"{name}.csv" for name in ("dp", "eo", "fprgap")]
+    write_curves(dict(zip(paths, (dp, eo, fprgap))))
+    firsts = [path.read_text(encoding="utf-8").splitlines()[2].split(",")[0] for path in paths]
+    assert firsts[1:] == ["-0.0", "0.0"]  # the representatives differ, so one row is its own
+    assert firsts[0] in ("-0.0", "0.0")
+    assert [path.read_text(encoding="utf-8") for path in paths] == oracle_texts([dp, eo, fprgap])
+
+
+def measure_formats(tmp_path, n: int) -> tuple[Counter, np.ndarray, list[StepCurve]]:
+    """The float bit patterns that ``float_text`` formats (one ``repr``
+    each, per call) in ``measure --metric dp eo fprgap`` on n labeled pairs
+    with distinct scores; the input's scores; and the six curves written."""
+    rng = np.random.default_rng(n)
+    scores = rng.random(n)
+    assert np.unique(scores).size == n
+    source, out = tmp_path / f"in{n}.csv", tmp_path / f"out{n}"
+    dump_dataset(ScoreDataset([f"p{i}" for i in range(n)], scores, rng.random(n) < 0.4,
+                              rng.integers(0, 2, n)), source)
+    formatted, real = Counter(), dataset.float_text
+
+    def counting(values):
+        formatted.update(np.unique(np.asarray(values, np.float64).view(np.uint64)).tolist())
+        return real(values)
+
+    with mock.patch.object(dataset, "float_text", counting):
+        assert main(["measure", "--input", str(source), "--metric", "dp", "eo", "fprgap",
+                     "--out-dir", str(out)]) == 0
+    return formatted, scores, [StepCurve.from_csv(path) for path in sorted(out.glob("*.csv"))]
+
+
+def test_measure_formats_each_theta_once(tmp_path):
+    # each group's distinct scores are formatted once for its dp, eo and
+    # fprgap curves together, and each curve's rates once: n + curve rows
+    totals = {}
+    for n in (1_000, 10_000):
+        formatted, scores, curves = measure_formats(tmp_path, n)
+        assert len(curves) == 6
+        rates = Counter(bits for c in curves for bits in c.values[1:].view(np.uint64).tolist())
+        assert formatted == Counter(scores.view(np.uint64).tolist()) + rates
+        totals[n] = sum(formatted.values())
+        assert totals[n] == n + sum(c.breakpoints.size for c in curves)
+    assert totals[10_000] <= 11 * totals[1_000]  # linear in rows
+
+
 # ---------------------------------------------------------------- memory
 
 def traced_peak(n: int, path) -> int:
@@ -184,6 +291,27 @@ def test_writer_memory_does_not_grow_with_rows(tmp_path):
     assert os.path.getsize(tmp_path / "large.csv") > 2_000_000
     assert large <= small * 1.25
     assert large < dataset.BATCH_ROWS * 300  # bytes per row of one batch: its floats, fields and text
+
+
+def curves_traced_peak(n: int, tmp_path) -> int:
+    """Peak bytes traced while ``write_curves`` writes one group's dp, eo
+    and fprgap curves over n distinct scores, built before tracing started."""
+    curves = group_curve_set(np.random.default_rng(n).random(n), np.arange(n) % 2)
+    paths = [tmp_path / f"{kind}{n}.csv" for kind in ("dp", "eo", "fprgap")]
+    tracemalloc.start()
+    try:
+        write_curves(dict(zip(paths, curves)))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_curve_walk_memory_does_not_grow_with_rows(tmp_path):
+    # the walk holds one batch of the union and of each file's text; a
+    # whole-length union or position array would add 8 bytes a theta
+    small = curves_traced_peak(10_000, tmp_path)
+    large = curves_traced_peak(100_000, tmp_path)
+    assert large <= small * 1.25
 
 
 # ---------------------------------------------------------------- CR inside a quoted field
