@@ -278,10 +278,10 @@ _QUOTED = (",", '"', "\r", "\n")
 
 
 def float_text(values: np.ndarray) -> list[str]:
-    """``repr`` of each float, computed once per distinct bit pattern.
-
-    Distinct values are found on the bit patterns, so -0.0 keeps its
-    sign (a value-unique would merge it with 0.0)."""
+    """``repr`` of each float, computed once per distinct bit pattern: the
+    one place that decides which floats share text (in every writer, the
+    curve walk's thetas included).  Distinct values are found on the bit
+    patterns, so -0.0 keeps its sign (a value-unique would merge it with 0.0)."""
     values = np.asarray(values, np.float64)
     bits, inverse = np.unique(values.view(np.uint64), return_inverse=True)
     if bits.size == values.size:  # no text to share

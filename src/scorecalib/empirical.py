@@ -192,37 +192,29 @@ class StepCurve:
 
 def write_curves(curves: dict) -> None:
     """Write each curve of ``curves`` (destination: :class:`StepCurve`) as
-    :meth:`StepCurve.to_csv` does, in one walk over the sorted union of
-    their breakpoints: in batches of the longest curve's
-    :data:`~scorecalib.dataset.BATCH_ROWS` thetas, each joined by the other
-    curves' rows up to its last (contiguous rows, as breakpoints increase).
-    A batch's union is formatted once and each curve's rows index its text;
-    a row whose bits differ from the union's (-0.0 against 0.0) is
-    formatted itself.  Each open file holds one batch of text."""
-    longest = max((curve.breakpoints for curve in curves.values()), key=len)
+    :meth:`StepCurve.to_csv` does, in one walk over their breakpoints: a
+    batch takes every curve's rows up to the lowest of the curves'
+    :data:`~scorecalib.dataset.BATCH_ROWS`-th next thetas, so no curve adds
+    more rows than that.  The batch's thetas, all curves' together, go
+    through one :func:`~scorecalib.dataset.float_text` call, which alone
+    decides which of them share text (-0.0 apart from 0.0), and each curve
+    writes its slice.  Each open file holds one batch of text."""
     with ExitStack() as stack:
         files = []
         for dest, curve in curves.items():
             f = stack.enter_context(text_writer(dest))
             f.write(f"theta,value\n0,{float(curve.values[0])!r}\n")
             files.append((f, curve.breakpoints, curve.values[1:]))
-        low, batch = -np.inf, dataset.BATCH_ROWS
-        for end in range(batch, longest.size + batch, batch):
-            top = longest[end - 1] if end < longest.size else np.inf
-            rows = [(f, bp[lo:hi], rates[lo:hi]) for f, bp, rates in files
-                    for lo, hi in [np.searchsorted(bp, (low, top), "right")]]
-            part = np.unique(np.concatenate([own for _, own, _ in rows]))
-            text = dataset.float_text(part)
-            for f, own, rates in rows:
-                if not own.size:
-                    continue
-                at = np.searchsorted(part, own)
-                thetas = list(map(text.__getitem__, at.tolist()))
-                differ = np.flatnonzero(own.view(np.uint64) != part[at].view(np.uint64))
-                for i, field in zip(differ.tolist(), dataset.float_text(own[differ])):
-                    thetas[i] = field
-                _write_rows(f, [thetas, dataset.float_text(rates)])
-            low = top
+        batch = dataset.BATCH_ROWS
+        while any(bp.size for _, bp, _ in files):
+            top = min((bp[batch - 1] for _, bp, _ in files if bp.size >= batch), default=np.inf)
+            cuts = [np.searchsorted(bp, top, "right") for _, bp, _ in files]
+            text = dataset.float_text(
+                np.concatenate([bp[:k] for (_, bp, _), k in zip(files, cuts)]))
+            for (f, _, rates), k, at in zip(files, cuts, np.cumsum([0, *cuts]).tolist()):
+                if k:
+                    _write_rows(f, [text[at:at + k], dataset.float_text(rates[:k])])
+            files = [(f, bp[k:], rates[k:]) for (f, bp, rates), k in zip(files, cuts)]
 
 
 def _curve_fields(text) -> tuple[np.ndarray, np.ndarray]:

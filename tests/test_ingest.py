@@ -423,3 +423,44 @@ def test_gc_state_is_restored(enabled, data):
         assert gc.isenabled() is enabled
     finally:
         (gc.enable if was else gc.disable)()
+
+
+# ---------------------------------------------------------------- rows parsed
+
+def clean_file(path, kind: str, n: int):
+    """A clean pair-level, record-level or curve CSV of n data rows, and
+    the loader that reads it."""
+    rng = np.random.default_rng(n)
+    if kind == "curve":
+        pr_curve(rng.random(n - 1)).to_csv(path)  # a row for theta=0, then one per score
+        return StepCurve.from_csv
+    schema = Schema(kind)
+    tokens = [["a", "b"][i % 2] for i in range(n)]
+    groups = [tokens] if kind == "pair" else [tokens, tokens[::-1]]
+    path.write_bytes(render([schema.header, *zip(
+        (f"p{i}" for i in range(n)), map(repr, rng.random(n).tolist()), *groups,
+        (str(i % 2) for i in range(n)))]))
+    return lambda source: load_dataset(source, schema, "a")
+
+
+@pytest.mark.parametrize("kind", ["pair", "record", "curve"])
+def test_a_clean_file_is_parsed_once(tmp_path, kind):
+    # every row, header included, passes through csv.reader once, and the
+    # error path's whole-text re-read never runs
+    real = csv.reader
+    for n in (1_000, 10_000):
+        parsed = 0
+
+        def counting(*args, **kwargs):
+            nonlocal parsed
+            for row in real(*args, **kwargs):
+                parsed += 1
+                yield row
+
+        load = clean_file(tmp_path / f"{kind}{n}.csv", kind, n)
+        with mock.patch.object(dataset.csv, "reader", counting), \
+                mock.patch.object(dataset.CsvRows, "reread") as reread:
+            loaded = load(tmp_path / f"{kind}{n}.csv")
+        assert len(loaded.values if kind == "curve" else loaded) == n
+        assert parsed == n + 1
+        reread.assert_not_called()

@@ -209,6 +209,9 @@ def oracle_texts(curves) -> list[str]:
 @example(group_curve_set([-0.0, 5e-324, 0.0], [1, 0, 0]), 1)
 @example([StepCurve(np.array([0.5]), np.array([1.0, 0.0]))], 8192)  # a single breakpoint
 @example([pr_curve([0.5]), pr_curve([0.25, 0.5, 1.0]), StepCurve(np.array([]), np.array([0.5]))], 1)
+# no curve holds the other's thetas: a batch ends at the lower curve's next thetas
+@example([pr_curve([0.1, 0.2, 0.3]), pr_curve([0.6, 0.7, 0.9])], 1)
+@example([pr_curve([0.1, 0.2, 0.3]), pr_curve([0.6, 0.7, 0.9])], 3)
 def test_write_curves_equals_one_write_csv_per_curve(curves, batch_rows):
     bufs = [io.StringIO() for _ in curves]
     with mock.patch.object(dataset, "BATCH_ROWS", batch_rows):
@@ -293,11 +296,10 @@ def test_writer_memory_does_not_grow_with_rows(tmp_path):
     assert large < dataset.BATCH_ROWS * 300  # bytes per row of one batch: its floats, fields and text
 
 
-def curves_traced_peak(n: int, tmp_path) -> int:
-    """Peak bytes traced while ``write_curves`` writes one group's dp, eo
-    and fprgap curves over n distinct scores, built before tracing started."""
-    curves = group_curve_set(np.random.default_rng(n).random(n), np.arange(n) % 2)
-    paths = [tmp_path / f"{kind}{n}.csv" for kind in ("dp", "eo", "fprgap")]
+def curves_traced_peak(curves, tmp_path) -> int:
+    """Peak bytes traced while ``write_curves`` writes ``curves``, which
+    were built before tracing started."""
+    paths = [tmp_path / f"curve{i}.csv" for i in range(len(curves))]
     tracemalloc.start()
     try:
         write_curves(dict(zip(paths, curves)))
@@ -306,12 +308,28 @@ def curves_traced_peak(n: int, tmp_path) -> int:
         tracemalloc.stop()
 
 
+def interleaved(n: int) -> list[StepCurve]:
+    """One group's dp, eo and fprgap curves over n distinct scores, labels
+    alternating: dp holds every theta of the other two."""
+    return group_curve_set(np.random.default_rng(n).random(n), np.arange(n) % 2)
+
+
+def separated(n: int) -> list[StepCurve]:
+    """One group's eo and fprgap curves over n distinct scores, every
+    positive above every negative: no curve holds the other's thetas."""
+    scores = np.random.default_rng(n).random(n)
+    return group_curve_set(scores, scores > np.median(scores))[1:]
+
+
 def test_curve_walk_memory_does_not_grow_with_rows(tmp_path):
-    # the walk holds one batch of the union and of each file's text; a
-    # whole-length union or position array would add 8 bytes a theta
-    small = curves_traced_peak(10_000, tmp_path)
-    large = curves_traced_peak(100_000, tmp_path)
-    assert large <= small * 1.25
+    # the walk holds one batch of each curve's rows and text, whatever
+    # curves share a walk; a batch cut at one curve's thetas alone takes
+    # all of the separated curve that lies below them (about 140 bytes a
+    # theta), and a whole-length position array adds 8 bytes a theta
+    for curve_set, n in ((interleaved, 10_000), (separated, 20_000)):
+        small = curves_traced_peak(curve_set(n), tmp_path)
+        large = curves_traced_peak(curve_set(10 * n), tmp_path)
+        assert large <= small * 1.25, curve_set.__name__
 
 
 # ---------------------------------------------------------------- CR inside a quoted field
