@@ -138,9 +138,9 @@ def _load_input(s: dict, key: str) -> tuple[ScoreDataset, list]:
     return dataset_from_rows(rows, s["schema"], vocab), rows.columns[2:]
 
 
-def _safe_auc(d: ScoreDataset):
+def _safe_auc(d: ScoreDataset, group: GroupId | None = None):
     try:
-        return auc(d)
+        return auc(d, group)
     except ScoreCalibError:
         return None
 
@@ -192,7 +192,7 @@ def _dataset_summary(d: ScoreDataset) -> dict:
 def _auc_by_group(d: ScoreDataset):
     if not d.labeled:
         return None
-    return {group.value: _safe_auc(d.subset(group)) for group in GroupId}
+    return {group.value: _safe_auc(d, group) for group in GroupId}
 
 
 def _out_dir(s: dict) -> Path:

@@ -240,17 +240,19 @@ def pr_curve(scores: Sequence[float]) -> StepCurve:
     """Fraction of scores >= theta, as a step function of theta.
 
     Non-increasing; equals 1 on [0, min(scores)] and 0 above max(scores).
+    One sort; a breakpoint ends each run of equal scores.  A zero one is
+    -0.0 iff every zero score is -0.0: a sort may flip equal zeros' signs.
     """
     arr = unit_scores(scores, "scores")
     if arr.size == 0:
         raise EmptyInputError("cannot build a curve from an empty score list")
-    asc = np.sort(arr)
-    distinct = np.unique(asc)
-    n = arr.size
+    asc, n = np.sort(arr), arr.size
+    ends = np.flatnonzero(np.append(asc[1:] != asc[:-1], True))
+    breakpoints = asc[ends]
+    if breakpoints[0] == 0:  # in [0, 1] a sign bit marks a -0.0, and ends[0] + 1 zeros lead
+        breakpoints[0] = -0.0 if np.signbit(arr).sum() > ends[0] else 0.0
     # value above each breakpoint = fraction strictly greater than it
-    greater = n - np.searchsorted(asc, distinct, side="right")
-    values = np.concatenate(([n], greater)) / n
-    return StepCurve(distinct, values)
+    return StepCurve(breakpoints, np.concatenate(([n], n - 1 - ends)) / n)
 
 
 def conditional_curve(d: ScoreDataset, group: GroupId, label: int) -> StepCurve:
@@ -265,15 +267,14 @@ def conditional_curve(d: ScoreDataset, group: GroupId, label: int) -> StepCurve:
     return pr_curve(stratum)
 
 
-def auc(d: ScoreDataset) -> float:
-    """Probability a positive outranks a negative, ties at half credit.
-
-    Equals the area under the empirical ROC curve.
+def auc(d: ScoreDataset, group: GroupId | None = None) -> float:
+    """Area under the empirical ROC curve of ``d``, or of one ``group``'s
+    pairs read by mask: a positive outranks a negative, ties at half credit.
     """
     if not d.labeled:
         raise UnlabeledDatasetError("AUC requires a fully labeled dataset")
-    scores = d.scores()
-    labels = d.labels()
+    keep = slice(None) if group is None else d._mask(group)
+    scores, labels = d.scores()[keep], d.labels()[keep]
     pos = np.sort(scores[labels == 1])
     neg = np.sort(scores[labels == 0])
     if pos.size == 0 or neg.size == 0:

@@ -10,14 +10,16 @@ from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import scorecalib.cli
+from scorecalib import bias, empirical
 from scorecalib.bias import BiasMetricKind, score_bias, threshold_bias
 from scorecalib.cli import main
-from scorecalib.dataset import Schema, load_dataset
+from scorecalib.dataset import Schema, ScoreDataset, load_dataset
 from scorecalib.empirical import StepCurve, pr_curve
 
 from conftest import EXAMPLE_PAIRS_RAW, parse_svgs
@@ -677,26 +679,52 @@ LABELS = [1, 1, 1, 1, 1, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0]
 
 
 def test_calibrate_builds_each_curve_pair_once(tmp_path, monkeypatch):
-    counts = {"curves": Counter(), "auc": 0, "risk": 0}
+    counts = {"curves": Counter(), "auc": 0, "risk": 0, "subset": 0,
+              "pr_curve": 0, "sort": 0, "unique": 0}
     group_curves, auc, risk_estimate = (
         scorecalib.cli.group_curves, scorecalib.cli.auc, scorecalib.cli.risk_estimate
     )
+    subset, pr_curve_of = ScoreDataset.subset, empirical.pr_curve
+    in_curve = []  # non-empty while a pr_curve call runs
 
     def counting_curves(d, kind):
         counts["curves"][kind, id(d)] += 1
         return group_curves(d, kind)
 
-    def counting_auc(d):
+    def counting_auc(d, group=None):
         counts["auc"] += 1
-        return auc(d)
+        return auc(d, group)
 
     def counting_risk(original, calibrated):
         counts["risk"] += 1
         return risk_estimate(original, calibrated)
 
+    def counting_subset(d, group):
+        counts["subset"] += 1
+        return subset(d, group)
+
+    def counting_pr_curve(scores):
+        counts["pr_curve"] += 1
+        in_curve.append(True)
+        try:
+            return pr_curve_of(scores)
+        finally:
+            in_curve.pop()
+
+    def counted_in_curve(name, func):
+        def counting(*args, **kwargs):
+            counts[name] += bool(in_curve)
+            return func(*args, **kwargs)
+        return counting
+
     monkeypatch.setattr(scorecalib.cli, "group_curves", counting_curves)
     monkeypatch.setattr(scorecalib.cli, "auc", counting_auc)
     monkeypatch.setattr(scorecalib.cli, "risk_estimate", counting_risk)
+    monkeypatch.setattr(ScoreDataset, "subset", counting_subset)
+    monkeypatch.setattr(bias, "pr_curve", counting_pr_curve)  # group_curves' dp curves
+    monkeypatch.setattr(empirical, "pr_curve", counting_pr_curve)  # conditional_curve's
+    monkeypatch.setattr(np, "sort", counted_in_curve("sort", np.sort))
+    monkeypatch.setattr(np, "unique", counted_in_curve("unique", np.unique))
     csv_path = tmp_path / "scores.csv"
     write_example_csv(csv_path, LABELS)
     code = run(
@@ -709,6 +737,16 @@ def test_calibrate_builds_each_curve_pair_once(tmp_path, monkeypatch):
     # overall and per-group AUC, before and after; one risk
     assert counts["auc"] == 6
     assert counts["risk"] == 1
+    # each group's curve of each pair: one sort and no np.unique apiece
+    assert counts["pr_curve"] == counts["sort"] == 12 and counts["unique"] == 0
+    code = run(
+        "measure", "--input", csv_path, "--minority-token", "a",
+        "--metric", *ALL_METRICS, "--out-dir", tmp_path / "measured",
+    )
+    assert code == 0
+    assert counts["pr_curve"] == counts["sort"] == 18 and counts["unique"] == 0
+    # the per-group AUCs read the dataset's own columns: no subset copies its ids
+    assert counts["subset"] == 0
 
 
 def test_report_equals_library_bias_exactly(tmp_path):

@@ -5,7 +5,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from scorecalib.conditional import load_model
@@ -21,6 +21,7 @@ from scorecalib.empirical import (
     integrate_abs_difference,
     merged_grid,
     pr_curve,
+    unit_scores,
     w1_distance,
 )
 from scorecalib.errors import (
@@ -231,6 +232,111 @@ def test_pr_curve_monotone_and_bounded(scores):
     if max(scores) < 1.0:
         assert curve(max(scores) + (1 - max(scores)) / 2) == 0.0
     assert curve(0.0) == 1.0
+
+
+def oracle_pr_curve(scores) -> StepCurve:
+    """``pr_curve`` before its one-scan form: ``np.unique`` of the sorted
+    scores, and a ``searchsorted`` back into them for each value."""
+    arr = unit_scores(scores, "scores")
+    if arr.size == 0:
+        raise EmptyInputError("cannot build a curve from an empty score list")
+    asc = np.sort(arr)
+    distinct = np.unique(asc)
+    n = arr.size
+    greater = n - np.searchsorted(asc, distinct, side="right")
+    values = np.concatenate(([n], greater)) / n
+    return StepCurve(distinct, values)
+
+
+def oracle_auc(d) -> float:
+    """``auc`` before it took a group: the CLI called it on ``d.subset(group)``."""
+    if not d.labeled:
+        raise UnlabeledDatasetError("AUC requires a fully labeled dataset")
+    scores = d.scores()
+    labels = d.labels()
+    pos = np.sort(scores[labels == 1])
+    neg = np.sort(scores[labels == 0])
+    if pos.size == 0 or neg.size == 0:
+        raise SingleClassError("AUC requires both label classes")
+    below = np.searchsorted(neg, pos, side="left")
+    below_or_equal = np.searchsorted(neg, pos, side="right")
+    wins = below.sum() + 0.5 * (below_or_equal - below).sum()
+    return float(wins / (pos.size * neg.size))
+
+
+def _bits(arr) -> list[int]:
+    return np.asarray(arr, dtype=np.float64).view(np.uint64).tolist()
+
+
+def _outcome(func, *args):
+    """``func(*args)``, or the type of the scorecalib error it raises."""
+    try:
+        return func(*args)
+    except InputError as exc:
+        return type(exc)
+
+
+def assert_curve_matches_oracle(scores) -> None:
+    """Bit for bit the oracle's curve, but for a zero theta where the scores
+    hold zeros of both signs: that one is 0.0, as a zero theta is -0.0 only
+    if every zero score is (the oracle's follows its sort)."""
+    scores = np.asarray(scores, dtype=np.float64)
+    got, want = _outcome(pr_curve, scores), _outcome(oracle_pr_curve, scores)
+    if not isinstance(got, StepCurve):
+        assert got is want is EmptyInputError
+        return
+    assert _bits(got.values) == _bits(want.values)
+    zero_signs = np.signbit(scores[scores == 0])
+    if zero_signs.any() and not zero_signs.all():
+        assert _bits(got.breakpoints[:1]) == _bits([0.0])
+        assert _bits(got.breakpoints[1:]) == _bits(want.breakpoints[1:])
+    else:
+        assert _bits(got.breakpoints) == _bits(want.breakpoints)
+    if zero_signs.size:
+        assert np.signbit(got.breakpoints[0]) == zero_signs.all()
+
+
+# a small pool, so that draws tie and hold zeros of both signs
+pool_scores = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 0.25, 0.5, 1.0]), st.floats(min_value=0.0, max_value=1.0)
+)
+
+
+@st.composite
+def pooled_datasets(draw):
+    """0-30 pairs over ``pool_scores``, group and label drawn freely, so a
+    group may be empty or hold a single class or a single pair; one missing
+    label in ten draws leaves the dataset unlabeled."""
+    n = draw(st.integers(0, 30))
+    scored = draw(st.lists(st.tuples(pool_scores, st.sampled_from("ab")), min_size=n, max_size=n))
+    labels = draw(st.lists(st.sampled_from([0, 1]), min_size=n, max_size=n))
+    if n and draw(st.integers(0, 9)) == 0:
+        labels[draw(st.integers(0, n - 1))] = None
+    return make_dataset(scored, labels)
+
+
+@given(pooled_datasets())
+# ties and one-element strata holding zeros of both signs
+@example(make_dataset([(-0.0, "a"), (0.0, "a"), (0.5, "b"), (0.5, "b")], labels=[1, 0, 1, 0]))
+# zeros of one sign only (-0.0 in one group, 0.0 in the other), and tied subnormals
+@example(make_dataset([(-0.0, "a"), (-0.0, "a"), (1.0, "a"), (5e-324, "b"), (0.0, "b"),
+                       (5e-324, "b"), (1.0, "b")], labels=[1, 0, 1, 0, 1, 1, 0]))
+# every minority pair a positive: SingleClassError on both sides
+@example(make_dataset([(0.5, "a"), (0.2, "a"), (0.6, "b"), (0.1, "b")], labels=[1, 1, 1, 0]))
+# no majority pair at all
+@example(make_dataset([(0.3, "a"), (0.7, "a")], labels=[0, 1]))
+# the minority pairs are labeled, the dataset is not: UnlabeledDatasetError
+@example(make_dataset([(0.5, "a"), (0.2, "a"), (0.6, "b")], labels=[1, 0, None]))
+def test_curves_and_group_aucs_equal_oracles(d):
+    for group in (MIN, MAJ):
+        assert_curve_matches_oracle(d.group_scores(group))
+        if d.labeled:
+            for label in (0, 1):
+                assert_curve_matches_oracle(d.stratum_scores(group, label))
+    assert _outcome(auc, d) == _outcome(oracle_auc, d)
+    for group in (MIN, MAJ):
+        want = _outcome(oracle_auc, d.subset(group)) if d.labeled else UnlabeledDatasetError
+        assert _outcome(auc, d, group) == want
 
 
 def test_conditional_curve_degenerate_stratum():

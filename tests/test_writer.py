@@ -228,9 +228,32 @@ def test_each_curve_keeps_its_own_zero(tmp_path):
     paths = [tmp_path / f"{name}.csv" for name in ("dp", "eo", "fprgap")]
     write_curves(dict(zip(paths, (dp, eo, fprgap))))
     firsts = [path.read_text(encoding="utf-8").splitlines()[2].split(",")[0] for path in paths]
-    assert firsts[1:] == ["-0.0", "0.0"]  # the representatives differ, so one row is its own
-    assert firsts[0] in ("-0.0", "0.0")
+    # a zero theta is -0.0 only where every zero score is: dp's group holds both signs
+    assert firsts == ["0.0", "-0.0", "0.0"]
     assert [path.read_text(encoding="utf-8") for path in paths] == oracle_texts([dp, eo, fprgap])
+
+
+def test_curve_csvs_do_not_depend_on_row_order(tmp_path):
+    # 320 labeled pairs, half of them zeros, with zeros of both signs in
+    # every (group, label) stratum; a sort need not keep the signs of equal
+    # zeros, so each curve's zero theta must come from its input's zeros
+    n = 320
+    i = np.arange(n)
+    rng = np.random.default_rng(3)
+    scores = np.where(i < n // 2, np.where(i // 4 % 2, -0.0, 0.0), rng.random(n))
+    ids, is_minority, labels = [f"p{k}" for k in i], i % 2 == 1, i // 2 % 2
+    texts = []
+    for order in [i, *(rng.permutation(n) for _ in range(19))]:
+        source, out = tmp_path / f"in{len(texts)}.csv", tmp_path / f"out{len(texts)}"
+        dump_dataset(ScoreDataset([ids[k] for k in order], scores[order],
+                                  is_minority[order], labels[order]), source)
+        assert main(["measure", "--input", str(source), "--metric", "dp", "eod",
+                     "--out-dir", str(out)]) == 0
+        texts.append({path.name: path.read_bytes() for path in sorted(out.glob("*.csv"))})
+    assert len(texts[0]) == 6
+    assert all(text == texts[0] for text in texts)
+    # every curve's stratum holds both signs
+    assert {text.split(b"\n")[2].split(b",")[0] for text in texts[0].values()} == {b"0.0"}
 
 
 def measure_formats(tmp_path, n: int) -> tuple[Counter, np.ndarray, list[StepCurve]]:
