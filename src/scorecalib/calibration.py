@@ -14,6 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import dataset  # BATCH_ROWS, looked up at each call
 from .dataset import GroupId, ScoreDataset, minority_mask
 from .empirical import CalibModel, build_group_scores, unit_scores
 from .errors import LengthMismatchError
@@ -52,22 +53,23 @@ def calibrate_scores(
 ) -> np.ndarray:
     """Vectorized calibration of many (score, group) queries.
 
-    ``groups`` may also be a bool array of minority flags.
+    ``groups`` may also be a bool array of minority flags.  Each group's
+    queries are ranked :data:`~scorecalib.dataset.BATCH_ROWS` at a time,
+    into one output array.
     """
     scores, is_minority = check_queries(scores, groups)
-    pos_a = np.empty(scores.size, dtype=np.int64)
-    pos_b = np.empty(scores.size, dtype=np.int64)
-    sides = (
-        (is_minority, model.scores_a, model.n_b, pos_a, pos_b),
-        (~is_minority, model.scores_b, model.n_a, pos_b, pos_a),
-    )
-    for mask, own_desc, n_other, pos_own, pos_other in sides:
-        if mask.any():
-            own_asc = own_desc[::-1]
-            greater = own_asc.size - np.searchsorted(own_asc, scores[mask], side="right")
-            pos_own[mask], pos_other[mask] = _rank_positions(own_asc.size, n_other, greater)
-    alpha = model.alpha
-    return alpha * model.scores_a[pos_a - 1] + (1.0 - alpha) * model.scores_b[pos_b - 1]
+    out = np.empty(scores.size)
+    alpha, batch = model.alpha, dataset.BATCH_ROWS
+    sides = ((True, model.scores_a, model.n_b), (False, model.scores_b, model.n_a))
+    for minority, own_desc, n_other in sides:
+        own_asc = own_desc[::-1].copy()  # searchsorted would copy a reversed view at each call
+        for start in range(0, scores.size, batch):
+            at = start + np.flatnonzero(is_minority[start:start + batch] == minority)
+            greater = own_asc.size - np.searchsorted(own_asc, scores[at], side="right")
+            pos_own, pos_other = _rank_positions(own_asc.size, n_other, greater)
+            pos_a, pos_b = (pos_own, pos_other) if minority else (pos_other, pos_own)
+            out[at] = alpha * model.scores_a[pos_a - 1] + (1.0 - alpha) * model.scores_b[pos_b - 1]
+    return out
 
 
 def calibrate(model: CalibModel, score: float, group: GroupId) -> float:

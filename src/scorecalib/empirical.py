@@ -115,11 +115,22 @@ def build_group_scores(
     is_minority = d.is_minority
     if mask is not None:
         jittered, is_minority = jittered[mask], is_minority[mask]
-    a = np.sort(jittered[is_minority])[::-1]
-    b = np.sort(jittered[~is_minority])[::-1]
+    a = _descending(jittered[is_minority])
+    b = _descending(jittered[~is_minority])
     if a.size == 0 or b.size == 0:
         raise EmptyGroupError(f"no {'minority' if a.size == 0 else 'majority'} pairs")
     return CalibModel(a, b, sigma, seed)
+
+
+def _descending(scores: np.ndarray) -> np.ndarray:
+    """``scores``, a fresh array in [0, 1], sorted in place and returned
+    descending.  Its zeros end the list, each 0.0 before each -0.0, counted
+    before the sort: a sort may flip the signs of equal zeros."""
+    negative = np.signbit(scores).sum()  # in [0, 1] only -0.0 has its sign bit set
+    scores.sort()
+    scores[:negative] = -0.0
+    scores[negative:np.searchsorted(scores, 0.0, "right")] = 0.0
+    return scores[::-1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,10 +203,8 @@ class StepCurve:
 
 def write_curves(curves: dict) -> None:
     """Write each curve of ``curves`` (destination: :class:`StepCurve`) as
-    :meth:`StepCurve.to_csv` does, in one walk over their breakpoints: a
-    batch takes every curve's rows up to the lowest of the curves'
-    :data:`~scorecalib.dataset.BATCH_ROWS`-th next thetas, so no curve adds
-    more rows than that.  The batch's thetas, all curves' together, go
+    :meth:`StepCurve.to_csv` does, in one walk over their breakpoints cut
+    by :func:`_batch_cuts`.  The batch's thetas, all curves' together, go
     through one :func:`~scorecalib.dataset.float_text` call, which alone
     decides which of them share text (-0.0 apart from 0.0), and each curve
     writes its slice.  Each open file holds one batch of text."""
@@ -205,16 +214,22 @@ def write_curves(curves: dict) -> None:
             f = stack.enter_context(text_writer(dest))
             f.write(f"theta,value\n0,{float(curve.values[0])!r}\n")
             files.append((f, curve.breakpoints, curve.values[1:]))
-        batch = dataset.BATCH_ROWS
         while any(bp.size for _, bp, _ in files):
-            top = min((bp[batch - 1] for _, bp, _ in files if bp.size >= batch), default=np.inf)
-            cuts = [np.searchsorted(bp, top, "right") for _, bp, _ in files]
+            cuts = _batch_cuts([bp for _, bp, _ in files])
             text = dataset.float_text(
                 np.concatenate([bp[:k] for (_, bp, _), k in zip(files, cuts)]))
             for (f, _, rates), k, at in zip(files, cuts, np.cumsum([0, *cuts]).tolist()):
                 if k:
                     _write_rows(f, [text[at:at + k], dataset.float_text(rates[:k])])
             files = [(f, bp[k:], rates[k:]) for (f, bp, rates), k in zip(files, cuts)]
+
+
+def _batch_cuts(bps: list[np.ndarray]) -> list[int]:
+    """How many leading breakpoints of each ascending array in ``bps`` the next
+    batch takes: those up to the lowest of their ``BATCH_ROWS``-th, no more."""
+    batch = dataset.BATCH_ROWS
+    top = min((bp[batch - 1] for bp in bps if bp.size >= batch), default=np.inf)
+    return [int(np.searchsorted(bp, top, "right")) for bp in bps]
 
 
 def _curve_fields(text) -> tuple[np.ndarray, np.ndarray]:
@@ -295,16 +310,40 @@ def merged_grid(c1: StepCurve, c2: StepCurve) -> tuple[np.ndarray, np.ndarray, n
     return grid, c1(grid), c2(grid)
 
 
+def merged_grid_batches(c1: StepCurve, c2: StepCurve):
+    """Yield :func:`merged_grid` in batches ``(grid, v1, v2)``, cut by
+    :func:`_batch_cuts`; the last batch is the appended 1.0 alone."""
+    bp1, bp2 = c1.breakpoints, c2.breakpoints
+    done1 = done2 = 0
+    while done1 < bp1.size or done2 < bp2.size:
+        k1, k2 = _batch_cuts([bp1[done1:], bp2[done2:]])
+        head1, head2 = bp1[done1:done1 + k1], bp2[done2:done2 + k2]
+        grid = np.union1d(head1, head2)
+        # below the batch's top, each curve's breakpoints are its head's
+        yield (grid, c1.values[done1:][np.searchsorted(head1, grid, "left")],
+               c2.values[done2:][np.searchsorted(head2, grid, "left")])
+        done1, done2 = done1 + k1, done2 + k2
+    one = np.array([1.0])
+    yield one, c1(one), c2(one)
+
+
 def integrate_abs_difference(c1: StepCurve, c2: StepCurve) -> float:
-    """Exact integral of |c1 - c2| over [0, 1] via merged breakpoints."""
-    return grid_area(*merged_grid(c1, c2))
-
-
-def grid_area(grid: np.ndarray, v1: np.ndarray, v2: np.ndarray) -> float:
-    """Exact integral of |v1 - v2| over [0, 1] for a :func:`merged_grid`."""
-    if grid.size > 1 and grid[-2] == 1.0:  # a breakpoint at 1 ends the last interval
-        grid, v1, v2 = grid[:-1], v1[:-1], v2[:-1]
-    return float(np.sum(np.abs(v1 - v2) * np.diff(grid, prepend=0.0)))
+    """Exact integral of |c1 - c2| over [0, 1] via merged breakpoints,
+    summed by one ``np.sum`` over the terms of a :func:`merged_grid_batches`
+    walk.  Memory: one float per merged grid point (allocated at one per
+    breakpoint of either curve), plus O(``BATCH_ROWS``)."""
+    terms = np.empty(c1.breakpoints.size + c2.breakpoints.size + 1)
+    filled, prev = 0, 0.0
+    for grid, v1, v2 in merged_grid_batches(c1, c2):
+        if prev == 1.0:  # a breakpoint at 1 ends the last interval
+            break
+        part = np.subtract(v1, v2, out=terms[filled:filled + grid.size])
+        np.abs(part, out=part)
+        part[0] *= grid[0] - prev
+        part[1:] *= np.diff(grid)
+        filled, prev = filled + grid.size, grid[-1]
+        del grid, v1, v2  # not alive while the walk builds the next batch
+    return float(np.sum(terms[:filled]))
 
 
 def gap_curve(c1: StepCurve, c2: StepCurve) -> StepCurve:

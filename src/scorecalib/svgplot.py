@@ -16,7 +16,8 @@ import re
 
 import numpy as np
 
-from .empirical import StepCurve, grid_area, merged_grid
+from . import dataset  # BATCH_ROWS, looked up at each call
+from .empirical import StepCurve, integrate_abs_difference, merged_grid_batches
 from .errors import InvalidParameterError
 
 WIDTH, HEIGHT = 720, 480
@@ -56,30 +57,59 @@ def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def _step_points(breakpoints: np.ndarray, values: np.ndarray) -> list[tuple[float, float]]:
-    """The drawn corner points of the staircase from theta=0 to theta=1.
+class _M4:
+    """The drawn corner points of one staircase, fed in pieces.
 
-    The staircase has one corner at theta=0, two (old and new value) at
-    each breakpoint and one at theta=1.  In each pixel column,
+    Over grid points g_0 < ... < g_m = 1, with value u_j on the interval
+    that ends at g_j, the staircase has the corners (g_(j-1), u_j) and
+    (g_j, u_j) for each j, where g_(-1) = 0.  In each pixel column,
     floor(_x(theta)), the first and the last corner are kept, and the
     earliest at the column's minimum and at its maximum value (M4), in
     their original order.  A column of at most 4 corners keeps them all,
-    so a sparse staircase is drawn exactly.
+    so a sparse staircase is drawn exactly.  Between pieces only the open
+    column is carried: its corner count and the corners it keeps so far.
     """
-    thetas = np.concatenate(([0.0], np.repeat(breakpoints, 2), [1.0]))
-    values = np.repeat(values, 2)
-    col = np.floor(_x(thetas)).astype(np.int16)  # fewer than WIDTH columns
-    new_col = np.concatenate(([True], col[1:] != col[:-1]))
-    del col
-    starts = np.flatnonzero(new_col)
-    sizes = np.diff(np.append(starts, new_col.size))
-    seg = np.cumsum(new_col, dtype=np.int32) - 1  # column number of each corner
-    keep = new_col | np.repeat(sizes <= 4, sizes)
-    keep[starts + sizes - 1] = True
-    for reduce in (np.minimum, np.maximum):
-        hits = np.flatnonzero(values == reduce.reduceat(values, starts)[seg])
-        keep[hits[np.unique(seg[hits], return_index=True)[1]]] = True
-    return list(zip(thetas[keep].tolist(), values[keep].tolist()))
+
+    def __init__(self):
+        self.prev = 0.0  # the last grid point fed
+        self.kept: list[tuple[float, float]] = []  # corners of closed columns
+        self.open_t = self.open_v = np.empty(0)
+        self.open_n = 0
+
+    def feed(self, grid: np.ndarray, values: np.ndarray) -> None:
+        t = np.empty(2 * grid.size)
+        t[0], t[1::2], t[2::2] = self.prev, grid, grid[:-1]
+        self.prev = grid[-1]
+        t = np.concatenate((self.open_t, t))
+        v = np.concatenate((self.open_v, np.repeat(values, 2)))
+        col = np.floor(_x(t)).astype(np.int16)  # fewer than WIDTH columns
+        new_col = np.concatenate(([True], col[1:] != col[:-1]))
+        starts = np.flatnonzero(new_col)
+        sizes = np.diff(starts, append=t.size)
+        counts = sizes.copy()
+        counts[0] += self.open_n - self.open_t.size  # the open column's dropped corners
+        seg = np.cumsum(new_col) - 1  # column number of each corner
+        keep = new_col | np.repeat(counts <= 4, sizes)
+        keep[starts + sizes - 1] = True
+        for reduce in (np.minimum, np.maximum):
+            hits = np.flatnonzero(v == reduce.reduceat(v, starts)[seg])
+            keep[hits[np.unique(seg[hits], return_index=True)[1]]] = True
+        last = starts[-1]
+        self.kept += zip(t[:last][keep[:last]].tolist(), v[:last][keep[:last]].tolist())
+        self.open_t, self.open_v, self.open_n = t[last:][keep[last:]], v[last:][keep[last:]], counts[-1]
+
+    def points(self) -> list[tuple[float, float]]:
+        return self.kept + list(zip(self.open_t.tolist(), self.open_v.tolist()))
+
+
+def _curve_points(curve: StepCurve) -> list[tuple[float, float]]:
+    """``curve``'s drawn corners, fed :data:`~scorecalib.dataset.BATCH_ROWS`
+    breakpoints at a time; the last value holds up to theta=1."""
+    m4, bp, batch = _M4(), curve.breakpoints, dataset.BATCH_ROWS
+    for start in range(0, bp.size, batch):
+        m4.feed(bp[start:start + batch], curve.values[:-1][start:start + batch])
+    m4.feed(np.array([1.0]), curve.values[-1:])
+    return m4.points()
 
 
 def _polyline(points: list[tuple[float, float]]) -> str:
@@ -93,12 +123,18 @@ def render_gap_svg(
     label_b: str = "majority",
     title: str = "threshold curves",
 ) -> str:
-    """SVG document overlaying two step curves with the |gap| shaded."""
-    grid, va, vb = merged_grid(curve_a, curve_b)
-    area = grid_area(grid, va, vb)
-    upper = _step_points(grid[:-1], np.maximum(va, vb))
-    lower = _step_points(grid[:-1], np.minimum(va, vb))
-    band = _polyline(upper) + " " + _polyline(lower[::-1])
+    """SVG document overlaying two step curves with the |gap| shaded.
+
+    The band's edges are reduced over one :func:`merged_grid_batches` walk.
+    Memory: one float per merged grid point for the area, plus
+    O(``BATCH_ROWS`` + pixel columns).
+    """
+    area = integrate_abs_difference(curve_a, curve_b)
+    upper, lower = _M4(), _M4()
+    for grid, va, vb in merged_grid_batches(curve_a, curve_b):
+        upper.feed(grid, np.maximum(va, vb))
+        lower.feed(grid, np.minimum(va, vb))
+    band = _polyline(upper.points()) + " " + _polyline(lower.points()[::-1])
     title, label_a, label_b = _escape(title), _escape(label_a), _escape(label_b)
 
     ticks = []
@@ -120,9 +156,9 @@ def render_gap_svg(
         f"<title>{title} | gap band area = {area:.9f}</title>",
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
         f'<polygon points="{band}" fill="{COLOR_BAND}" fill-opacity="0.35" stroke="none"/>',
-        f'<polyline points="{_polyline(_step_points(curve_a.breakpoints, curve_a.values))}" '
+        f'<polyline points="{_polyline(_curve_points(curve_a))}" '
         f'fill="none" stroke="{COLOR_A}" stroke-width="2"/>',
-        f'<polyline points="{_polyline(_step_points(curve_b.breakpoints, curve_b.values))}" '
+        f'<polyline points="{_polyline(_curve_points(curve_b))}" '
         f'fill="none" stroke="{COLOR_B}" stroke-width="2"/>',
         f'<line x1="{_fmt(_x(0))}" y1="{_fmt(_y(0))}" x2="{_fmt(_x(1))}" y2="{_fmt(_y(0))}" '
         f'stroke="#333" stroke-width="1"/>',

@@ -256,6 +256,40 @@ def test_curve_csvs_do_not_depend_on_row_order(tmp_path):
     assert {text.split(b"\n")[2].split(b",")[0] for text in texts[0].values()} == {b"0.0"}
 
 
+def test_sigma_0_calibration_does_not_depend_on_row_order(tmp_path):
+    # at --sigma 0 the fit lists are the input scores: each group list's
+    # zeros must take their signs from the input's counts, not from a
+    # sort, which need not keep the signs of equal zeros
+    n = 200
+    i = np.arange(n)
+    rng = np.random.default_rng(4)
+    scores = np.where(i < n // 2, np.where(i // 4 % 2, -0.0, 0.0), rng.random(n))
+    ids, is_minority, labels = [f"p{k}" for k in i], i % 2 == 1, i // 2 % 2
+    outputs = []
+    for order in [i, *(rng.permutation(n) for _ in range(19))]:
+        source, out = tmp_path / f"in{len(outputs)}.csv", tmp_path / f"out{len(outputs)}"
+        dump_dataset(ScoreDataset([ids[k] for k in order], scores[order],
+                                  is_minority[order], labels[order]), source)
+        assert main(["calibrate", "--input", str(source), "--algorithm", "calib",
+                     "--sigma", "0", "--metric", "dp", "eod", "--out-dir", str(out)]) == 0
+        files = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+        # calibrated.csv keeps the input's row order, and the risk, a mean
+        # over rows, is summed in it
+        header, *rows = files.pop("calibrated.csv").splitlines()
+        report = json.loads(files.pop("report.json"))
+        risk = report.pop("risk")
+        assert all(m.pop("risk") == risk for m in report["metrics"].values())
+        outputs.append((files, header, sorted(rows), json.dumps(report), risk))
+    assert len(outputs[0][0]) == 13
+    assert all(output[:4] == outputs[0][:4] for output in outputs)
+    assert all(output[4] == pytest.approx(outputs[0][4], rel=1e-12) for output in outputs)
+    model = json.loads(outputs[0][0]["model.json"])
+    # each list ends in its zeros, every 0.0 before every -0.0
+    for name in ("scores_a", "scores_b"):
+        zeros = [math.copysign(1, x) for x in model[name] if x == 0]
+        assert zeros == sorted(zeros, reverse=True) and len(set(zeros)) == 2
+
+
 def measure_formats(tmp_path, n: int) -> tuple[Counter, np.ndarray, list[StepCurve]]:
     """The float bit patterns that ``float_text`` formats (one ``repr``
     each, per call) in ``measure --metric dp eo fprgap`` on n labeled pairs
