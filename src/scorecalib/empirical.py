@@ -115,22 +115,22 @@ def build_group_scores(
     is_minority = d.is_minority
     if mask is not None:
         jittered, is_minority = jittered[mask], is_minority[mask]
-    a = _descending(jittered[is_minority])
-    b = _descending(jittered[~is_minority])
+    a = _ascending(jittered[is_minority])[::-1]
+    b = _ascending(jittered[~is_minority])[::-1]
     if a.size == 0 or b.size == 0:
         raise EmptyGroupError(f"no {'minority' if a.size == 0 else 'majority'} pairs")
     return CalibModel(a, b, sigma, seed)
 
 
-def _descending(scores: np.ndarray) -> np.ndarray:
-    """``scores``, a fresh array in [0, 1], sorted in place and returned
-    descending.  Its zeros end the list, each 0.0 before each -0.0, counted
-    before the sort: a sort may flip the signs of equal zeros."""
+def _ascending(scores: np.ndarray) -> np.ndarray:
+    """``scores``, in [0, 1], as a sorted copy whose zero run is every -0.0
+    and then every 0.0, counted before the sort: a sort may flip the signs
+    of equal zeros."""
     negative = np.signbit(scores).sum()  # in [0, 1] only -0.0 has its sign bit set
-    scores.sort()
-    scores[:negative] = -0.0
-    scores[negative:np.searchsorted(scores, 0.0, "right")] = 0.0
-    return scores[::-1]
+    asc = np.sort(scores)
+    asc[:negative] = -0.0
+    asc[negative:np.searchsorted(asc, 0.0, "right")] = 0.0
+    return asc
 
 
 @dataclass(frozen=True, eq=False)
@@ -255,19 +255,16 @@ def pr_curve(scores: Sequence[float]) -> StepCurve:
     """Fraction of scores >= theta, as a step function of theta.
 
     Non-increasing; equals 1 on [0, min(scores)] and 0 above max(scores).
-    One sort; a breakpoint ends each run of equal scores.  A zero one is
-    -0.0 iff every zero score is -0.0: a sort may flip equal zeros' signs.
+    One sort (:func:`_ascending`); a breakpoint ends each run of equal
+    scores, so a zero one is -0.0 iff every zero score is -0.0.
     """
     arr = unit_scores(scores, "scores")
     if arr.size == 0:
         raise EmptyInputError("cannot build a curve from an empty score list")
-    asc, n = np.sort(arr), arr.size
+    asc, n = _ascending(arr), arr.size
     ends = np.flatnonzero(np.append(asc[1:] != asc[:-1], True))
-    breakpoints = asc[ends]
-    if breakpoints[0] == 0:  # in [0, 1] a sign bit marks a -0.0, and ends[0] + 1 zeros lead
-        breakpoints[0] = -0.0 if np.signbit(arr).sum() > ends[0] else 0.0
     # value above each breakpoint = fraction strictly greater than it
-    return StepCurve(breakpoints, np.concatenate(([n], n - 1 - ends)) / n)
+    return StepCurve(asc[ends], np.concatenate(([n], n - 1 - ends)) / n)
 
 
 def conditional_curve(d: ScoreDataset, group: GroupId, label: int) -> StepCurve:
@@ -300,19 +297,11 @@ def auc(d: ScoreDataset, group: GroupId | None = None) -> float:
     return float(wins / (pos.size * neg.size))
 
 
-def merged_grid(c1: StepCurve, c2: StepCurve) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Both curves on their merged breakpoint grid.
-
-    Returns the merged breakpoints followed by 1.0, and each curve's
-    value on the interval that ends at each of those points.
-    """
-    grid = np.concatenate((np.union1d(c1.breakpoints, c2.breakpoints), [1.0]))
-    return grid, c1(grid), c2(grid)
-
-
 def merged_grid_batches(c1: StepCurve, c2: StepCurve):
-    """Yield :func:`merged_grid` in batches ``(grid, v1, v2)``, cut by
-    :func:`_batch_cuts`; the last batch is the appended 1.0 alone."""
+    """Both curves on their merged breakpoint grid, in batches
+    ``(grid, v1, v2)`` cut by :func:`_batch_cuts`: the merged breakpoints,
+    then 1.0 alone as the last batch, and each curve's value on the
+    interval that ends at each of those points."""
     bp1, bp2 = c1.breakpoints, c2.breakpoints
     done1 = done2 = 0
     while done1 < bp1.size or done2 < bp2.size:
@@ -325,6 +314,11 @@ def merged_grid_batches(c1: StepCurve, c2: StepCurve):
         done1, done2 = done1 + k1, done2 + k2
     one = np.array([1.0])
     yield one, c1(one), c2(one)
+
+
+def merged_grid(c1: StepCurve, c2: StepCurve) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`merged_grid_batches` joined into whole-length arrays."""
+    return tuple(np.concatenate(part) for part in zip(*merged_grid_batches(c1, c2)))
 
 
 def integrate_abs_difference(c1: StepCurve, c2: StepCurve) -> float:
