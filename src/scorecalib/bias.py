@@ -95,8 +95,8 @@ def threshold_bias(d: ScoreDataset, kind: BiasMetricKind, theta: float) -> float
 
 
 def risk_estimate(original: Sequence[float], calibrated: Sequence[float]) -> float:
-    """Mean absolute deviation of calibrated scores from originals; a score
-    outside [0, 1], NaN included, raises :class:`ScoreOutOfRangeError`."""
+    """Mean absolute deviation of calibrated scores from originals, summed in
+    ascending order; a score outside [0, 1] or NaN raises :class:`ScoreOutOfRangeError`."""
     orig = unit_scores(original, "original scores")
     calib = unit_scores(calibrated, "calibrated scores")
     if orig.shape != calib.shape:
@@ -105,4 +105,4 @@ def risk_estimate(original: Sequence[float], calibrated: Sequence[float]) -> flo
         )
     if orig.size == 0:
         return 0.0
-    return float(np.mean(np.abs(calib - orig)))
+    return float(np.mean(np.sort(np.abs(calib - orig))))

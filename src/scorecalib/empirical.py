@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 from contextlib import ExitStack
 from dataclasses import dataclass
+from itertools import islice
 from typing import Sequence
 
 import numpy as np
@@ -203,33 +204,35 @@ class StepCurve:
 
 def write_curves(curves: dict) -> None:
     """Write each curve of ``curves`` (destination: :class:`StepCurve`) as
-    :meth:`StepCurve.to_csv` does, in one walk over their breakpoints cut
-    by :func:`_batch_cuts`.  The batch's thetas, all curves' together, go
-    through one :func:`~scorecalib.dataset.float_text` call, which alone
-    decides which of them share text (-0.0 apart from 0.0), and each curve
-    writes its slice.  Each open file holds one batch of text."""
+    :meth:`StepCurve.to_csv` does, in one :func:`curve_batches` walk.  The
+    batch's thetas, all curves' together, go through one
+    :func:`~scorecalib.dataset.float_text` call, which alone decides which
+    of them share text (-0.0 apart from 0.0), and each curve writes its
+    slice.  Each open file holds one batch of text."""
     with ExitStack() as stack:
-        files = []
-        for dest, curve in curves.items():
-            f = stack.enter_context(text_writer(dest))
+        files = [stack.enter_context(text_writer(dest)) for dest in curves]
+        for f, curve in zip(files, curves.values()):
             f.write(f"theta,value\n0,{float(curve.values[0])!r}\n")
-            files.append((f, curve.breakpoints, curve.values[1:]))
-        while any(bp.size for _, bp, _ in files):
-            cuts = _batch_cuts([bp for _, bp, _ in files])
-            text = dataset.float_text(
-                np.concatenate([bp[:k] for (_, bp, _), k in zip(files, cuts)]))
-            for (f, _, rates), k, at in zip(files, cuts, np.cumsum([0, *cuts]).tolist()):
-                if k:
-                    _write_rows(f, [text[at:at + k], dataset.float_text(rates[:k])])
-            files = [(f, bp[k:], rates[k:]) for (f, bp, rates), k in zip(files, cuts)]
+        for batch in curve_batches(list(curves.values())):
+            text = iter(dataset.float_text(np.concatenate([bp for bp, _ in batch])))
+            for f, (bp, values) in zip(files, batch):
+                if bp.size:  # the batch's next bp.size thetas are this curve's
+                    _write_rows(f, [list(islice(text, bp.size)), dataset.float_text(values[1:])])
 
 
-def _batch_cuts(bps: list[np.ndarray]) -> list[int]:
-    """How many leading breakpoints of each ascending array in ``bps`` the next
-    batch takes: those up to the lowest of their ``BATCH_ROWS``-th, no more."""
-    batch = dataset.BATCH_ROWS
-    top = min((bp[batch - 1] for bp in bps if bp.size >= batch), default=np.inf)
-    return [int(np.searchsorted(bp, top, "right")) for bp in bps]
+def curve_batches(curves: Sequence[StepCurve]):
+    """One walk over the curves' ascending breakpoints, in batches: each
+    batch is, per curve, ``(breakpoints[k:k+n], values[k:k+n+1])``, its
+    breakpoints up to the lowest of all curves' next ``BATCH_ROWS``-th
+    one, the values on the intervals that end at them, and the value
+    above the last.  So no curve adds more than ``BATCH_ROWS`` rows."""
+    done = [0] * len(curves)
+    while any(k < c.breakpoints.size for k, c in zip(done, curves)):
+        rest, batch = [c.breakpoints[k:] for k, c in zip(done, curves)], dataset.BATCH_ROWS
+        top = min((bp[batch - 1] for bp in rest if bp.size >= batch), default=np.inf)
+        cuts = [int(np.searchsorted(bp, top, "right")) for bp in rest]
+        yield [(bp[:n], c.values[k:k + n + 1]) for bp, c, k, n in zip(rest, curves, done, cuts)]
+        done = [k + n for k, n in zip(done, cuts)]
 
 
 def _curve_fields(text) -> tuple[np.ndarray, np.ndarray]:
@@ -299,26 +302,15 @@ def auc(d: ScoreDataset, group: GroupId | None = None) -> float:
 
 def merged_grid_batches(c1: StepCurve, c2: StepCurve):
     """Both curves on their merged breakpoint grid, in batches
-    ``(grid, v1, v2)`` cut by :func:`_batch_cuts`: the merged breakpoints,
-    then 1.0 alone as the last batch, and each curve's value on the
-    interval that ends at each of those points."""
-    bp1, bp2 = c1.breakpoints, c2.breakpoints
-    done1 = done2 = 0
-    while done1 < bp1.size or done2 < bp2.size:
-        k1, k2 = _batch_cuts([bp1[done1:], bp2[done2:]])
-        head1, head2 = bp1[done1:done1 + k1], bp2[done2:done2 + k2]
-        grid = np.union1d(head1, head2)
+    ``(grid, v1, v2)`` of one :func:`curve_batches` walk: the merged
+    breakpoints, then 1.0 alone as the last batch, and each curve's value
+    on the interval that ends at each of those points."""
+    for batch in curve_batches([c1, c2]):
+        grid = np.union1d(*(head for head, _ in batch))
         # below the batch's top, each curve's breakpoints are its head's
-        yield (grid, c1.values[done1:][np.searchsorted(head1, grid, "left")],
-               c2.values[done2:][np.searchsorted(head2, grid, "left")])
-        done1, done2 = done1 + k1, done2 + k2
+        yield grid, *(values[np.searchsorted(head, grid, "left")] for head, values in batch)
     one = np.array([1.0])
     yield one, c1(one), c2(one)
-
-
-def merged_grid(c1: StepCurve, c2: StepCurve) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`merged_grid_batches` joined into whole-length arrays."""
-    return tuple(np.concatenate(part) for part in zip(*merged_grid_batches(c1, c2)))
 
 
 def integrate_abs_difference(c1: StepCurve, c2: StepCurve) -> float:
@@ -342,7 +334,7 @@ def integrate_abs_difference(c1: StepCurve, c2: StepCurve) -> float:
 
 def gap_curve(c1: StepCurve, c2: StepCurve) -> StepCurve:
     """|c1 - c2| as a step curve on the merged breakpoint grid."""
-    grid, v1, v2 = merged_grid(c1, c2)
+    grid, v1, v2 = (np.concatenate(part) for part in zip(*merged_grid_batches(c1, c2)))
     return StepCurve(grid[:-1], np.abs(v1 - v2))
 
 

@@ -16,8 +16,7 @@ import re
 
 import numpy as np
 
-from . import dataset  # BATCH_ROWS, looked up at each call
-from .empirical import StepCurve, integrate_abs_difference, merged_grid_batches
+from .empirical import StepCurve, curve_batches, integrate_abs_difference, merged_grid_batches
 from .errors import InvalidParameterError
 
 WIDTH, HEIGHT = 720, 480
@@ -103,11 +102,11 @@ class _M4:
 
 
 def _curve_points(curve: StepCurve) -> list[tuple[float, float]]:
-    """``curve``'s drawn corners, fed :data:`~scorecalib.dataset.BATCH_ROWS`
-    breakpoints at a time; the last value holds up to theta=1."""
-    m4, bp, batch = _M4(), curve.breakpoints, dataset.BATCH_ROWS
-    for start in range(0, bp.size, batch):
-        m4.feed(bp[start:start + batch], curve.values[:-1][start:start + batch])
+    """``curve``'s drawn corners, fed one :func:`~scorecalib.empirical.curve_batches`
+    batch at a time; the last value holds up to theta=1."""
+    m4 = _M4()
+    for [(head, values)] in curve_batches([curve]):
+        m4.feed(head, values[:-1])
     m4.feed(np.array([1.0]), curve.values[-1:])
     return m4.points()
 

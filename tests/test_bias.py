@@ -237,6 +237,16 @@ def test_risk_of_no_scores_is_zero():
     assert risk_estimate([], []) == 0.0
 
 
+def test_risk_does_not_depend_on_row_order():
+    rng = np.random.default_rng(7)
+    orig, calib = rng.random(1000), rng.random(1000)
+    risk = risk_estimate(orig, calib)
+    assert risk == pytest.approx(np.mean(np.abs(calib - orig)), rel=1e-12)
+    for _ in range(20):
+        order = rng.permutation(orig.size)
+        assert risk_estimate(orig[order], calib[order]) == risk
+
+
 def test_risk_length_mismatch():
     with pytest.raises(LengthMismatchError):
         risk_estimate([0.2, 0.8], [0.3])

@@ -2,12 +2,14 @@ import csv
 import dataclasses
 import io
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from scorecalib import dataset
 from scorecalib.conditional import load_model
 from scorecalib.dataset import GroupId
 from scorecalib.empirical import (
@@ -17,9 +19,10 @@ from scorecalib.empirical import (
     auc,
     build_group_scores,
     conditional_curve,
+    curve_batches,
     gap_curve,
     integrate_abs_difference,
-    merged_grid,
+    merged_grid_batches,
     pr_curve,
     unit_scores,
     w1_distance,
@@ -538,6 +541,46 @@ def test_auc_matches_brute_force_and_roc_integral():
         assert value == pytest.approx(_auc_roc_trapezoid(scores, labels), abs=1e-12)
 
 
+# ---------------------------------------------------------------- walk
+
+def walk_curve(thetas: list[float], offset: int) -> StepCurve:
+    """A curve on ``thetas``' distinct values, a zero taking the sign of the
+    first zero drawn, with values that tell every interval apart."""
+    bp = np.array(sorted(set(thetas)), dtype=float)
+    return StepCurve(bp, np.arange(bp.size + 1, dtype=float) + 100 * offset)
+
+
+@given(
+    st.lists(st.lists(st.one_of(st.sampled_from([-0.0, 0.0, 1.0]), st.floats(0, 1)),
+                      max_size=12), min_size=1, max_size=4),
+    st.sampled_from([1, 2, 3, 8192]),
+)
+@example([[], []], 1)  # nothing to walk
+@example([[0.5, 1.0], [], [1.0]], 1)  # a breakpoint at 1.0, in one curve and an empty one
+@example([[-0.0, 0.5], [0.0, 0.25, 0.75]], 1)  # -0.0 against 0.0: one batch takes both
+@example([[0.0, 0.1, 0.2], [-0.0, 0.3, 0.4, 1.0]], 2)
+def test_curve_batches_cut_every_curve_at_one_top(thetas, batch_rows):
+    curves = [walk_curve(t, i) for i, t in enumerate(thetas)]
+    heads, done, prev_top = [[] for _ in curves], [0] * len(curves), -np.inf
+    with mock.patch.object(dataset, "BATCH_ROWS", batch_rows):
+        # checked as it is drawn: a walk that stops advancing never ends
+        for batch in curve_batches(curves):
+            top = min((c.breakpoints[k + batch_rows - 1] for c, k in zip(curves, done)
+                       if c.breakpoints.size >= k + batch_rows), default=np.inf)
+            assert sum(head.size for head, _ in batch) > 0
+            for i, (c, (head, values)) in enumerate(zip(curves, batch)):
+                k = done[i]
+                assert head.size <= batch_rows
+                assert np.all(head <= top) and np.all(head > prev_top)
+                assert values.tolist() == c.values[k:k + head.size + 1].tolist()
+                assert np.shares_memory(values, c.values)
+                heads[i].append(head)
+                done[i] += head.size
+            prev_top = top
+    for c, curve_heads in zip(curves, heads):
+        assert np.concatenate([np.empty(0), *curve_heads]).tobytes() == c.breakpoints.tobytes()
+
+
 # ---------------------------------------------------------------- W1
 
 def _integral_oracle(c1, c2):
@@ -550,7 +593,7 @@ def _integral_oracle(c1, c2):
 
 def test_merged_grid_evaluates_both_curves():
     c1, c2 = pr_curve([0.2, 0.8]), pr_curve([0.5])
-    grid, v1, v2 = merged_grid(c1, c2)
+    grid, v1, v2 = (np.concatenate(part) for part in zip(*merged_grid_batches(c1, c2)))
     assert grid.tolist() == [0.2, 0.5, 0.8, 1.0]
     assert v1.tolist() == [1.0, 0.5, 0.5, 0.0]
     assert v2.tolist() == [1.0, 1.0, 0.0, 0.0]
