@@ -105,4 +105,6 @@ def risk_estimate(original: Sequence[float], calibrated: Sequence[float]) -> flo
         )
     if orig.size == 0:
         return 0.0
-    return float(np.mean(np.sort(np.abs(calib - orig))))
+    deviations = calib - orig  # the one whole-length array: its abs and sort are in place
+    np.abs(deviations, out=deviations).sort()
+    return float(np.mean(deviations))

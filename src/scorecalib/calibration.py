@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from . import dataset  # BATCH_ROWS, looked up at each call
-from .dataset import GroupId, ScoreDataset, minority_mask
+from .dataset import GroupId, ScoreDataset, _frozen, minority_mask
 from .empirical import CalibModel, build_group_scores, unit_scores
 from .errors import LengthMismatchError
 
@@ -83,7 +83,7 @@ def calibrate(model: CalibModel, score: float, group: GroupId) -> float:
 
 def calibrate_dataset(model: CalibModel, d: ScoreDataset) -> ScoreDataset:
     """Replace every pair's score by its calibrated value."""
-    return d.with_scores(calibrate_scores(model, d.scores(), d.is_minority))
+    return d.with_scores(_frozen(calibrate_scores(model, d.scores(), d.is_minority)))
 
 
 def model_to_dict(model: CalibModel) -> dict:

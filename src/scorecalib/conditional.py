@@ -22,8 +22,8 @@ from typing import Sequence
 import numpy as np
 
 from .calibration import CalibModel, calibrate_scores, check_queries, model_to_dict
-from .dataset import GroupId, ScoreDataset, read_text, write_json
-from .empirical import build_group_scores, unit_scores
+from .dataset import GroupId, ScoreDataset, _frozen, read_text, write_json
+from .empirical import _group_lists, add_jitter, unit_scores
 from .errors import (
     EmptyGroupError,
     EmptyGroupInPartitionError,
@@ -181,7 +181,8 @@ def fit_conditional(
     """Find gamma (unless overridden), split the data, fit both sides.
 
     The gamma split uses the raw scores; jitter is applied to the
-    stored fit scores only.  Each side's minority weight is computed
+    stored fit scores only, drawn once (as :func:`~scorecalib.empirical.build_group_scores`
+    draws it) for both sides.  Each side's minority weight is computed
     within its own partition.  With ``use_true_labels`` a labeled fit
     set is partitioned by its labels instead of by gamma; queries are
     still routed by gamma, which is needed either way.  A bandwidth
@@ -199,10 +200,10 @@ def fit_conditional(
         if not 0.0 <= gamma <= 1.0:
             raise InvalidParameterError(f"gamma must lie in [0, 1], got {gamma}")
     matched_mask = d.labels() == 1 if use_true_labels else raw >= gamma
-    sides = []
+    jittered, sides = add_jitter(raw, sigma, seed), []
     for name, mask in (("matched", matched_mask), ("unmatched", ~matched_mask)):
         try:
-            sides.append(build_group_scores(d, sigma, seed, mask))
+            sides.append(_group_lists(jittered, d.is_minority, sigma, seed, mask))
         except EmptyGroupError as exc:
             raise EmptyGroupInPartitionError(
                 f"{name} partition has {exc}; adjust gamma"
@@ -228,7 +229,7 @@ def cond_calibrate(model: CondCalibModel, score: float, group: GroupId) -> float
 
 
 def cond_calibrate_dataset(model: CondCalibModel, d: ScoreDataset) -> ScoreDataset:
-    return d.with_scores(cond_calibrate_scores(model, d.scores(), d.is_minority))
+    return d.with_scores(_frozen(cond_calibrate_scores(model, d.scores(), d.is_minority)))
 
 
 def model_to_dict_conditional(model: CondCalibModel) -> dict:

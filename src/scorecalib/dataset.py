@@ -15,6 +15,7 @@ import io
 import json
 import re
 from contextlib import contextmanager
+from functools import partial
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
@@ -67,13 +68,25 @@ def _check_score(score: float, context: str = "") -> float:
 
 
 def _column(values, dtype) -> np.ndarray:
-    col = np.array(values, dtype=dtype)  # a private copy, so read-only holds
-    col.setflags(write=False)
-    return col
+    """``values`` held as it is if it is a read-only ``dtype`` array that owns
+    its data (as the package's own arrays are), else a read-only private copy."""
+    if (isinstance(values, np.ndarray) and values.dtype == dtype
+            and values.flags.owndata and not values.flags.writeable):
+        return values
+    return _frozen(np.array(values, dtype=dtype))
 
 
-# UTF-8 text with no object per id; an id of up to 15 bytes is held inline
-_ID = np.dtypes.StringDType(coerce=False)
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """``arr``, made read-only: a new array handed over to a holder."""
+    arr.setflags(write=False)
+    return arr
+
+
+# UTF-8 text with no object per id; an id of up to 15 bytes is held inline.
+# A new dtype instance per array: an array built from a StringDType instance
+# may share its string arena with the next array built from it, which then
+# makes a longer id of the first unreadable (MemoryError)
+_ID = partial(np.dtypes.StringDType, coerce=False)
 
 
 def minority_mask(groups) -> np.ndarray:
@@ -113,7 +126,10 @@ class ScoreDataset:
     array; scores (float64 in [0, 1]) and labels (int8: 0, 1, or -1 for
     missing) are read through :meth:`scores` and :meth:`labels`.
     ``labeled`` is true iff every pair carries a label; mixed labeling is
-    permitted and simply yields an unlabeled dataset.
+    permitted and simply yields an unlabeled dataset.  A column given as a
+    read-only array of its dtype that owns its data is held as it is (see
+    :func:`_column`), so a dataset from :meth:`with_scores` shares its
+    groups and labels with its source; any other column is copied.
     """
 
     ids: np.ndarray
@@ -126,20 +142,22 @@ class ScoreDataset:
         if isinstance(ids, (str, bytes)):
             raise TypeError(f"expected an iterable of str, got {type(ids).__name__}")
         try:
-            ids = np.fromiter(ids, _ID)  # a private copy of any iterable of str
+            ids = np.fromiter(ids, _ID())  # a private copy of any iterable of str
         except ValueError as exc:  # an item not a str, or a lone surrogate (no UTF-8 form)
             raise TypeError(f"ids must be str: {exc}") from None
         self._hold(ids, scores, is_minority, labels)
 
     def _hold(self, ids: np.ndarray, scores, is_minority, labels) -> "ScoreDataset":
-        """Check and set the columns, copying all but ``ids``: an id column
-        built in this module, held as it is and made read-only here."""
-        ids.setflags(write=False)
+        """Check and set the columns through :func:`_column`; ``ids``, built in
+        this module, is held as it is and made read-only here."""
+        _frozen(ids)
         is_minority = np.asarray(is_minority)
         if is_minority.size and is_minority.dtype != bool:
             raise TypeError(f"is_minority must hold bools, got dtype {is_minority.dtype}")
-        raw_labels = np.full(len(ids), -1) if labels is None else np.asarray(labels)
-        if not np.isin(raw_labels, (-1, 0, 1)).all():
+        raw_labels = np.asarray(labels) if labels is not None else _frozen(
+            np.full(len(ids), -1, np.int8))
+        # bool masks only: np.isin's table lookup takes 12 bytes a label
+        if not np.all((raw_labels == -1) | (raw_labels == 0) | (raw_labels == 1)):
             raise MalformedRowError("labels must be 0, 1 or -1 (missing)")
         columns = {
             "ids": ids,
@@ -201,10 +219,7 @@ class ScoreDataset:
     def subset(self, group: GroupId) -> "ScoreDataset":
         mask = self._mask(group)
         return object.__new__(ScoreDataset)._hold(
-            self.ids[mask],
-            self._scores[mask],
-            self.is_minority[mask],
-            self._labels[mask],
+            *(_frozen(c[mask]) for c in (self.ids, self._scores, self.is_minority, self._labels))
         )
 
     def with_scores(self, new_scores: Sequence[float]) -> "ScoreDataset":
@@ -377,22 +392,36 @@ def _gc_paused():
             gc.enable()
 
 
-def _floats(raw: list[str]) -> np.ndarray:
-    """One batch of a column through ``float``; all NaN if ``float``
-    rejects any field (the row-by-row pass then names it)."""
+def _floats(raw: list[str], out: np.ndarray) -> None:
+    """One batch of a column through ``float`` into ``out``; all NaN if
+    ``float`` rejects any field (the row-by-row pass then names it)."""
     try:
-        return np.fromiter(map(float, raw), np.float64, len(raw))
+        out[:] = np.fromiter(map(float, raw), np.float64, len(raw))
     except ValueError:
-        return np.full(len(raw), np.nan)
+        out[:] = np.nan
 
 
-def _codes(raw: list[str], table: dict) -> np.ndarray:
-    """One batch of a token column as codes into ``table``, which gains
-    each str it does not hold yet, in the smallest unsigned type that
-    holds every code so far (so any number of distinct tokens fits)."""
+def _codes(raw: list[str], table: dict, column: np.ndarray, start: int) -> np.ndarray:
+    """One batch of a token column as codes into ``table``, which gains each
+    str it does not hold yet, written to ``column`` from ``start``; returns
+    the column, widened first if its unsigned type no longer holds every code."""
     for token in dict.fromkeys(raw):
         table.setdefault(token, len(table))
-    return np.fromiter(map(table.__getitem__, raw), np.min_scalar_type(len(table)), len(raw))
+    if (code := np.min_scalar_type(len(table))) != column.dtype:
+        column = column.astype(code)
+    column[start:start + len(raw)] = np.fromiter(map(table.__getitem__, raw), code, len(raw))
+    return column
+
+
+def _row_bound(chunks, cr, lf) -> int:
+    """The most rows that can follow the first in the text of str or bytes
+    ``chunks``: its lines as ``newline=""`` splits them (LF, CRLF, CR), less one."""
+    ends, last = 0, lf
+    for chunk in chunks:
+        ends += chunk.count(lf) + chunk.count(cr) - chunk.count(cr + lf)
+        ends -= last == cr and chunk[:1] == lf  # a CRLF split between chunks
+        last = chunk[-1:]
+    return max(ends - (last in (cr, lf)), 0)
 
 
 class CsvRows:
@@ -401,23 +430,28 @@ class CsvRows:
     first field as a numpy ``StringDType`` array and the others as
     :class:`Tokens`.
 
-    A path is streamed from disk and re-read only on the error path.
-    Bytes and file objects are decoded to one string up front (as
-    :func:`read_text` does), since a file object cannot be read twice.
-    Both are read with ``newline=""``, as ``csv`` asks, so they split
-    lines alike: at LF, CRLF and a bare CR, while a CR or CRLF inside a
-    quoted field is kept as it is.
+    A path to a regular file is read twice, a binary pass in 64 KiB chunks
+    that counts its lines (:func:`_row_bound`) and then the stream, and a
+    third time only on the error path.  Bytes, file objects and other
+    paths (a pipe) are decoded to one string up front (as
+    :func:`read_text` does), since they cannot be read twice.  Both are
+    read with ``newline=""``, as ``csv`` asks, so they split lines alike:
+    at LF, CRLF and a bare CR, while a CR or CRLF inside a quoted field is
+    kept as it is.
 
-    Rows are read through ``csv.reader`` in batches of :data:`BATCH_ROWS`
-    with cyclic GC paused; each batch is checked for shape with one
-    ``set(map(len, ...))``, blank rows are dropped, and each column is
-    taken with one comprehension before the batch's row lists are freed.
-    A column in ``floats`` is parsed there, one ``float`` map per batch,
-    so none of its strings outlives its batch.  If ``float`` rejects a
-    field, its whole batch reads NaN, which fails every range and finite
-    check, so the caller parses :meth:`reread` for the message.  Every
-    other column is built or coded batch by batch, so no field keeps an
-    object of its own; a token column stores each distinct str once.
+    Each column is allocated once, at the line count's bound, and trimmed
+    in place to the rows read.  Rows are read through ``csv.reader`` in
+    batches of :data:`BATCH_ROWS` with cyclic GC paused; each batch is
+    checked for shape with one ``set(map(len, ...))``, blank rows are
+    dropped, and each column is filled with one comprehension before the
+    batch's row lists are freed.  A column in ``floats`` is parsed there,
+    one ``float`` map per batch; if ``float`` rejects a field, its whole
+    batch reads NaN, which fails every range and finite check, so the
+    caller parses :meth:`reread` for the message.  Every other column is
+    stored or coded batch by batch, so no field keeps an object of its
+    own; a token column stores each distinct str once, coded in the
+    smallest unsigned type that holds every code.  The float and id
+    columns are read-only, so a dataset holds them without a copy.
 
     ``header`` is the first row (None if the text has none).  ``columns``
     is None when the stream fails: a row has another width, the text is
@@ -427,14 +461,19 @@ class CsvRows:
 
     def __init__(self, source, width: int, floats: Sequence[int] = ()):
         self.header = self.columns = None
-        columns = [[] for _ in range(width)]
         tables = [{} for _ in range(width)]  # each token column's code of each distinct str
-        if isinstance(source, (str, Path)):
+        if isinstance(source, (str, Path)) and Path(source).is_file():  # a pipe is read once
             self._path, self._text = Path(source), None
+            with open(self._path, "rb") as f:
+                bound = _row_bound(iter(lambda: f.read(1 << 16), b""), b"\r", b"\n")
             stream = open(self._path, encoding="utf-8", newline="")  # closed by the with below
         else:
             self._path, self._text = None, read_text(source)
+            bound = _row_bound([self._text], "\r", "\n")
             stream = io.StringIO(self._text, newline="")
+        columns = [np.empty(bound, np.float64 if j in floats else np.uint8 if j else _ID())
+                   for j in range(width)]
+        rows = 0
         try:
             with _gc_paused(), stream as f:
                 reader = csv.reader(f)
@@ -444,24 +483,25 @@ class CsvRows:
                     if 0 in widths:
                         chunk = [row for row in chunk if row]
                         widths.discard(0)
-                    if widths - {width}:
+                    if widths - {width} or rows + len(chunk) > bound:  # past it: the file grew
                         return
                     for j, column in enumerate(columns):
-                        raw = [row[j] for row in chunk]
+                        raw, end = [row[j] for row in chunk], rows + len(chunk)
                         if j in floats:
-                            column.append(_floats(raw))
+                            _floats(raw, column[rows:end])
                         elif j:
-                            column.append(_codes(raw, tables[j]))
+                            columns[j] = _codes(raw, tables[j], column, rows)
                         else:
-                            column.append(np.array(raw, _ID))
+                            column[rows:end] = raw
+                    rows += len(chunk)
+                    del chunk, raw  # not alive while the next batch is read
         except (UnicodeDecodeError, csv.Error):
             return
-        self.columns = [
-            Tokens(np.concatenate(column or [np.empty(0, np.uint8)]),
-                   np.array(list(tables[j]), dtype=object)) if j and j not in floats
-            else np.concatenate(column or [np.empty(0, np.float64 if j in floats else _ID)])
-            for j, column in enumerate(columns)
-        ]
+        for j, column in enumerate(columns):
+            column.resize(rows, refcheck=False)  # in place: no view of it is left
+            columns[j] = _frozen(column) if j in floats or not j else Tokens(
+                column, np.array(list(tables[j]), dtype=object))
+        self.columns = columns
 
     def __len__(self) -> int:
         return len(self.columns[0])
@@ -576,7 +616,7 @@ def dataset_from_rows(rows: CsvRows, schema: Schema, vocab: GroupVocabulary) -> 
             minority |= np.array(flags, dtype=bool)[column.codes]
         labels = np.array([_parse_label(t) for t in label_column.table], dtype=np.int8)
         labels = labels[label_column.codes]
-        return object.__new__(ScoreDataset)._hold(ids, scores, minority, labels)
+        return object.__new__(ScoreDataset)._hold(ids, scores, _frozen(minority), _frozen(labels))
     except InputError:
         _raise_first_error(rows, schema, vocab)
 

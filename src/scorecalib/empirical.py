@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from . import dataset  # BATCH_ROWS and float_text, looked up at each call
-from .dataset import CsvRows, GroupId, ScoreDataset, _column, _write_rows, text_writer
+from .dataset import CsvRows, GroupId, ScoreDataset, _column, _frozen, _write_rows, text_writer
 from .errors import (
     EmptyGroupError,
     EmptyInputError,
@@ -46,7 +46,8 @@ def add_jitter(scores: Sequence[float], sigma: float, seed: int) -> np.ndarray:
 
     Deterministic for a given seed >= 0 (numpy PCG64).  With ``sigma == 0``
     the input is returned unchanged (as a copy).  A score outside [0, 1],
-    NaN included, raises :class:`ScoreOutOfRangeError`.
+    NaN included, raises :class:`ScoreOutOfRangeError`.  The noise is drawn
+    :data:`~scorecalib.dataset.BATCH_ROWS` at a time: one whole draw's stream.
     """
     if not 0 <= sigma < np.inf:
         raise InvalidParameterError(f"sigma must be finite and >= 0, got {sigma}")
@@ -56,7 +57,8 @@ def add_jitter(scores: Sequence[float], sigma: float, seed: int) -> np.ndarray:
     if sigma == 0 or out.size == 0:
         return out
     rng = np.random.default_rng(seed)
-    out += rng.normal(0.0, sigma, out.shape)
+    for part in np.split(out, range(dataset.BATCH_ROWS, out.size, dataset.BATCH_ROWS)):  # views
+        part += rng.normal(0.0, sigma, part.size)
     np.clip(out, 0.0, 1.0, out=out)
     return out
 
@@ -82,7 +84,7 @@ class CalibModel:
         # every check is written so that NaN fails it
         for name, arr in lists.items():
             arr = _column(arr, np.float64)
-            if np.any(np.diff(arr) > 0):
+            if np.any(arr[1:] > arr[:-1]):
                 raise ValueError(f"{name} must be sorted non-increasing")
             object.__setattr__(self, name, unit_scores(arr, f"{name} values"))
         if not 0 <= self.sigma < np.inf:
@@ -112,26 +114,35 @@ def build_group_scores(
     subset of one dataset sees the same jittered values.  Raises
     :class:`EmptyGroupError` if either group has no kept pairs.
     """
-    jittered = add_jitter(d.scores(), sigma, seed)
-    is_minority = d.is_minority
-    if mask is not None:
-        jittered, is_minority = jittered[mask], is_minority[mask]
-    a = _ascending(jittered[is_minority])[::-1]
-    b = _ascending(jittered[~is_minority])[::-1]
+    keep = True if mask is None else mask
+    return _group_lists(add_jitter(d.scores(), sigma, seed), d.is_minority, sigma, seed, keep)
+
+
+def _group_lists(jittered, is_minority, sigma: float, seed: int, keep) -> CalibModel:
+    """:func:`build_group_scores` of scores already jittered: each group's
+    kept scores, selected by one mask and sorted in place, descending."""
+    a, b = (_frozen(_sort_unit(jittered[keep & side], descending=True))
+            for side in (is_minority, ~is_minority))
     if a.size == 0 or b.size == 0:
         raise EmptyGroupError(f"no {'minority' if a.size == 0 else 'majority'} pairs")
     return CalibModel(a, b, sigma, seed)
 
 
-def _ascending(scores: np.ndarray) -> np.ndarray:
-    """``scores``, in [0, 1], as a sorted copy whose zero run is every -0.0
-    and then every 0.0, counted before the sort: a sort may flip the signs
-    of equal zeros."""
+def _sort_unit(scores: np.ndarray, descending: bool = False) -> np.ndarray:
+    """``scores``, in [0, 1], sorted: ascending as a copy, or descending in
+    place (the sort of its negatives, negated back; the caller owns the
+    array).  The zero run is every -0.0 below every 0.0, counted before
+    the sort: a sort may flip the signs of equal zeros."""
     negative = np.signbit(scores).sum()  # in [0, 1] only -0.0 has its sign bit set
-    asc = np.sort(scores)
+    if descending:
+        np.negative(scores, out=scores)
+        scores.sort()
+        asc = np.negative(scores, out=scores)[::-1]  # a view
+    else:
+        scores = asc = np.sort(scores)
     asc[:negative] = -0.0
     asc[negative:np.searchsorted(asc, 0.0, "right")] = 0.0
-    return asc
+    return scores
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,7 +166,7 @@ class StepCurve:
                 f"need {bp.size + 1} values for {bp.size} breakpoints, got {va.size}"
             )
         # every check is written so that NaN fails it
-        if not np.all(np.diff(bp) > 0):
+        if not np.all(bp[1:] > bp[:-1]):
             raise ValueError("breakpoints must be strictly increasing")
         unit_scores(bp, "breakpoints")
         if not np.isfinite(va).all():
@@ -258,16 +269,20 @@ def pr_curve(scores: Sequence[float]) -> StepCurve:
     """Fraction of scores >= theta, as a step function of theta.
 
     Non-increasing; equals 1 on [0, min(scores)] and 0 above max(scores).
-    One sort (:func:`_ascending`); a breakpoint ends each run of equal
+    One sort (:func:`_sort_unit`); a breakpoint ends each run of equal
     scores, so a zero one is -0.0 iff every zero score is -0.0.
     """
     arr = unit_scores(scores, "scores")
     if arr.size == 0:
         raise EmptyInputError("cannot build a curve from an empty score list")
-    asc, n = _ascending(arr), arr.size
+    asc, n = _sort_unit(arr), arr.size
     ends = np.flatnonzero(np.append(asc[1:] != asc[:-1], True))
-    # value above each breakpoint = fraction strictly greater than it
-    return StepCurve(asc[ends], np.concatenate(([n], n - 1 - ends)) / n)
+    # value above each breakpoint = fraction strictly greater than it,
+    # counted straight into float64 (exact below 2**53), then divided
+    values = np.full(ends.size + 1, float(n))
+    np.subtract(n - 1, ends, out=values[1:])
+    values /= n
+    return StepCurve(_frozen(asc[ends]), _frozen(values))
 
 
 def conditional_curve(d: ScoreDataset, group: GroupId, label: int) -> StepCurve:
@@ -288,15 +303,19 @@ def auc(d: ScoreDataset, group: GroupId | None = None) -> float:
     """
     if not d.labeled:
         raise UnlabeledDatasetError("AUC requires a fully labeled dataset")
-    keep = slice(None) if group is None else d._mask(group)
-    scores, labels = d.scores()[keep], d.labels()[keep]
-    pos = np.sort(scores[labels == 1])
-    neg = np.sort(scores[labels == 0])
+    in_group = True if group is None else d._mask(group)
+    pos, neg = (d.scores()[(d.labels() == label) & in_group] for label in (1, 0))
     if pos.size == 0 or neg.size == 0:
         raise SingleClassError("AUC requires both label classes")
-    below = np.searchsorted(neg, pos, side="left")
-    below_or_equal = np.searchsorted(neg, pos, side="right")
-    wins = below.sum() + 0.5 * (below_or_equal - below).sum()
+    pos.sort()
+    neg.sort()
+    below = ties = 0  # integer sums over batches of positives: the float result is unchanged
+    for start in range(0, pos.size, dataset.BATCH_ROWS):
+        part = pos[start:start + dataset.BATCH_ROWS]
+        left = np.searchsorted(neg, part, side="left")
+        below += left.sum()
+        ties += (np.searchsorted(neg, part, side="right") - left).sum()
+    wins = below + 0.5 * ties
     return float(wins / (pos.size * neg.size))
 
 
@@ -306,7 +325,10 @@ def merged_grid_batches(c1: StepCurve, c2: StepCurve):
     breakpoints, then 1.0 alone as the last batch, and each curve's value
     on the interval that ends at each of those points."""
     for batch in curve_batches([c1, c2]):
-        grid = np.union1d(*(head for head, _ in batch))
+        # the union of the heads (np.union1d imports numpy.ma): a stable sort,
+        # then the first of each run, so a zero both curves have is the first's
+        grid = np.sort(np.concatenate([head for head, _ in batch]), kind="stable")
+        grid = grid[np.append(True, grid[1:] != grid[:-1])]
         # below the batch's top, each curve's breakpoints are its head's
         yield grid, *(values[np.searchsorted(head, grid, "left")] for head, values in batch)
     one = np.array([1.0])

@@ -589,6 +589,37 @@ def test_generate_count_numpy_cannot_allocate_exit_2(tmp_path, capsys, via):
     assert not (tmp_path / "dataset.csv").exists()
 
 
+def test_no_command_imports_numpy_ma(tmp_path):
+    # np.union1d (through np.unique of floats) imported numpy.ma: 15-40 ms
+    # of start-up, and 0.7 MB of peak memory, in every command but generate
+    src = str(Path(scorecalib.cli.__file__).resolve().parents[1])
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "from scorecalib.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print('numpy.ma' in sys.modules)\n"
+        "sys.exit(code)\n"
+    )
+    data, measured = tmp_path / "dataset.csv", tmp_path / "measure"
+    dataset_flags = ["--input", data, "--minority-token", "minority"]
+    commands = [
+        [*GEN_ARGS, "--out-dir", tmp_path],
+        ["measure", *dataset_flags, "--metric", *ALL_METRICS, "--out-dir", measured],
+        *(["calibrate", *dataset_flags, "--metric", *ALL_METRICS, "--algorithm", algorithm,
+           "--out-dir", tmp_path / algorithm] for algorithm in ("calib", "ccalib")),
+        ["plot", "--input", measured / "dp_minority_before.csv",
+         measured / "dp_majority_before.csv", "--out-dir", tmp_path / "plot"],
+    ]
+    for argv in commands:
+        result = subprocess.run(
+            [sys.executable, "-c", code, *map(str, argv)],
+            env=dict(os.environ, OPENBLAS_NUM_THREADS="1"), capture_output=True, text=True, timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "False", argv[0]
+
+
 def test_generate_out_of_memory_exit_2(tmp_path):
     # 1e9 draws need 8 GB; the child's address space is capped at 1 GB, so
     # numpy's allocation fails at once instead of exhausting the machine

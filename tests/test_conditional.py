@@ -513,3 +513,28 @@ def test_risk_identity_per_partition(matched_a, matched_b, unmatched_a, unmatche
         assert gap <= rank_rounding_bound(a, b) + 1e-12
         if len(a) == len(b):
             assert gap <= 1e-12
+
+
+def test_fit_conditional_jitters_once_for_both_sides(monkeypatch):
+    # one normal variate per fit pair; jittering the whole dataset once
+    # per side drew two
+    drawn = []
+    make_rng = np.random.default_rng
+
+    class CountingGenerator:
+        def __init__(self, seed):
+            self.rng = make_rng(seed)
+
+        def normal(self, loc, scale, size):
+            drawn.append(int(np.prod(size)))
+            return self.rng.normal(loc, scale, size)
+
+    d = make_dataset([(0.1, "a"), (0.2, "b"), (0.8, "a"), (0.9, "b"), (0.3, "b"), (0.7, "a")])
+    model = fit_conditional(d, 0.05, 3, gamma_override=0.5)
+    monkeypatch.setattr(np.random, "default_rng", CountingGenerator)
+    counted = fit_conditional(d, 0.05, 3, gamma_override=0.5)
+    assert sum(drawn) == len(d)
+    for side in ("matched", "unmatched"):
+        for name in ("scores_a", "scores_b"):
+            assert np.array_equal(getattr(getattr(counted, side), name),
+                                  getattr(getattr(model, side), name))

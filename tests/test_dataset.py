@@ -1,6 +1,7 @@
+import csv
 import io
 import tracemalloc
-from itertools import compress
+from itertools import compress, islice
 from unittest import mock
 
 import numpy as np
@@ -8,8 +9,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from scorecalib import dataset
+from scorecalib import calibration, conditional, dataset
 from scorecalib.calibration import calibrate_dataset, fit
+from scorecalib.conditional import cond_calibrate_dataset, fit_conditional
 from scorecalib.dataset import (
     GroupId,
     GroupVocabulary,
@@ -245,11 +247,63 @@ def test_id_arrays_from_callers_are_copied():
         writable[0] = "p1"
 
 
+def test_ids_longer_than_the_inline_slot_survive_later_datasets():
+    # ids of more than 15 bytes live outside StringDType's inline slot; one
+    # dtype instance shared by every id array let a second dataset's ids
+    # corrupt the first's, which then raised MemoryError when read
+    long_ids = [f"an id of more than fifteen bytes {i}" for i in range(3)]
+    first = ScoreDataset(long_ids, [0.1, 0.2, 0.3], [True, False, True])
+    buf = io.StringIO()
+    dump_dataset(first, buf)
+    later = [ScoreDataset(long_ids[::-1], [0.1, 0.2, 0.3], [True, False, True]),
+             first.subset(GroupId.MINORITY), first.with_scores([0.3, 0.2, 0.1]),
+             load_dataset(buf.getvalue().encode("utf-8"), Schema.PAIR_LEVEL, "minority")]
+    assert first.ids.tolist() == long_ids and later[0].ids.tolist() == long_ids[::-1]
+    assert later[1].ids.tolist() == long_ids[::2] and later[3] == first
+
+
 def test_with_scores_requires_one_score_per_pair():
     d = make_dataset([(0.2, "a"), (0.8, "b")])
     with pytest.raises(LengthMismatchError, match="^1 scores for 2 pairs$"):
         d.with_scores([0.5])
     assert d.with_scores([0.5, 0.6]).scores().tolist() == [0.5, 0.6]
+
+
+def test_writable_columns_are_copied_and_frozen_ones_held():
+    # a column the caller can still write is copied, so writing it later
+    # changes nothing; a read-only array of the column's dtype that owns its
+    # data is held as it is, as the arrays this package builds are
+    scores, minority, labels = np.array([0.2, 0.9]), np.array([True, False]), np.array([1, 0], np.int8)
+    d = ScoreDataset(["p1", "p2"], scores, minority, labels)
+    scores[:], minority[:], labels[:] = 0.5, False, 0
+    assert d.scores().tolist() == [0.2, 0.9] and d.is_minority.tolist() == [True, False]
+    assert d.labels().tolist() == [1, 0]
+    for column in (scores, minority, labels):
+        column.setflags(write=False)
+    held = ScoreDataset(["p1", "p2"], scores, minority, labels)
+    assert held.scores() is scores and held.is_minority is minority and held.labels() is labels
+    # a read-only view, or an array of another dtype, is still copied
+    copied = ScoreDataset(["p1", "p2"], scores[:], minority, labels.astype(np.int64))
+    assert copied.scores() is not scores and copied.labels() is not labels
+
+
+def test_with_scores_shares_groups_and_labels(monkeypatch):
+    # the calibrated dataset holds one new column, the very array of scores
+    # the calibrator built, and shares every other column with its source
+    d = make_dataset([(0.2, "a"), (0.8, "b"), (0.6, "a"), (0.3, "b")], labels=[1, 0, 1, 0])
+    built = []
+    for module, name in ((calibration, "calibrate_scores"), (conditional, "cond_calibrate_scores")):
+        monkeypatch.setattr(module, name, lambda *a, real=getattr(module, name): built.append(
+            real(*a)) or built[-1])
+    datasets = [calibrate_dataset(fit(d, 0.0, 0), d),
+                cond_calibrate_dataset(fit_conditional(d, 0.0, 0, 0.5), d)]
+    assert len(built) == 2
+    for calibrated, scores in zip(datasets, built):
+        assert calibrated.scores() is scores and not scores.flags.writeable
+        assert calibrated.ids is d.ids and calibrated.is_minority is d.is_minority
+        assert calibrated.labels() is d.labels()
+    # the public calibrators still return writable arrays
+    assert calibration.calibrate_scores(fit(d, 0.0, 0), d.scores(), d.is_minority).flags.writeable
 
 
 def test_minority_mask_accepts_bools_and_group_ids_only():
@@ -380,6 +434,39 @@ def load_held_per_row(n: int, path, schema: Schema) -> float:
         return tracemalloc.get_traced_memory()[0] / len(d)
     finally:
         tracemalloc.stop()
+
+
+def test_load_peaks_within_its_columns_and_one_batch(tmp_path):
+    # each column is allocated once and filled in place.  Measured on
+    # Python 3.11, numpy 2.4, for this 2e5-row record file: the dataset
+    # holds 5.21 MB, one batch of csv row lists takes 2.89 MB, and the load
+    # peaks 3.25 MB above what it holds (1.8 B/row besides the batch: bool
+    # masks).  Per-batch arrays joined at the end peaked 5.77 MB above it
+    n, path = 200_000, tmp_path / "records.csv"
+    rng = np.random.default_rng(0)
+    groups = np.where(rng.random(n) < 0.4, "minority", "majority").astype(object)
+    write_csv(path, [Schema.RECORD_LEVEL.header],
+              [[f"r{i:07d}" for i in range(n)], np.round(rng.random(n), 2), groups,
+               groups[::-1], rng.integers(0, 2, n).astype(str).astype(object)])
+    with open(path, encoding="utf-8", newline="") as f:
+        reader = csv.reader(f)
+        next(reader)
+        tracemalloc.start()
+        try:
+            batch = list(islice(reader, dataset.BATCH_ROWS))
+            one_batch = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+    del batch
+    load_dataset(path, Schema.RECORD_LEVEL, "minority")  # untraced: one-time allocations
+    tracemalloc.start()
+    try:
+        d = load_dataset(path, Schema.RECORD_LEVEL, "minority")
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(d) == n
+    assert peak - held <= one_batch + 3 * n
 
 
 @pytest.mark.parametrize("schema", list(Schema))

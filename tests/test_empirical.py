@@ -10,8 +10,9 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from scorecalib import dataset
+from scorecalib.bias import risk_estimate
 from scorecalib.conditional import load_model
-from scorecalib.dataset import GroupId
+from scorecalib.dataset import GroupId, ScoreDataset
 from scorecalib.empirical import (
     CalibModel,
     StepCurve,
@@ -599,6 +600,16 @@ def test_merged_grid_evaluates_both_curves():
     assert v2.tolist() == [1.0, 1.0, 0.0, 0.0]
 
 
+def test_merged_grid_keeps_the_first_curves_zero():
+    # np.union1d's rule, kept without it: of two equal breakpoints the first
+    # curve's comes first, so of a -0.0 and a 0.0 the first curve's sign wins
+    negative, positive = pr_curve([-0.0, 0.5]), pr_curve([0.0, 0.7])
+    for c1, c2 in ((negative, positive), (positive, negative)):
+        grid = next(merged_grid_batches(c1, c2))[0]
+        assert _bits(grid) == _bits([c1.breakpoints[0], 0.5, 0.7])
+        assert _bits(gap_curve(c1, c2).breakpoints[:1]) == _bits(c1.breakpoints[:1])
+
+
 @given(scores_list, scores_list, st.booleans())
 def test_integral_and_gap_curve_match_oracle_exactly(x, y, at_one):
     # scores at 1.0 put a breakpoint at 1, which must not add a zero-width term
@@ -663,3 +674,90 @@ def test_w1_metric_axioms(x, y, z):
 def test_w1_identity_of_indiscernibles_as_multisets():
     assert w1_distance([0.3, 0.3, 0.7], [0.7, 0.3, 0.3]) == 0.0
     assert w1_distance([0.3, 0.7], [0.3, 0.3, 0.7]) > 0.0
+
+
+# ---------------------------------------------------------------- batched against whole-length
+
+def whole_length_jitter(scores, sigma: float, seed: int) -> np.ndarray:
+    """``add_jitter`` with one whole-length draw and one whole-length add."""
+    out = unit_scores(scores, "scores to jitter").copy()
+    if sigma == 0 or out.size == 0:
+        return out
+    out += np.random.default_rng(seed).normal(0.0, sigma, out.shape)
+    np.clip(out, 0.0, 1.0, out=out)
+    return out
+
+
+def whole_length_lists(d, sigma: float, seed: int, mask=None) -> list[np.ndarray]:
+    """``build_group_scores``'s two lists as a whole-length jitter, a split,
+    a sorted copy with every -0.0 below every 0.0, and a reversed view."""
+    jittered, is_minority = whole_length_jitter(d.scores(), sigma, seed), d.is_minority
+    if mask is not None:
+        jittered, is_minority = jittered[mask], is_minority[mask]
+    lists = []
+    for side in (is_minority, ~is_minority):
+        negative = np.signbit(jittered[side]).sum()
+        asc = np.sort(jittered[side])
+        asc[:negative] = -0.0
+        asc[negative:np.searchsorted(asc, 0.0, "right")] = 0.0
+        lists.append(asc[::-1])
+    return lists
+
+
+def whole_length_auc(d, group=None) -> float:
+    """``auc`` with whole-length class arrays and one ``searchsorted`` per side."""
+    if not d.labeled:
+        raise UnlabeledDatasetError("AUC requires a fully labeled dataset")
+    keep = slice(None) if group is None else d._mask(group)
+    scores, labels = d.scores()[keep], d.labels()[keep]
+    pos = np.sort(scores[labels == 1])
+    neg = np.sort(scores[labels == 0])
+    if pos.size == 0 or neg.size == 0:
+        raise SingleClassError("AUC requires both label classes")
+    below = np.searchsorted(neg, pos, side="left")
+    below_or_equal = np.searchsorted(neg, pos, side="right")
+    wins = below.sum() + 0.5 * (below_or_equal - below).sum()
+    return float(wins / (pos.size * neg.size))
+
+
+def whole_length_risk(original, calibrated) -> float:
+    """``risk_estimate`` of valid equal-length lists, through three whole-length arrays."""
+    orig, calib = np.asarray(original, float), np.asarray(calibrated, float)
+    return 0.0 if orig.size == 0 else float(np.mean(np.sort(np.abs(calib - orig))))
+
+
+def tied_dataset(n: int, seed: int):
+    """n labeled pairs whose scores tie (two decimals), with zeros of both
+    signs and ones, and whose groups may be empty."""
+    rng = np.random.default_rng(seed)
+    scores = np.round(rng.random(n), 2)
+    scores[rng.random(n) < 0.1] = 1.0
+    scores[rng.random(n) < 0.1] = 0.0
+    scores[rng.random(n) < 0.1] = -0.0
+    return ScoreDataset([f"p{i}" for i in range(n)], scores, rng.random(n) < 0.4,
+                        rng.integers(0, 2, n))
+
+
+@pytest.mark.parametrize("batch_rows", [1, 2, 3, 8192])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 6, 7, 8191, 8192, 8193, 16385])
+def test_batched_steps_equal_whole_length_oracles(batch_rows, n):
+    # the noise is one stream however it is cut, and the AUC's rank counts
+    # are integer sums, so every result is the oracle's bit for bit
+    d = tied_dataset(n, seed=n)
+    mask = np.random.default_rng(n + 1).random(n) < 0.5
+    with mock.patch.object(dataset, "BATCH_ROWS", batch_rows):
+        for sigma, seed in ((0.0, 0), (0.05, 3), (0.5, 11)):
+            jittered = add_jitter(d.scores(), sigma, seed)
+            assert _bits(jittered) == _bits(whole_length_jitter(d.scores(), sigma, seed))
+            for keep in (None, mask):
+                got = _outcome(build_group_scores, d, sigma, seed, keep)
+                want = whole_length_lists(d, sigma, seed, keep)
+                if isinstance(got, CalibModel):
+                    assert [_bits(got.scores_a), _bits(got.scores_b)] == [_bits(w) for w in want]
+                else:
+                    assert got is EmptyGroupError and not all(w.size for w in want)
+            assert _bits([risk_estimate(d.scores(), jittered)]) == _bits(
+                [whole_length_risk(d.scores(), jittered)])
+        for group in (None, MIN, MAJ):
+            got, want = _outcome(auc, d, group), _outcome(whole_length_auc, d, group)
+            assert _bits([got]) == _bits([want]) if isinstance(want, float) else got is want

@@ -11,6 +11,8 @@ lowered in most cases, so that a mutation lands in a later batch.
 import csv
 import gc
 import io
+import os
+import threading
 from unittest import mock
 
 import numpy as np
@@ -382,6 +384,111 @@ def test_header_only_curve_matches_oracle():
         got = curve_outcome(StepCurve.from_csv, b"theta,value\n")
     assert got == curve_outcome(oracle.curve_from_csv, b"theta,value\n")
     assert got == (MalformedCurveError, "curve CSV has no data rows")
+
+
+# ---------------------------------------------------------------- preallocated columns
+
+LONG_ID = "an id of more than fifteen bytes"  # held outside StringDType's 16-byte slot
+RECORDS = [["p1", "0.5", "f", "m", "1"], [LONG_ID, "0.25", "m", "m", "0"], ["p3", "1", "m", "f", ""]]
+# data rows, and whether the count pass's bound is the row count exactly
+LAYOUTS = {
+    "plain": (RECORDS, True),
+    "blank rows": ([[], RECORDS[0], [], [], *RECORDS[1:], []], False),
+    "quoted line breaks": ([["p\r\n1", *RECORDS[0][1:]], [LONG_ID + "\n", *RECORDS[1][1:]],
+                            ["p\r3", *RECORDS[2][1:]]], False),
+    "header only": ([], True),
+}
+
+
+def layout_bytes(rows, newline: str, final_newline: bool) -> bytes:
+    buf = io.StringIO(newline="")
+    # every field quoted when one holds a line break: csv.writer before
+    # Python 3.13 leaves a field with a bare CR unquoted
+    breaks = any("\r" in field or "\n" in field for row in rows for field in row)
+    csv.writer(buf, lineterminator=newline, quoting=csv.QUOTE_ALL if breaks else csv.QUOTE_MINIMAL
+               ).writerows([Schema.RECORD_LEVEL.header, *rows])
+    text = buf.getvalue()
+    return (text if final_newline else text[:-len(newline)]).encode("utf-8")
+
+
+def sources(tmp_path, data: bytes):
+    """The same file as a path, bytes, a binary and a text file object."""
+    path = tmp_path / "in.csv"
+    path.write_bytes(data)
+    yield path
+    yield data
+    yield io.BytesIO(data)
+    yield io.StringIO(data.decode("utf-8"), newline="")
+
+
+@pytest.mark.parametrize("batch_rows", [1, 2, dataset.BATCH_ROWS])
+@pytest.mark.parametrize("final_newline", [True, False])
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_preallocated_columns_equal_oracle_rows(tmp_path, layout, newline, final_newline,
+                                                batch_rows):
+    # each column is allocated at the count pass's bound and trimmed in
+    # place to the rows read; the bound is exact for a file of plain rows
+    # and an overestimate when blank rows or quoted line breaks take lines
+    rows, exact = LAYOUTS[layout]
+    data = layout_bytes(rows, newline, final_newline)
+    want = oracle.parse_rows(data, Schema.RECORD_LEVEL)
+    bounds, count = [], dataset._row_bound
+    with mock.patch.object(dataset, "BATCH_ROWS", batch_rows), \
+            mock.patch.object(dataset, "_row_bound", lambda *a: bounds.append(count(*a)) or bounds[-1]):
+        for source in sources(tmp_path, data):
+            got = parse_rows(source, Schema.RECORD_LEVEL)
+            ids, scores, *tokens = got.columns
+            assert isinstance(ids.dtype, np.dtypes.StringDType) and scores.dtype == np.float64
+            assert ids.tolist() == [row[0] for row in want]
+            assert scores.tolist() == [float(row[1]) for row in want]
+            for j, column in enumerate(tokens, start=2):
+                assert column.codes.dtype == np.uint8 and column[:].tolist() == [row[j] for row in want]
+            assert not (ids.flags.writeable or scores.flags.writeable)
+            assert ids.flags.owndata and scores.flags.owndata
+    assert len(bounds) == 4 and set(bounds) == {bounds[0]}
+    assert bounds[0] == len(want) if exact else bounds[0] > len(want)
+    assert_same_ingest(data, Schema.RECORD_LEVEL, GroupVocabulary("f"))
+
+
+@given(st.text(st.sampled_from("a,\r\n\u00e9"), max_size=40), st.integers(1, 5))
+def test_row_bound_counts_lines_as_newline_empty_splits_them(text, chunk):
+    # bytes in chunks (a CRLF may be split between two) and str count alike
+    lines = len(io.StringIO(text, newline="").readlines())
+    data = text.encode("utf-8")
+    byte_chunks = [data[i:i + chunk] for i in range(0, len(data), chunk)]
+    assert dataset._row_bound(byte_chunks, b"\r", b"\n") == max(lines - 1, 0)
+    assert dataset._row_bound([text], "\r", "\n") == max(lines - 1, 0)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_a_pipe_is_read_once(tmp_path):
+    # a pipe cannot be read a second time: it is read whole, as bytes are
+    data = layout_bytes(RECORDS, "\r\n", True)
+    (tmp_path / "in.csv").write_bytes(data)
+    pipe, loaded = tmp_path / "pipe.csv", []
+    os.mkfifo(pipe)
+    # daemon threads: a loader that opened the pipe twice would wait forever
+    threads = [threading.Thread(target=pipe.write_bytes, args=(data,), daemon=True),
+               threading.Thread(target=lambda: loaded.append(
+                   load_dataset(pipe, Schema.RECORD_LEVEL, "f")), daemon=True)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=10)
+    assert loaded and loaded[0] == load_dataset(tmp_path / "in.csv", Schema.RECORD_LEVEL, "f")
+
+
+def test_rows_past_the_bound_take_the_error_path(tmp_path):
+    # more rows than the count pass found: the file grew between the passes
+    path = tmp_path / "in.csv"
+    path.write_bytes(layout_bytes(RECORDS, "\n", True))
+    with mock.patch.object(dataset, "_row_bound", lambda *a: len(RECORDS) - 1):
+        with pytest.raises(MalformedRowError, match="^input changed while it was read$"):
+            load_dataset(path, Schema.RECORD_LEVEL, "f")
+        # a curve is parsed again whole
+        pr_curve([0.2, 0.8]).to_csv(path)
+        assert StepCurve.from_csv(path).breakpoints.tolist() == [0.2, 0.8]
 
 
 # ---------------------------------------------------------------- sources and state
