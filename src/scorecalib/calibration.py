@@ -60,12 +60,8 @@ def calibrate_scores(
     scores, is_minority = check_queries(scores, groups)
     out = np.empty(scores.size)
     alpha, batch = model.alpha, dataset.BATCH_ROWS
-    n_minority = int(np.count_nonzero(is_minority))
-    sides = ((True, model.scores_a, model.n_b, n_minority),
-             (False, model.scores_b, model.n_a, scores.size - n_minority))
-    for minority, own_desc, n_other, n_queries in sides:
-        if not n_queries:
-            continue
+    for minority, own_desc, n_other in ((True, model.scores_a, model.n_b),
+                                        (False, model.scores_b, model.n_a)):
         own_asc = own_desc[::-1]  # a view: searchsorted takes its stride as it is
         for start in range(0, scores.size, batch):
             at = start + np.flatnonzero(is_minority[start:start + batch] == minority)

@@ -145,38 +145,41 @@ def _safe_auc(d: ScoreDataset, group: GroupId | None = None):
         return None
 
 
+def _stage_metrics(out_dir: Path, kinds, thresholds, data: ScoreDataset, stage: str) -> dict:
+    """Each curve part's bias and threshold gaps on one stage's dataset; writes
+    the stage's curves before it returns, one walk per group (:func:`write_curves`)."""
+    numbers, curves = {}, {}
+    for part in dict.fromkeys(part for kind in kinds for part in kind.parts):
+        pair = group_curves(data, part)
+        numbers[part] = curve_bias(pair), curve_gaps(pair, thresholds)
+        for group, curve in pair.items():
+            curves.setdefault(group, {})[out_dir / f"{part.value}_{group.value}_{stage}.csv"] = curve
+    for same_group in curves.values():
+        write_curves(same_group)
+    return numbers
+
+
 def _report_metrics(out_dir: Path, kinds, thresholds, stages: dict, run: dict) -> dict:
-    """Every metric's report.json entry, read off one pair of group curves
-    per (curve kind, stage); writes those curves once every entry is built,
-    the curves of one (stage, group) in one walk (:func:`write_curves`).
+    """Every metric's report.json entry, from each stage's numbers; the
+    stage's curves are written as soon as those are read (:func:`_stage_metrics`).
 
     ``stages`` maps "before" (and "after") to a dataset.  ``run`` holds
     the run's risk and overall AUCs, which every entry repeats.
     """
-    curves, bias, gaps = {}, {}, {}
-    for stage, data in stages.items():
-        for part in dict.fromkeys(part for kind in kinds for part in kind.parts):
-            pair = group_curves(data, part)
-            bias[part, stage] = curve_bias(pair)
-            gaps[part, stage] = curve_gaps(pair, thresholds)
-            for group, curve in pair.items():
-                stem = f"{part.value}_{group.value}_{stage}"
-                curves.setdefault((stage, group), {})[out_dir / f"{stem}.csv"] = curve
+    read = {stage: _stage_metrics(out_dir, kinds, thresholds, d, stage) for stage, d in stages.items()}
     entries = {}
     for kind in kinds:
         entry = entries[kind.value] = {"metric": kind.value, "after": None, **run}
-        for stage in stages:
-            entry[stage] = sum(bias[part, stage] for part in kind.parts)
+        for stage, numbers in read.items():
+            entry[stage] = sum(numbers[part][0] for part in kind.parts)
             key = "threshold_bias" if stage == "before" else "threshold_bias_after"
-            values = sum(gaps[part, stage] for part in kind.parts).tolist()
+            values = sum(numbers[part][1] for part in kind.parts).tolist()
             entry[key] = dict(zip(map(repr, thresholds), values))
         # EOD's components, keyed "eo" and "fpr_gap"
         entry["components"] = None if len(kind.parts) == 1 else {
-            part.name.lower(): {stage: bias[part, stage] for stage in stages}
+            part.name.lower(): {stage: numbers[part][0] for stage, numbers in read.items()}
             for part in kind.parts
         }
-    for same_group in curves.values():
-        write_curves(same_group)
     return entries
 
 

@@ -21,6 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import dataset  # BATCH_ROWS, looked up at each call
 from .calibration import CalibModel, calibrate_scores, check_queries, model_to_dict
 from .dataset import GroupId, ScoreDataset, _frozen, read_text, write_json
 from .empirical import _group_lists, add_jitter, unit_scores
@@ -214,13 +215,15 @@ def fit_conditional(
 def cond_calibrate_scores(
     model: CondCalibModel, scores: Sequence[float], groups: Sequence[GroupId]
 ) -> np.ndarray:
-    """Route each query by score >= gamma, then calibrate within its side."""
+    """Route each query by score >= gamma and calibrate it within its side,
+    :data:`~scorecalib.dataset.BATCH_ROWS` queries at a time, into one array."""
     scores, is_minority = check_queries(scores, groups)
-    matched_mask = scores >= model.gamma
-    out = np.empty(scores.size, dtype=float)
-    for sub, mask in ((model.matched, matched_mask), (model.unmatched, ~matched_mask)):
-        if mask.any():
-            out[mask] = calibrate_scores(sub, scores[mask], is_minority[mask])
+    out = np.empty(scores.size)
+    for start in range(0, scores.size, dataset.BATCH_ROWS):
+        part = slice(start, start + dataset.BATCH_ROWS)
+        matched = scores[part] >= model.gamma
+        for sub, mask in ((model.matched, matched), (model.unmatched, ~matched)):
+            out[part][mask] = calibrate_scores(sub, scores[part][mask], is_minority[part][mask])
     return out
 
 

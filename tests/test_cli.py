@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -16,8 +17,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import scorecalib.cli
-from scorecalib import bias, empirical
+from scorecalib import bias, dataset, empirical
 from scorecalib.bias import BiasMetricKind, score_bias, threshold_bias
+from scorecalib.calibration import calibrate_dataset, fit
 from scorecalib.cli import main
 from scorecalib.dataset import Schema, ScoreDataset, load_dataset
 from scorecalib.empirical import StepCurve, pr_curve
@@ -703,6 +705,50 @@ def test_failed_metric_writes_no_file(tmp_path, capsys):
     assert code == 2
     assert "label" in capsys.readouterr().err
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("algorithm", [["calib"], ["ccalib", "--gamma", 0.5]])
+def test_failed_metric_in_calibrate_writes_no_file(tmp_path, capsys, algorithm):
+    # the fit succeeds and eo needs labels: no stage writes a curve, the
+    # calibrated scores, the model or the report
+    csv_path = tmp_path / "scores.csv"
+    write_example_csv(csv_path)
+    out = tmp_path / "out"
+    code = run(
+        "calibrate", "--input", csv_path, "--minority-token", "a",
+        "--algorithm", *algorithm, "--metric", "eo", "--out-dir", out,
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "label" in err
+    assert list(out.iterdir()) == []
+
+
+def test_report_holds_one_stage_of_curves(tmp_path):
+    # each stage's curves are written and dropped before the next stage's
+    # are built: at --sigma 0 both stages have a breakpoint per pair, and
+    # holding both would add a whole stage's curve bytes (1.6 MB here) to
+    # the peak, against 305 bytes a batch row for the walk's rows and text
+    n = 50_000
+    rng = np.random.default_rng(7)
+    d = ScoreDataset([f"p{i}" for i in range(n)], rng.random(n), rng.random(n) < 0.4,
+                     (rng.random(n) < 0.5).astype(int))
+    stages = {"before": d, "after": calibrate_dataset(fit(d, 0.0, 0), d)}
+    kinds = [BiasMetricKind.DP, BiasMetricKind.EOD]
+    parts = dict.fromkeys(part for kind in kinds for part in kind.parts)
+    stage_bytes = max(
+        sum(c.breakpoints.nbytes + c.values.nbytes for part in parts
+            for c in bias.group_curves(data, part).values())
+        for data in stages.values()
+    )
+    tracemalloc.start()
+    try:
+        scorecalib.cli._report_metrics(tmp_path, kinds, [0.5], stages, {})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(list(tmp_path.glob("*.csv"))) == 12
+    assert peak <= stage_bytes + 400 * dataset.BATCH_ROWS
 
 
 ALL_METRICS = ["dp", "eo", "fprgap", "eod"]

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from scorecalib import conditional
+from scorecalib import conditional, dataset
 from scorecalib.cli import main as cli_main
 from scorecalib.bias import BiasMetricKind, risk_estimate, score_bias
+from scorecalib.calibration import calibrate_dataset, calibrate_scores, check_queries, fit
 from scorecalib.conditional import (
     CONVERGENCE_TOL,
     MAX_ITERATIONS,
@@ -24,7 +25,7 @@ from scorecalib.conditional import (
     model_to_dict_conditional,
     save_model,
 )
-from scorecalib.dataset import GroupId
+from scorecalib.dataset import GroupId, ScoreDataset
 from scorecalib.empirical import w1_distance
 from scorecalib.errors import (
     EmptyGroupInPartitionError,
@@ -410,6 +411,73 @@ def test_cond_calibrate_dataset_matches_scalar(example_dataset):
         for score, group in zip(example_dataset.scores().tolist(), example_dataset.groups())
     ]
     assert out.scores().tolist() == expected
+
+
+def whole_array_routing(model, scores, groups):
+    """The routing before it was batched: each side's queries masked out
+    of the whole input and calibrated in one call."""
+    scores, is_minority = check_queries(scores, groups)
+    matched_mask = scores >= model.gamma
+    out = np.empty(scores.size, dtype=float)
+    for sub, mask in ((model.matched, matched_mask), (model.unmatched, ~matched_mask)):
+        if mask.any():
+            out[mask] = calibrate_scores(sub, scores[mask], is_minority[mask])
+    return out
+
+
+def routing_case(case: str):
+    """Queries (scores, minority flags) for one routing case, gamma 0.5."""
+    rng = np.random.default_rng(len(case))
+    scores = np.concatenate([[0.0, -0.0, 0.5, 1.0, np.nextafter(0.5, 0)], rng.random(40)])
+    groups = np.concatenate([[True, True], rng.random(scores.size - 2) < 0.4])
+    if case == "all matched":
+        keep = scores >= 0.5
+    elif case == "all unmatched":
+        keep = scores < 0.5
+    elif case == "one group":
+        keep = groups
+    elif case == "empty":
+        keep = np.zeros(scores.size, bool)
+    else:  # straddling gamma
+        keep = np.ones(scores.size, bool)
+    return scores[keep], groups[keep]
+
+
+@pytest.mark.parametrize("batch_rows", [1, 2, 7, None])
+@pytest.mark.parametrize("case", ["all matched", "all unmatched", "one group", "straddling", "empty"])
+def test_batched_routing_matches_whole_array_routing(monkeypatch, batch_rows, case):
+    # each unmatched list ends in -0.0, so a zero query's output is -0.0
+    rng = np.random.default_rng(3)
+    fit_scores = np.concatenate([[-0.0, -0.0], rng.random(38)])
+    model = fit_conditional(
+        make_dataset([(float(s), "ab"[i % 2]) for i, s in enumerate(fit_scores)]),
+        sigma=0.0, seed=0, gamma_override=0.5,
+    )
+    scores, groups = routing_case(case)
+    expected = whole_array_routing(model, scores, groups)
+    if batch_rows is not None:
+        monkeypatch.setattr(dataset, "BATCH_ROWS", batch_rows)
+    out = cond_calibrate_scores(model, scores, groups)
+    assert out.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+    assert np.signbit(out).any() == (case not in ("all matched", "empty"))
+
+
+def test_conditional_apply_peaks_as_calib_does():
+    # each batch's sides are routed in place: no whole-length mask, copy
+    # of a side's scores or flags, or side result beside the output
+    n = 200_000
+    rng = np.random.default_rng(11)
+    d = ScoreDataset([f"p{i}" for i in range(n)], rng.random(n), rng.random(n) < 0.4)
+    peaks = []
+    for apply, model in ((calibrate_dataset, fit(d, 0.05, 0)),
+                         (cond_calibrate_dataset, fit_conditional(d, 0.05, 0, 0.5))):
+        tracemalloc.start()
+        try:
+            apply(model, d)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 32 * dataset.BATCH_ROWS
 
 
 def test_conditional_bias_collapse_on_separable_labels():

@@ -532,6 +532,25 @@ def test_gc_state_is_restored(enabled, data):
         (gc.enable if was else gc.disable)()
 
 
+def test_ingest_runs_no_cyclic_collection(tmp_path):
+    # a batch's row lists are alive together, so with GC on each 2e5-row
+    # load ran 244 / 22 / 2 collections (generations 0 / 1 / 2) that freed
+    # nothing; paused, a load of three batches and more runs none
+    n = 3 * dataset.BATCH_ROWS + 1
+    clean_file(tmp_path / "rows.csv", "pair", n)
+    was = gc.isenabled()
+    gc.enable()
+    try:
+        gc.collect()
+        before = [stats["collections"] for stats in gc.get_stats()]
+        rows = parse_rows(tmp_path / "rows.csv", Schema.PAIR_LEVEL)
+        after = [stats["collections"] for stats in gc.get_stats()]
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert len(rows) == n
+    assert after == before
+
+
 # ---------------------------------------------------------------- rows parsed
 
 def clean_file(path, kind: str, n: int):
