@@ -10,9 +10,9 @@ Outputs are byte-deterministic for a fixed command line: JSON is
 written with sorted keys, floats at full repr precision, and the SVG
 renderer embeds no timestamps.
 
-Exit codes: 0 success, 2 invalid input, 3 algorithm failure (e.g. a
-single-mode score distribution, or an empty group in a gamma
-partition).
+Exit codes: 0 success, 2 invalid input or out of memory, 3 algorithm
+failure (e.g. a single-mode score distribution, or an empty group in a
+gamma partition).
 """
 
 from __future__ import annotations
@@ -442,6 +442,9 @@ def main(argv=None) -> int:
         return 3
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}".removesuffix(": "), file=sys.stderr)
         return 2
 
 

@@ -413,44 +413,33 @@ def _codes(raw: list[str], table: dict, column: np.ndarray, start: int) -> np.nd
     return column
 
 
-def _row_bound(chunks, cr, lf) -> int:
-    """The most rows that can follow the first in the text of str or bytes
-    ``chunks``: its lines as ``newline=""`` splits them (LF, CRLF, CR), less one."""
-    ends, last = 0, lf
-    for chunk in chunks:
-        ends += chunk.count(lf) + chunk.count(cr) - chunk.count(cr + lf)
-        ends -= last == cr and chunk[:1] == lf  # a CRLF split between chunks
-        last = chunk[-1:]
-    return max(ends - (last in (cr, lf)), 0)
-
-
 class CsvRows:
     """The rows of a CSV input after its first row, as ``width`` columns: a
     float64 array for each index in ``floats``, and for the rest the
     first field as a numpy ``StringDType`` array and the others as
     :class:`Tokens`.
 
-    A path to a regular file is read twice, a binary pass in 64 KiB chunks
-    that counts its lines (:func:`_row_bound`) and then the stream, and a
-    third time only on the error path.  Bytes, file objects and other
-    paths (a pipe) are decoded to one string up front (as
-    :func:`read_text` does), since they cannot be read twice.  Both are
-    read with ``newline=""``, as ``csv`` asks, so they split lines alike:
-    at LF, CRLF and a bare CR, while a CR or CRLF inside a quoted field is
-    kept as it is.
+    A path to a regular file is streamed once, and read a second time
+    only on the error path.  Bytes, file objects and other paths (a
+    pipe) are decoded to one string up front (as :func:`read_text`
+    does), since they cannot be read twice.  Both are read with
+    ``newline=""``, as ``csv`` asks, so they split lines alike: at LF,
+    CRLF and a bare CR, while a CR or CRLF inside a quoted field is kept
+    as it is.
 
-    Each column is allocated once, at the line count's bound, and trimmed
-    in place to the rows read.  Rows are read through ``csv.reader`` in
-    batches of :data:`BATCH_ROWS` with cyclic GC paused; each batch is
-    checked for shape with one ``set(map(len, ...))``, blank rows are
-    dropped, and each column is filled with one comprehension before the
-    batch's row lists are freed.  A column in ``floats`` is parsed there,
-    one ``float`` map per batch; if ``float`` rejects a field, its whole
-    batch reads NaN, which fails every range and finite check, so the
-    caller parses :meth:`reread` for the message.  Every other column is
-    stored or coded batch by batch, so no field keeps an object of its
-    own; a token column stores each distinct str once, coded in the
-    smallest unsigned type that holds every code.  The float and id
+    Each column starts empty and is grown in place just before each batch
+    fills it, so memory follows the data rows read, not the line ends: a
+    blank line or a quoted line break takes none.  Rows are read through
+    ``csv.reader`` in batches of :data:`BATCH_ROWS` with cyclic GC paused;
+    each batch is checked for shape with one ``set(map(len, ...))``, blank
+    rows are dropped, and each column is filled with one comprehension
+    before the batch's row lists are freed.  A column in ``floats`` is
+    parsed there, one ``float`` map per batch; if ``float`` rejects a
+    field, its whole batch reads NaN, which fails every range and finite
+    check, so the caller parses :meth:`reread` for the message.  Every
+    other column is stored or coded batch by batch, so no field keeps an
+    object of its own; a token column stores each distinct str once, coded
+    in the smallest unsigned type that holds every code.  The float and id
     columns are read-only, so a dataset holds them without a copy.
 
     ``header`` is the first row (None if the text has none).  ``columns``
@@ -464,14 +453,11 @@ class CsvRows:
         tables = [{} for _ in range(width)]  # each token column's code of each distinct str
         if isinstance(source, (str, Path)) and Path(source).is_file():  # a pipe is read once
             self._path, self._text = Path(source), None
-            with open(self._path, "rb") as f:
-                bound = _row_bound(iter(lambda: f.read(1 << 16), b""), b"\r", b"\n")
             stream = open(self._path, encoding="utf-8", newline="")  # closed by the with below
         else:
             self._path, self._text = None, read_text(source)
-            bound = _row_bound([self._text], "\r", "\n")
             stream = io.StringIO(self._text, newline="")
-        columns = [np.empty(bound, np.float64 if j in floats else np.uint8 if j else _ID())
+        columns = [np.empty(0, np.float64 if j in floats else np.uint8 if j else _ID())
                    for j in range(width)]
         rows = 0
         try:
@@ -483,10 +469,11 @@ class CsvRows:
                     if 0 in widths:
                         chunk = [row for row in chunk if row]
                         widths.discard(0)
-                    if widths - {width} or rows + len(chunk) > bound:  # past it: the file grew
+                    if widths - {width}:
                         return
                     for j, column in enumerate(columns):
                         raw, end = [row[j] for row in chunk], rows + len(chunk)
+                        column.resize(end, refcheck=False)  # in place: no view of it is left
                         if j in floats:
                             _floats(raw, column[rows:end])
                         elif j:
@@ -498,7 +485,6 @@ class CsvRows:
         except (UnicodeDecodeError, csv.Error):
             return
         for j, column in enumerate(columns):
-            column.resize(rows, refcheck=False)  # in place: no view of it is left
             columns[j] = _frozen(column) if j in floats or not j else Tokens(
                 column, np.array(list(tables[j]), dtype=object))
         self.columns = columns

@@ -1,10 +1,14 @@
+import csv
+import tracemalloc
 import xml.etree.ElementTree as ET
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from scorecalib import dataset
 from scorecalib.dataset import ScoreDataset
 
 settings.register_profile(
@@ -41,6 +45,20 @@ def make_dataset(scored, labels=None):
         [token == "a" for _, token in scored],
         None if labels is None else [-1 if label is None else label for label in labels],
     )
+
+
+def one_batch_bytes(path) -> int:
+    """Traced bytes of the first :data:`~scorecalib.dataset.BATCH_ROWS`
+    csv rows after the header of the CSV file at ``path``, as lists."""
+    with open(path, encoding="utf-8", newline="") as f:
+        reader = csv.reader(f)
+        next(reader)
+        tracemalloc.start()
+        try:
+            batch = list(islice(reader, dataset.BATCH_ROWS))  # alive while measured
+            return tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
 
 
 def parse_svgs(root) -> int:

@@ -10,6 +10,7 @@ import tracemalloc
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -622,22 +623,27 @@ def test_no_command_imports_numpy_ma(tmp_path):
         assert result.stdout.splitlines()[-1] == "False", argv[0]
 
 
-def test_generate_out_of_memory_exit_2(tmp_path):
-    # 1e9 draws need 8 GB; the child's address space is capped at 1 GB, so
-    # numpy's allocation fails at once instead of exhausting the machine
+def run_capped(argv, cap: int, timeout: int = 60) -> subprocess.CompletedProcess:
+    """``main(argv)`` in a child whose address space is capped at ``cap``
+    bytes (``RLIMIT_AS``, set by the child on itself), so an allocation
+    past it fails at once instead of exhausting the machine."""
     src = str(Path(scorecalib.cli.__file__).resolve().parents[1])
     code = (
         "import resource, sys\n"
-        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap}))\n"
         f"sys.path.insert(0, {src!r})\n"
         "from scorecalib.cli import main\n"
         "sys.exit(main(sys.argv[1:]))\n"
     )
-    argv = [*GEN_ARGS, "--n-minority", 10**9, "--out-dir", tmp_path]
-    result = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", code, *map(str, argv)],
-        env=dict(os.environ, OPENBLAS_NUM_THREADS="1"), capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, OPENBLAS_NUM_THREADS="1"), capture_output=True, text=True, timeout=timeout,
     )
+
+
+def test_generate_out_of_memory_exit_2(tmp_path):
+    # 1e9 draws need 8 GB; the child's address space is capped at 1 GB
+    result = run_capped([*GEN_ARGS, "--n-minority", 10**9, "--out-dir", tmp_path], 1 << 30)
     assert result.returncode == 2, result.stderr
     assert result.stderr.startswith("error: cannot draw 1000000000 pairs: Unable to allocate")
     assert result.stderr.count("\n") == 1
@@ -859,23 +865,53 @@ def test_report_equals_library_bias_exactly(tmp_path):
 def test_generate_columns_out_of_memory_exit_2(tmp_path):
     # 1e7 draws fit under a 1 GB address-space cap, but the id, group and
     # label columns of 1e7 pairs do not: the run still exits 2 without a file
-    src = str(Path(scorecalib.cli.__file__).resolve().parents[1])
-    code = (
-        "import resource, sys\n"
-        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
-        f"sys.path.insert(0, {src!r})\n"
-        "from scorecalib.cli import main\n"
-        "sys.exit(main(sys.argv[1:]))\n"
-    )
     argv = [*GEN_ARGS, "--n-minority", 10**7, "--out-dir", tmp_path]
-    result = subprocess.run(
-        [sys.executable, "-c", code, *map(str, argv)],
-        env=dict(os.environ, OPENBLAS_NUM_THREADS="1"), capture_output=True, text=True, timeout=120,
-    )
+    result = run_capped(argv, 1 << 30, timeout=120)
     assert result.returncode == 2, result.stderr
     assert result.stderr.startswith("error: cannot draw 10000090 pairs: ")
     assert result.stderr.count("\n") == 1
     assert not (tmp_path / "dataset.csv").exists()
+
+
+@pytest.mark.parametrize("error, message", [
+    (MemoryError("Unable to allocate 8.00 GiB"), "error: out of memory: Unable to allocate 8.00 GiB\n"),
+    (MemoryError(), "error: out of memory\n"),  # the empty message of a failed allocation
+])
+@pytest.mark.parametrize("command, stage", [
+    ("measure", "_report_metrics"), ("calibrate", "fit"), ("plot", "render_gap_svg"),
+])
+def test_out_of_memory_exits_2(tmp_path, capsys, command, stage, error, message):
+    csv_path = tmp_path / "scores.csv"
+    write_example_csv(csv_path, TRUE_LABELS)
+    curves = [tmp_path / "a.csv", tmp_path / "b.csv"]
+    for scores, curve in zip(([0.2, 0.8], [0.4, 0.6]), curves):
+        pr_curve(scores).to_csv(curve)
+    flags = ["--input", *curves] if command == "plot" else ["--input", csv_path, "--minority-token", "a"]
+    with mock.patch.object(scorecalib.cli, stage, side_effect=error):
+        assert run(command, *flags, "--out-dir", tmp_path / "out") == 2
+    assert capsys.readouterr().err == message
+
+
+@pytest.mark.parametrize("line_end, quoted, code", [
+    ("\n", False, 0),  # blank lines
+    ("\r", False, 0),  # bare CRs, each a line end as newline="" reads them
+    ("\n", True, 2),  # one quoted field: over csv's field limit
+], ids=["blank lines", "bare CRs", "quoted line breaks"])
+def test_line_flood_is_read_under_a_memory_cap(tmp_path, line_end, quoted, code):
+    # two data rows and 8M line ends that are not data rows: memory follows
+    # the rows, so the run fits a 256 MB address space (a two-row run peaks
+    # near 100 MB).  Columns sized by line ends would take 26 B per line
+    flood = line_end * 8_000_000
+    if quoted:
+        flood = f'"{flood}",0.5,b,0\n'
+    path = tmp_path / "flood.csv"
+    path.write_text("id,score,group,label\np1,0.25,a,1\n" + flood + "p2,0.75,b,0\n",
+                    encoding="utf-8", newline="")
+    result = run_capped(["measure", "--input", path, "--minority-token", "a",
+                         "--out-dir", tmp_path / "out"], 256 << 20)
+    assert result.returncode == code, result.stderr
+    assert result.stderr.count("\n") <= 1 and "Traceback" not in result.stderr
+    assert code == 0 or "field larger than field limit" in result.stderr
 
 
 def _flag_text(item, integer: bool) -> str | None:

@@ -1,7 +1,6 @@
-import csv
 import io
 import tracemalloc
-from itertools import compress, islice
+from itertools import compress
 from unittest import mock
 
 import numpy as np
@@ -29,7 +28,7 @@ from scorecalib.errors import (
     UnknownGroupError,
 )
 
-from conftest import EXAMPLE_PAIRS_RAW, make_dataset
+from conftest import EXAMPLE_PAIRS_RAW, make_dataset, one_batch_bytes
 
 MIN, MAJ = GroupId.MINORITY, GroupId.MAJORITY
 TOKEN = {MIN: "f", MAJ: "m"}
@@ -436,28 +435,17 @@ def load_held_per_row(n: int, path, schema: Schema) -> float:
         tracemalloc.stop()
 
 
-def test_load_peaks_within_its_columns_and_one_batch(tmp_path):
-    # each column is allocated once and filled in place.  Measured on
-    # Python 3.11, numpy 2.4, for this 2e5-row record file: the dataset
-    # holds 5.21 MB, one batch of csv row lists takes 2.89 MB, and the load
-    # peaks 3.25 MB above what it holds (1.8 B/row besides the batch: bool
-    # masks).  Per-batch arrays joined at the end peaked 5.77 MB above it
-    n, path = 200_000, tmp_path / "records.csv"
+def load_peak_over_held(path, n: int, line_end: str) -> tuple[int, int]:
+    """(one batch of csv row lists, the load's traced peak over what it
+    holds) for an n-row record file whose rows end in ``line_end``."""
     rng = np.random.default_rng(0)
     groups = np.where(rng.random(n) < 0.4, "minority", "majority").astype(object)
-    write_csv(path, [Schema.RECORD_LEVEL.header],
+    buf = io.StringIO()
+    write_csv(buf, [Schema.RECORD_LEVEL.header],
               [[f"r{i:07d}" for i in range(n)], np.round(rng.random(n), 2), groups,
                groups[::-1], rng.integers(0, 2, n).astype(str).astype(object)])
-    with open(path, encoding="utf-8", newline="") as f:
-        reader = csv.reader(f)
-        next(reader)
-        tracemalloc.start()
-        try:
-            batch = list(islice(reader, dataset.BATCH_ROWS))
-            one_batch = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
-    del batch
+    path.write_text(buf.getvalue().replace("\n", line_end), encoding="utf-8", newline="")
+    del buf
     load_dataset(path, Schema.RECORD_LEVEL, "minority")  # untraced: one-time allocations
     tracemalloc.start()
     try:
@@ -466,7 +454,28 @@ def test_load_peaks_within_its_columns_and_one_batch(tmp_path):
     finally:
         tracemalloc.stop()
     assert len(d) == n
-    assert peak - held <= one_batch + 3 * n
+    return one_batch_bytes(path), peak - held
+
+
+def test_load_peaks_within_its_columns_and_one_batch(tmp_path):
+    # each column is grown in place as each batch fills it.  Measured on
+    # Python 3.11, numpy 2.4, for this 2e5-row record file: the dataset
+    # holds 5.21 MB, one batch of csv row lists takes 2.89 MB, and the load
+    # peaks 3.15 MB above what it holds (1.3 B/row besides the batch: bool
+    # masks).  Per-batch arrays joined at the end peaked 5.77 MB above it
+    n = 200_000
+    one_batch, over_held = load_peak_over_held(tmp_path / "records.csv", n, "\n")
+    assert over_held <= one_batch + 3 * n
+
+
+def test_load_with_blank_lines_peaks_within_its_columns_and_one_batch(tmp_path):
+    # a blank line after every record takes no room in the columns: the
+    # load peaks 1.76 MB above the dataset of this 2e5-row file, and one
+    # batch (4096 records, 4096 blank rows) takes 1.71 MB.  Columns sized
+    # by the file's line ends would peak 7.37 MB above it, past the bound
+    n = 200_000
+    one_batch, over_held = load_peak_over_held(tmp_path / "records.csv", n, "\n\n")
+    assert over_held <= one_batch + 3 * n
 
 
 @pytest.mark.parametrize("schema", list(Schema))

@@ -13,6 +13,7 @@ import gc
 import io
 import os
 import threading
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -30,6 +31,8 @@ from scorecalib.errors import (
     MalformedRowError,
     ScoreOutOfRangeError,
 )
+
+from conftest import one_batch_bytes
 
 
 def outcome(fn, *args):
@@ -386,17 +389,17 @@ def test_header_only_curve_matches_oracle():
     assert got == (MalformedCurveError, "curve CSV has no data rows")
 
 
-# ---------------------------------------------------------------- preallocated columns
+# ---------------------------------------------------------------- columns grown per batch
 
 LONG_ID = "an id of more than fifteen bytes"  # held outside StringDType's 16-byte slot
 RECORDS = [["p1", "0.5", "f", "m", "1"], [LONG_ID, "0.25", "m", "m", "0"], ["p3", "1", "m", "f", ""]]
-# data rows, and whether the count pass's bound is the row count exactly
+# data rows, in files whose line ends are not all row ends
 LAYOUTS = {
-    "plain": (RECORDS, True),
-    "blank rows": ([[], RECORDS[0], [], [], *RECORDS[1:], []], False),
-    "quoted line breaks": ([["p\r\n1", *RECORDS[0][1:]], [LONG_ID + "\n", *RECORDS[1][1:]],
-                            ["p\r3", *RECORDS[2][1:]]], False),
-    "header only": ([], True),
+    "plain": RECORDS,
+    "blank rows": [[], RECORDS[0], [], [], *RECORDS[1:], []],
+    "quoted line breaks": [["p\r\n1", *RECORDS[0][1:]], [LONG_ID + "\n", *RECORDS[1][1:]],
+                           ["p\r3", *RECORDS[2][1:]]],
+    "header only": [],
 }
 
 
@@ -427,15 +430,12 @@ def sources(tmp_path, data: bytes):
 @pytest.mark.parametrize("layout", LAYOUTS)
 def test_preallocated_columns_equal_oracle_rows(tmp_path, layout, newline, final_newline,
                                                 batch_rows):
-    # each column is allocated at the count pass's bound and trimmed in
-    # place to the rows read; the bound is exact for a file of plain rows
-    # and an overestimate when blank rows or quoted line breaks take lines
-    rows, exact = LAYOUTS[layout]
-    data = layout_bytes(rows, newline, final_newline)
+    # each column's room for a batch is allocated, by growing the column
+    # in place, just before the batch fills it: the columns end at the
+    # data rows read, however many lines blank rows or quoted breaks take
+    data = layout_bytes(LAYOUTS[layout], newline, final_newline)
     want = oracle.parse_rows(data, Schema.RECORD_LEVEL)
-    bounds, count = [], dataset._row_bound
-    with mock.patch.object(dataset, "BATCH_ROWS", batch_rows), \
-            mock.patch.object(dataset, "_row_bound", lambda *a: bounds.append(count(*a)) or bounds[-1]):
+    with mock.patch.object(dataset, "BATCH_ROWS", batch_rows):
         for source in sources(tmp_path, data):
             got = parse_rows(source, Schema.RECORD_LEVEL)
             ids, scores, *tokens = got.columns
@@ -446,19 +446,26 @@ def test_preallocated_columns_equal_oracle_rows(tmp_path, layout, newline, final
                 assert column.codes.dtype == np.uint8 and column[:].tolist() == [row[j] for row in want]
             assert not (ids.flags.writeable or scores.flags.writeable)
             assert ids.flags.owndata and scores.flags.owndata
-    assert len(bounds) == 4 and set(bounds) == {bounds[0]}
-    assert bounds[0] == len(want) if exact else bounds[0] > len(want)
     assert_same_ingest(data, Schema.RECORD_LEVEL, GroupVocabulary("f"))
 
 
-@given(st.text(st.sampled_from("a,\r\n\u00e9"), max_size=40), st.integers(1, 5))
-def test_row_bound_counts_lines_as_newline_empty_splits_them(text, chunk):
-    # bytes in chunks (a CRLF may be split between two) and str count alike
-    lines = len(io.StringIO(text, newline="").readlines())
-    data = text.encode("utf-8")
-    byte_chunks = [data[i:i + chunk] for i in range(0, len(data), chunk)]
-    assert dataset._row_bound(byte_chunks, b"\r", b"\n") == max(lines - 1, 0)
-    assert dataset._row_bound([text], "\r", "\n") == max(lines - 1, 0)
+def test_curve_padded_with_blank_lines_peaks_within_one_batch(tmp_path):
+    # 2e5 blank lines between the header and three breakpoints take no room
+    # in the columns: the read peaks at 0.57 MB, one batch of blank row
+    # lists at 0.53 MB.  Columns sized by the line ends would peak at 3.77 MB
+    path = tmp_path / "curve.csv"
+    pr_curve([0.2, 0.5, 0.8]).to_csv(path)
+    header, rows = path.read_text(encoding="utf-8").split("\n", 1)
+    path.write_text(header + "\n" * 200_001 + rows, encoding="utf-8", newline="")
+    StepCurve.from_csv(path)  # untraced: one-time allocations
+    tracemalloc.start()
+    try:
+        curve = StepCurve.from_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert curve.breakpoints.tolist() == [0.2, 0.5, 0.8]
+    assert peak <= 2 * one_batch_bytes(path)
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
@@ -477,18 +484,6 @@ def test_a_pipe_is_read_once(tmp_path):
     for thread in threads:
         thread.join(timeout=10)
     assert loaded and loaded[0] == load_dataset(tmp_path / "in.csv", Schema.RECORD_LEVEL, "f")
-
-
-def test_rows_past_the_bound_take_the_error_path(tmp_path):
-    # more rows than the count pass found: the file grew between the passes
-    path = tmp_path / "in.csv"
-    path.write_bytes(layout_bytes(RECORDS, "\n", True))
-    with mock.patch.object(dataset, "_row_bound", lambda *a: len(RECORDS) - 1):
-        with pytest.raises(MalformedRowError, match="^input changed while it was read$"):
-            load_dataset(path, Schema.RECORD_LEVEL, "f")
-        # a curve is parsed again whole
-        pr_curve([0.2, 0.8]).to_csv(path)
-        assert StepCurve.from_csv(path).breakpoints.tolist() == [0.2, 0.8]
 
 
 # ---------------------------------------------------------------- sources and state
