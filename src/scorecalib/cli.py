@@ -12,7 +12,8 @@ renderer embeds no timestamps.
 
 Exit codes: 0 success, 2 invalid input or out of memory, 3 algorithm
 failure (e.g. a single-mode score distribution, or an empty group in a
-gamma partition).
+gamma partition).  A run that fails removes every file it opened for
+writing, so no partial output is left.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import suppress
 from dataclasses import fields
 from pathlib import Path
 
@@ -34,6 +36,7 @@ from .dataset import (
     dataset_from_rows,
     dump_dataset,
     parse_rows,
+    text_writer,
     write_csv,
     write_json,
 )
@@ -49,6 +52,12 @@ from .svgplot import render_gap_svg
 from .synth import BetaParams, SynthSpec, generate
 
 DEFAULT_THRESHOLDS = (0.1, 0.5, 0.95)
+
+
+def _writing(written: list, path: Path) -> Path:
+    """``path``, recorded in ``written`` for :func:`main` to remove if the run fails."""
+    written.append(path)
+    return path
 
 
 def _pct(value) -> str:
@@ -145,7 +154,8 @@ def _safe_auc(d: ScoreDataset, group: GroupId | None = None):
         return None
 
 
-def _stage_metrics(out_dir: Path, kinds, thresholds, data: ScoreDataset, stage: str) -> dict:
+def _stage_metrics(out_dir: Path, kinds, thresholds, data: ScoreDataset, stage: str,
+                   written: list) -> dict:
     """Each curve part's bias and threshold gaps on one stage's dataset; writes
     the stage's curves before it returns, one walk per group (:func:`write_curves`)."""
     numbers, curves = {}, {}
@@ -155,18 +165,21 @@ def _stage_metrics(out_dir: Path, kinds, thresholds, data: ScoreDataset, stage: 
         for group, curve in pair.items():
             curves.setdefault(group, {})[out_dir / f"{part.value}_{group.value}_{stage}.csv"] = curve
     for same_group in curves.values():
+        written.extend(same_group)
         write_curves(same_group)
     return numbers
 
 
-def _report_metrics(out_dir: Path, kinds, thresholds, stages: dict, run: dict) -> dict:
+def _report_metrics(out_dir: Path, kinds, thresholds, stages: dict, run: dict,
+                    written: list) -> dict:
     """Every metric's report.json entry, from each stage's numbers; the
     stage's curves are written as soon as those are read (:func:`_stage_metrics`).
 
     ``stages`` maps "before" (and "after") to a dataset.  ``run`` holds
     the run's risk and overall AUCs, which every entry repeats.
     """
-    read = {stage: _stage_metrics(out_dir, kinds, thresholds, d, stage) for stage, d in stages.items()}
+    read = {stage: _stage_metrics(out_dir, kinds, thresholds, d, stage, written)
+            for stage, d in stages.items()}
     entries = {}
     for kind in kinds:
         entry = entries[kind.value] = {"metric": kind.value, "after": None, **run}
@@ -218,7 +231,7 @@ def _print_summary(entries: dict, auc_by_group, header: str) -> None:
         print(f"  AUC by group: {shown}")
 
 
-def cmd_generate(s: dict) -> int:
+def cmd_generate(s: dict, written: list) -> int:
     keys = [field.name for field in fields(SynthSpec)]
     for key in keys:
         if s[key] is None:
@@ -226,7 +239,7 @@ def cmd_generate(s: dict) -> int:
     spec = SynthSpec(**{key: s[key] for key in keys})
     dest = _out_dir(s) / "dataset.csv"
     dataset = generate(spec)
-    dump_dataset(dataset, dest)
+    dump_dataset(dataset, _writing(written, dest))
     print(
         f"wrote {len(dataset)} pairs ({spec.n_minority} minority, "
         f"{spec.n_majority} majority) to {dest}"
@@ -234,12 +247,13 @@ def cmd_generate(s: dict) -> int:
     return 0
 
 
-def cmd_measure(s: dict) -> int:
+def cmd_measure(s: dict, written: list) -> int:
     d, _ = _load_input(s, "input")
     out_dir = _out_dir(s)
 
     no_after = dict.fromkeys(("risk", "auc_before", "auc_after"))
-    entries = _report_metrics(out_dir, s["metric"], s["thresholds"], {"before": d}, no_after)
+    entries = _report_metrics(out_dir, s["metric"], s["thresholds"], {"before": d}, no_after,
+                              written)
     auc_groups = _auc_by_group(d)
     payload = {
         "command": "measure",
@@ -247,12 +261,12 @@ def cmd_measure(s: dict) -> int:
         "metrics": entries,
         "auc_by_group": auc_groups,
     }
-    write_json(out_dir / "report.json", payload)
+    write_json(_writing(written, out_dir / "report.json"), payload)
     _print_summary(entries, auc_groups, f"measured {len(d)} pairs")
     return 0
 
 
-def cmd_calibrate(s: dict) -> int:
+def cmd_calibrate(s: dict, written: list) -> int:
     d, raw_columns = _load_input(s, "input")
     algorithm, sigma, seed, fit_sel = s["algorithm"], s["sigma"], s["seed"], s["fit"]
     out_dir = _out_dir(s)
@@ -275,10 +289,11 @@ def cmd_calibrate(s: dict) -> int:
         "auc_after": _safe_auc(calibrated),
     }
     stages = {"before": d, "after": calibrated}
-    entries = _report_metrics(out_dir, s["metric"], s["thresholds"], stages, run)
+    entries = _report_metrics(out_dir, s["metric"], s["thresholds"], stages, run, written)
 
     # emit the calibrated dataset in the input schema, original tokens kept
-    write_csv(out_dir / "calibrated.csv", [s["schema"].header], [d.ids, new_scores, *raw_columns])
+    write_csv(_writing(written, out_dir / "calibrated.csv"), [s["schema"].header],
+              [d.ids, new_scores, *raw_columns])
 
     auc_groups_before = _auc_by_group(d)
     auc_groups_after = _auc_by_group(calibrated)
@@ -295,9 +310,9 @@ def cmd_calibrate(s: dict) -> int:
         "auc_by_group_after": auc_groups_after,
         "gamma": getattr(model, "gamma", None),
     }
-    write_json(out_dir / "report.json", payload)
+    write_json(_writing(written, out_dir / "report.json"), payload)
     if model is not None:
-        save_model(model, out_dir / "model.json")
+        save_model(model, _writing(written, out_dir / "model.json"))
     _print_summary(
         entries, auc_groups_before, f"calibrated {len(d)} pairs with {algorithm}"
     )
@@ -311,7 +326,7 @@ def cmd_calibrate(s: dict) -> int:
     return 0
 
 
-def cmd_plot(s: dict) -> int:
+def cmd_plot(s: dict, written: list) -> int:
     inputs = s["input"]
     if inputs is None:
         raise InputError("plot requires exactly two --input curve CSVs")
@@ -326,7 +341,8 @@ def cmd_plot(s: dict) -> int:
         title=s["title"],
     )
     dest = out_dir / "curves.svg"
-    dest.write_text(svg, encoding="utf-8")
+    with text_writer(_writing(written, dest)) as f:
+        f.write(svg)
     print(f"wrote {dest}")
     return 0
 
@@ -432,20 +448,27 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    written: list[Path] = []
+    code = 1  # an exception that escapes main removes the run's files too
     try:
-        return args.func(_settings(args))
+        code = args.func(_settings(args), written)
     except SingleModeError as exc:
         print(f"error: {exc} (use --gamma to set the threshold)", file=sys.stderr)
-        return 3
+        code = 3
     except AlgorithmError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
+        code = 3
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        code = 2
     except MemoryError as exc:
         print(f"error: out of memory: {exc}".removesuffix(": "), file=sys.stderr)
-        return 2
+        code = 2
+    finally:
+        for path in written if code else ():  # no partial output
+            with suppress(OSError):
+                path.unlink()
+    return code
 
 
 if __name__ == "__main__":

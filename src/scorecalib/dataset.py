@@ -19,7 +19,7 @@ from functools import partial
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
@@ -419,13 +419,13 @@ class CsvRows:
     first field as a numpy ``StringDType`` array and the others as
     :class:`Tokens`.
 
-    A path to a regular file is streamed once, and read a second time
-    only on the error path.  Bytes, file objects and other paths (a
-    pipe) are decoded to one string up front (as :func:`read_text`
-    does), since they cannot be read twice.  Both are read with
-    ``newline=""``, as ``csv`` asks, so they split lines alike: at LF,
-    CRLF and a bare CR, while a CR or CRLF inside a quoted field is kept
-    as it is.
+    One opener, chosen here, gives each pass its stream: a path to a
+    regular file is opened again, so the error path streams it a second
+    time, while bytes, file objects and other paths (a pipe) are decoded
+    to one string up front (as :func:`read_text` does), since they
+    cannot be read twice.  Both are read with ``newline=""``, as ``csv``
+    asks, so they split lines alike: at LF, CRLF and a bare CR, while a
+    CR or CRLF inside a quoted field is kept as it is.
 
     Each column starts empty and is grown in place just before each batch
     fills it, so memory follows the data rows read, not the line ends: a
@@ -451,17 +451,15 @@ class CsvRows:
     def __init__(self, source, width: int, floats: Sequence[int] = ()):
         self.header = self.columns = None
         tables = [{} for _ in range(width)]  # each token column's code of each distinct str
-        if isinstance(source, (str, Path)) and Path(source).is_file():  # a pipe is read once
-            self._path, self._text = Path(source), None
-            stream = open(self._path, encoding="utf-8", newline="")  # closed by the with below
-        else:
-            self._path, self._text = None, read_text(source)
-            stream = io.StringIO(self._text, newline="")
+        # each pass opens a regular file again; a pipe can be read only once
+        self._open = (partial(open, source, encoding="utf-8", newline="")
+                      if isinstance(source, (str, Path)) and Path(source).is_file()
+                      else partial(io.StringIO, read_text(source), newline=""))
         columns = [np.empty(0, np.float64 if j in floats else np.uint8 if j else _ID())
                    for j in range(width)]
         rows = 0
         try:
-            with _gc_paused(), stream as f:
+            with _gc_paused(), self._open() as f:
                 reader = csv.reader(f)
                 self.header = next(reader, None)
                 while chunk := list(islice(reader, BATCH_ROWS)):
@@ -492,11 +490,13 @@ class CsvRows:
     def __len__(self) -> int:
         return len(self.columns[0])
 
-    def reread(self) -> io.StringIO:
-        """The whole text, split into lines as the stream splits it;
-        raises :class:`InputError` if any of it is not UTF-8."""
-        text = self._text if self._path is None else read_text(self._path)
-        return io.StringIO(text, newline="")
+    def reread(self) -> TextIO:
+        """A new stream of the text (decoded whole first if the first pass
+        stopped early, so that a decode error anywhere raises InputError)."""
+        if self.columns is None:
+            with self._open() as f:
+                read_text(f)
+        return self._open()
 
 
 def _header_matches(header, schema: Schema) -> bool:
@@ -510,12 +510,12 @@ def parse_rows(source, schema: Schema) -> CsvRows:
 
     Returns data rows only (header consumed; blank rows skipped).  The
     file is streamed in batches (:class:`CsvRows`), so no row list, field
-    string or second copy of the text outlives its batch.  When the
-    stream fails (a bad header, a row of the wrong width, text that is
-    not UTF-8), the whole text is parsed again row by row, so the error
-    is the one a whole-file read gives: a decode error anywhere wins,
-    else :class:`MalformedRowError` for the header or the first bad row,
-    with its file line.
+    string or copy of the text outlives its batch.  When the stream
+    fails (a bad header, a row of the wrong width, text that is not
+    UTF-8), the text is streamed again and parsed row by row
+    (:meth:`CsvRows.reread`), so the error is the one a whole-file read
+    gives: a decode error anywhere wins, else :class:`MalformedRowError`
+    for the header or the first bad row, with its file line.
     """
     rows = CsvRows(source, len(schema.header), floats=(1,))
     if rows.columns is None or not _header_matches(rows.header, schema):
@@ -542,7 +542,7 @@ def _parse_label(text: str) -> int:
 
 
 def _raise_first_error(rows: CsvRows, schema: Schema, vocab: GroupVocabulary | None = None):
-    """Parse the whole text one row at a time and raise its first error.
+    """Stream the text again, parse it one row at a time and raise its first error.
 
     The order is that of a whole-file read: a decode error anywhere, then
     :class:`MalformedRowError` for the header or a row of the wrong
@@ -552,33 +552,36 @@ def _raise_first_error(rows: CsvRows, schema: Schema, vocab: GroupVocabulary | N
     the file changed after it was read.
     """
     expected = schema.header
-    reader = csv.reader(rows.reread())
-    try:
-        header = next(reader, None)
-        if header is None:
-            raise MalformedRowError("empty file: header row required")
-        if not _header_matches(header, schema):
-            raise MalformedRowError(
-                f"expected header {','.join(expected)!r}, got {','.join(header)!r}"
-            )
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(expected):
+    with rows.reread() as text:
+        reader = csv.reader(text)
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise MalformedRowError("empty file: header row required")
+            if not _header_matches(header, schema):
                 raise MalformedRowError(
-                    f"line {reader.line_num}: expected {len(expected)} columns, got {len(row)}"
+                    f"expected header {','.join(expected)!r}, got {','.join(header)!r}"
                 )
-            if vocab is None:
-                continue
-            try:
-                _parse_score(row[1])
-                for token in row[2:-1]:
-                    vocab.resolve(token.strip())
-                _parse_label(row[-1])
-            except InputError as exc:
-                raise type(exc)(f"line {reader.line_num}: {exc}") from None
-    except csv.Error as exc:  # a field over csv.field_size_limit(), a bare \r
-        raise MalformedRowError(f"line {reader.line_num}: {exc}") from None
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != len(expected):
+                    raise MalformedRowError(
+                        f"line {reader.line_num}: expected {len(expected)} columns, got {len(row)}"
+                    )
+                if vocab is None:
+                    continue
+                try:
+                    _parse_score(row[1])
+                    for token in row[2:-1]:
+                        vocab.resolve(token.strip())
+                    _parse_label(row[-1])
+                except InputError as exc:
+                    raise type(exc)(f"line {reader.line_num}: {exc}") from None
+        except (csv.Error, UnicodeDecodeError) as exc:
+            # a field over csv.field_size_limit(), a bare \r, or a byte that
+            # is not UTF-8 in a file changed since the first pass
+            raise MalformedRowError(f"line {reader.line_num}: {exc}") from None
     raise MalformedRowError("input changed while it was read")
 
 

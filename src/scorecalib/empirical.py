@@ -9,6 +9,7 @@ distributions on [0, 1].
 from __future__ import annotations
 
 import csv
+from array import array
 from contextlib import ExitStack
 from dataclasses import dataclass
 from itertools import islice
@@ -105,22 +106,17 @@ class CalibModel:
         return self.n_a / (self.n_a + self.n_b)
 
 
-def build_group_scores(
-    d: ScoreDataset, sigma: float, seed: int, mask: np.ndarray | None = None
-) -> CalibModel:
+def build_group_scores(d: ScoreDataset, sigma: float, seed: int) -> CalibModel:
     """Jitter all scores (one stream, dataset order), split and sort.
 
-    ``mask`` keeps only the selected pairs after jittering, so every
-    subset of one dataset sees the same jittered values.  Raises
-    :class:`EmptyGroupError` if either group has no kept pairs.
+    Raises :class:`EmptyGroupError` if either group has no pairs.
     """
-    keep = True if mask is None else mask
-    return _group_lists(add_jitter(d.scores(), sigma, seed), d.is_minority, sigma, seed, keep)
+    return _group_lists(add_jitter(d.scores(), sigma, seed), d.is_minority, sigma, seed, True)
 
 
 def _group_lists(jittered, is_minority, sigma: float, seed: int, keep) -> CalibModel:
     """:func:`build_group_scores` of scores already jittered: each group's
-    kept scores, selected by one mask and sorted in place, descending."""
+    scores that the mask ``keep`` (or True) keeps, sorted in place, descending."""
     a, b = (_frozen(_sort_unit(jittered[keep & side], descending=True))
             for side in (is_minority, ~is_minority))
     if a.size == 0 or b.size == 0:
@@ -193,7 +189,7 @@ class StepCurve:
         stream cannot take as it is (not UTF-8, a header other than
         ``theta,value``, a row of other than two fields, no data rows) or
         that reads a NaN (a ``nan`` field, or a batch holding a field
-        ``float`` rejects) is parsed again whole, one field at a time:
+        ``float`` rejects) is streamed again and parsed one row at a time:
         that parse accepts rows with extra fields, and raises
         :class:`MalformedCurveError` for a malformed one.
         """
@@ -202,7 +198,8 @@ class StepCurve:
                 and not any(np.isnan(c).any() for c in rows.columns)):
             thetas, values = rows.columns
         else:
-            thetas, values = _curve_fields(rows.reread())
+            with rows.reread() as text:
+                thetas, values = _curve_fields(text)
         if not (np.isfinite(thetas).all() and np.isfinite(values).all()):
             raise MalformedCurveError("curve CSV holds a NaN or infinite number")
         if thetas[0] != 0.0:
@@ -247,21 +244,28 @@ def curve_batches(curves: Sequence[StepCurve]):
 
 
 def _curve_fields(text) -> tuple[np.ndarray, np.ndarray]:
-    """Thetas and values of a curve CSV's text stream, parsed one field at a time."""
+    """Thetas and values of a curve CSV's text stream, parsed one row at a
+    time as it streams.  A fault is raised after the last row, as a parse
+    of the whole file meets them: a ``csv`` error, the header, no data
+    rows, a malformed row."""
     reader = csv.reader(text)
+    rows, thetas, values, malformed = filter(None, reader), array("d"), array("d"), False
     try:
-        rows = [row for row in reader if row]
-    except csv.Error as exc:
+        header = next(rows, None)
+        for row in rows:
+            try:
+                thetas.append(float(row[0]))
+                values.append(float(row[1]))
+            except (ValueError, IndexError):
+                malformed = True
+    except (csv.Error, UnicodeDecodeError) as exc:  # bytes not UTF-8: the file changed
         raise MalformedCurveError(f"curve CSV line {reader.line_num}: {exc}") from None
-    if not rows or tuple(rows[0]) != ("theta", "value"):
+    if header != ["theta", "value"]:
         raise MalformedCurveError("curve CSV must start with header 'theta,value'")
-    if len(rows) < 2:
+    if not (thetas or malformed):
         raise MalformedCurveError("curve CSV has no data rows")
-    try:
-        thetas = [float(r[0]) for r in rows[1:]]
-        values = [float(r[1]) for r in rows[1:]]
-    except (ValueError, IndexError):
-        raise MalformedCurveError("curve CSV has a malformed row") from None
+    if malformed:
+        raise MalformedCurveError("curve CSV has a malformed row")
     return np.array(thetas), np.array(values)
 
 

@@ -73,7 +73,7 @@ def generate(spec: SynthSpec) -> ScoreDataset:
             )
         count = n  # every pair's id, group and label columns
         return ScoreDataset(
-            [f"p{serial:0{width}d}" for serial in range(1, n + 1)],
+            (f"p{serial:0{width}d}" for serial in range(1, n + 1)),
             np.concatenate(scores),
             np.arange(n) < spec.n_minority,
             np.concatenate(labels),

@@ -1,4 +1,5 @@
 import csv
+import errno
 import io
 import json
 import os
@@ -8,7 +9,7 @@ import sys
 import tempfile
 import tracemalloc
 from collections import Counter
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from pathlib import Path
 from unittest import mock
 
@@ -18,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import scorecalib.cli
-from scorecalib import bias, dataset, empirical
+from scorecalib import bias, dataset, empirical, synth
 from scorecalib.bias import BiasMetricKind, score_bias, threshold_bias
 from scorecalib.calibration import calibrate_dataset, fit
 from scorecalib.cli import main
@@ -626,14 +627,18 @@ def test_no_command_imports_numpy_ma(tmp_path):
 def run_capped(argv, cap: int, timeout: int = 60) -> subprocess.CompletedProcess:
     """``main(argv)`` in a child whose address space is capped at ``cap``
     bytes (``RLIMIT_AS``, set by the child on itself), so an allocation
-    past it fails at once instead of exhausting the machine."""
+    past it fails at once instead of exhausting the machine.  The child's
+    last stdout line is its peak address space (``VmPeak``) in kB."""
     src = str(Path(scorecalib.cli.__file__).resolve().parents[1])
     code = (
         "import resource, sys\n"
         f"resource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap}))\n"
         f"sys.path.insert(0, {src!r})\n"
         "from scorecalib.cli import main\n"
-        "sys.exit(main(sys.argv[1:]))\n"
+        "code = main(sys.argv[1:])\n"
+        "status = open('/proc/self/status').read()\n"
+        "print(status.split('VmPeak:')[1].split()[0])\n"
+        "sys.exit(code)\n"
     )
     return subprocess.run(
         [sys.executable, "-c", code, *map(str, argv)],
@@ -749,7 +754,7 @@ def test_report_holds_one_stage_of_curves(tmp_path):
     )
     tracemalloc.start()
     try:
-        scorecalib.cli._report_metrics(tmp_path, kinds, [0.5], stages, {})
+        scorecalib.cli._report_metrics(tmp_path, kinds, [0.5], stages, {}, [])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -862,14 +867,14 @@ def test_report_equals_library_bias_exactly(tmp_path):
             assert entry[shared] == report[shared]
 
 
-def test_generate_columns_out_of_memory_exit_2(tmp_path):
-    # 1e7 draws fit under a 1 GB address-space cap, but the id, group and
-    # label columns of 1e7 pairs do not: the run still exits 2 without a file
+def test_generate_columns_out_of_memory_exit_2(tmp_path, capsys):
+    # the 1e7 draws succeed and the id, group and label columns fail to
+    # allocate: the run still exits 2 with one line and writes no file
     argv = [*GEN_ARGS, "--n-minority", 10**7, "--out-dir", tmp_path]
-    result = run_capped(argv, 1 << 30, timeout=120)
-    assert result.returncode == 2, result.stderr
-    assert result.stderr.startswith("error: cannot draw 10000090 pairs: ")
-    assert result.stderr.count("\n") == 1
+    with mock.patch.object(synth, "ScoreDataset", side_effect=MemoryError("Unable to allocate")):
+        assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert err == "error: cannot draw 10000090 pairs: Unable to allocate\n"
     assert not (tmp_path / "dataset.csv").exists()
 
 
@@ -892,6 +897,55 @@ def test_out_of_memory_exits_2(tmp_path, capsys, command, stage, error, message)
     assert capsys.readouterr().err == message
 
 
+_STAGE_METRICS = scorecalib.cli._stage_metrics
+
+
+def _after_stage_out_of_memory(out_dir, kinds, thresholds, data, stage, written):
+    if stage == "after":
+        raise MemoryError
+    return _STAGE_METRICS(out_dir, kinds, thresholds, data, stage, written)
+
+
+ENOSPC = OSError(errno.ENOSPC, "No space left on device")
+
+
+@contextmanager
+def _full_disk(dest):
+    """``text_writer`` on a full disk: the file is made, and its first write fails."""
+    with dataset.text_writer(dest):
+        yield mock.Mock(write=mock.Mock(side_effect=ENOSPC))
+
+
+@pytest.mark.parametrize("command, module, target, effect", [
+    # the before stage's curves are written when the after stage fails
+    ("calibrate", scorecalib.cli, "_stage_metrics", _after_stage_out_of_memory),
+    # every curve and calibrated.csv are written when report.json fails
+    ("calibrate", scorecalib.cli, "write_json", ENOSPC),
+    # dataset.csv holds its header when its first batch of rows fails
+    ("generate", dataset, "_write_rows", ENOSPC),
+    ("plot", scorecalib.cli, "text_writer", _full_disk),
+], ids=["calibrate after stage", "calibrate report.json", "generate", "plot"])
+def test_failed_run_leaves_no_file_it_wrote(tmp_path, capsys, command, module, target, effect):
+    csv_path, out = tmp_path / "scores.csv", tmp_path / "out"
+    curves = [tmp_path / "a.csv", tmp_path / "b.csv"]
+    write_example_csv(csv_path, TRUE_LABELS)
+    for scores, curve in zip(([0.2, 0.8], [0.4, 0.6]), curves):
+        pr_curve(scores).to_csv(curve)
+    flags = {"generate": GEN_ARGS[1:], "plot": ["--input", *curves]}.get(
+        command, ["--input", csv_path, "--minority-token", "a", "--metric", "dp", "eod"])
+    out.mkdir()
+    (out / "notes.txt").write_text("not written by the run", encoding="utf-8")
+    # a run that succeeds in the same process keeps its files
+    assert run("measure", "--input", csv_path, "--minority-token", "a", "--out-dir", tmp_path) == 0
+    written_before = sorted(p.name for p in tmp_path.iterdir())
+    with mock.patch.object(module, target, side_effect=effect) as patched:
+        assert run(command, *flags, "--out-dir", out) == 2
+    assert patched.called
+    assert capsys.readouterr().err.count("\n") == 1
+    assert [p.name for p in out.iterdir()] == ["notes.txt"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == written_before
+
+
 @pytest.mark.parametrize("line_end, quoted, code", [
     ("\n", False, 0),  # blank lines
     ("\r", False, 0),  # bare CRs, each a line end as newline="" reads them
@@ -912,6 +966,75 @@ def test_line_flood_is_read_under_a_memory_cap(tmp_path, line_end, quoted, code)
     assert result.returncode == code, result.stderr
     assert result.stderr.count("\n") <= 1 and "Traceback" not in result.stderr
     assert code == 0 or "field larger than field limit" in result.stderr
+
+
+@pytest.fixture(scope="module")
+def two_row_vm_peak(tmp_path_factory) -> int:
+    """Peak address space, in bytes, of measure on two data rows, run as
+    :func:`run_capped` runs it under a cap it does not reach."""
+    tmp = tmp_path_factory.mktemp("two_rows")
+    (tmp / "in.csv").write_text("id,score,group,label\np1,0.25,a,1\np2,0.75,b,0\n",
+                                encoding="utf-8")
+    result = run_capped(["measure", "--input", tmp / "in.csv", "--minority-token", "a",
+                         "--out-dir", tmp], 1 << 40)
+    assert result.returncode == 0, result.stderr
+    return int(result.stdout.splitlines()[-1]) << 10
+
+
+def write_pairs(path, n: int, last_label: str, id_bytes: int) -> None:
+    """n pair rows: ids of ``id_bytes`` bytes, groups a and b and labels 0
+    and 1 by turns, except that the last label is ``last_label``."""
+    scores = np.random.default_rng(n).random(n).tolist()
+    labels = [str(i % 2) for i in range(n - 1)] + [last_label]
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        f.write("id,score,group,label\n")
+        f.writelines(f"p{i:0{id_bytes - 1}d},{score!r},{'ab'[i % 2]},{label}\n"
+                     for i, (score, label) in enumerate(zip(scores, labels)))
+
+
+ADVERSARIAL = {  # case: (room, exit code, stderr)
+    "clean pairs": (3, 0, ""),
+    "last label 1x": (3, 2, "error: line 200001: label must be 0, 1 or empty, got '1x'\n"),
+    "40-byte ids": (3, 0, ""),
+    # each distinct token is a str in a dict: 21 MB for this 2.6 MB file
+    "1e5 group tokens": (12, 0, ""),
+    "last curve value x": (3, 2, "error: curve CSV has a malformed row\n"),
+    "curve after 4M blank lines": (3, 0, ""),
+}
+
+
+@pytest.mark.parametrize("case", list(ADVERSARIAL))
+def test_adversarial_input_is_read_under_a_memory_cap(tmp_path, two_row_vm_peak, case):
+    # the cap is a two-row run's peak address space plus ``room`` times the
+    # inputs' size, so what a run holds must follow the data it reads.  An
+    # error pass that held the whole text (as a str, and again in a
+    # StringIO at 4 bytes a character) ran out of memory on the bad label
+    # and the bad curve value
+    room, code, err = ADVERSARIAL[case]
+    n, path, curve_b = 200_000, tmp_path / "input.csv", tmp_path / "b.csv"
+    pr_curve([0.4, 0.6]).to_csv(curve_b)
+    if case == "1e5 group tokens":  # a token per record on the left; none is declared majority
+        rows = (f"p{i},{i / n!r},t{i},{'ab'[i % 2]},{i % 2}\n" for i in range(n // 2))
+        path.write_text("".join([",".join(Schema.RECORD_LEVEL.header) + "\n", *rows]),
+                        encoding="utf-8")
+        argv = ["measure", "--schema", "record", "--input", path, "--minority-token", "a"]
+    elif case == "last curve value x":
+        pr_curve(np.random.default_rng(n).random(n)).to_csv(path)
+        text = path.read_text(encoding="utf-8")
+        path.write_text(text[:text.rindex(",") + 1] + "x\n", encoding="utf-8")
+        argv = ["plot", "--input", path, curve_b]
+    elif case == "curve after 4M blank lines":
+        pr_curve([0.2, 0.5, 0.8]).to_csv(path)
+        header, rows = path.read_text(encoding="utf-8").split("\n", 1)
+        path.write_text(header + "\n" * 4_000_000 + rows, encoding="utf-8", newline="")
+        argv = ["plot", "--input", path, curve_b]
+    else:
+        write_pairs(path, n, "1x" if case == "last label 1x" else "1",
+                    40 if case == "40-byte ids" else 7)
+        argv = ["measure", "--input", path, "--minority-token", "a"]
+    cap = two_row_vm_peak + room * (path.stat().st_size + curve_b.stat().st_size)
+    result = run_capped([*argv, "--out-dir", tmp_path / "out"], cap)
+    assert (result.returncode, result.stderr) == (code, err)
 
 
 def _flag_text(item, integer: bool) -> str | None:

@@ -15,6 +15,7 @@ from scorecalib.conditional import load_model
 from scorecalib.dataset import GroupId, ScoreDataset
 from scorecalib.empirical import (
     CalibModel,
+    _group_lists,
     StepCurve,
     add_jitter,
     auc,
@@ -749,8 +750,10 @@ def test_batched_steps_equal_whole_length_oracles(batch_rows, n):
         for sigma, seed in ((0.0, 0), (0.05, 3), (0.5, 11)):
             jittered = add_jitter(d.scores(), sigma, seed)
             assert _bits(jittered) == _bits(whole_length_jitter(d.scores(), sigma, seed))
-            for keep in (None, mask):
-                got = _outcome(build_group_scores, d, sigma, seed, keep)
+            # all pairs, as calib fits; one side of a partition, as ccalib fits
+            for keep, got in ((None, _outcome(build_group_scores, d, sigma, seed)),
+                              (mask, _outcome(_group_lists, jittered, d.is_minority,
+                                              sigma, seed, mask))):
                 want = whole_length_lists(d, sigma, seed, keep)
                 if isinstance(got, CalibModel):
                     assert [_bits(got.scores_a), _bits(got.scores_b)] == [_bits(w) for w in want]
