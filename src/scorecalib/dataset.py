@@ -277,6 +277,33 @@ def read_text(source) -> str:
         raise InputError(f"input is not UTF-8 text: {exc}") from None
 
 
+def text_opener(source):
+    """A function that opens a new text stream of ``source`` at each call:
+    a path to a regular file is opened again, while bytes, file objects
+    and other paths (a pipe) are decoded to one string here, since they
+    cannot be read twice.  Both split lines alike (``newline=""``, as
+    ``csv`` asks): at LF, CRLF and a bare CR, but not inside a quoted field."""
+    if isinstance(source, (str, Path)) and Path(source).is_file():
+        return partial(open, source, encoding="utf-8", newline="")
+    return partial(io.StringIO, read_text(source), newline="")
+
+
+def check_utf8(open_text, f: TextIO | None = None) -> None:
+    """Read ``f`` (a new stream of ``open_text`` if None) to its end, 64 Ki
+    characters at a time.  If a chunk is not UTF-8, raise the InputError of
+    :func:`read_text` for the whole text, which counts the byte's position
+    from the start (or, if that text now decodes, that it changed while it
+    was read)."""
+    try:
+        with f or open_text() as f:
+            while f.read(1 << 16):
+                pass
+    except UnicodeDecodeError:
+        with open_text() as f:
+            read_text(f)
+        raise MalformedRowError("input changed while it was read") from None
+
+
 @contextmanager
 def text_writer(dest):
     """``dest`` as a text file to write: a path is opened (and closed) here,
@@ -414,18 +441,13 @@ def _codes(raw: list[str], table: dict, column: np.ndarray, start: int) -> np.nd
 
 
 class CsvRows:
-    """The rows of a CSV input after its first row, as ``width`` columns: a
-    float64 array for each index in ``floats``, and for the rest the
-    first field as a numpy ``StringDType`` array and the others as
-    :class:`Tokens`.
+    """The rows of a CSV input after its first row, as ``width`` columns:
+    the first field as a numpy ``StringDType`` array, the score (the second
+    field) as a float64 array, and the others as :class:`Tokens`.
 
-    One opener, chosen here, gives each pass its stream: a path to a
-    regular file is opened again, so the error path streams it a second
-    time, while bytes, file objects and other paths (a pipe) are decoded
-    to one string up front (as :func:`read_text` does), since they
-    cannot be read twice.  Both are read with ``newline=""``, as ``csv``
-    asks, so they split lines alike: at LF, CRLF and a bare CR, while a
-    CR or CRLF inside a quoted field is kept as it is.
+    Each pass reads a stream from one :func:`text_opener`: a regular file
+    is opened again for the error pass, while bytes, file objects and
+    pipes are decoded to one string up front.
 
     Each column starts empty and is grown in place just before each batch
     fills it, so memory follows the data rows read, not the line ends: a
@@ -433,14 +455,14 @@ class CsvRows:
     ``csv.reader`` in batches of :data:`BATCH_ROWS` with cyclic GC paused;
     each batch is checked for shape with one ``set(map(len, ...))``, blank
     rows are dropped, and each column is filled with one comprehension
-    before the batch's row lists are freed.  A column in ``floats`` is
-    parsed there, one ``float`` map per batch; if ``float`` rejects a
-    field, its whole batch reads NaN, which fails every range and finite
-    check, so the caller parses :meth:`reread` for the message.  Every
-    other column is stored or coded batch by batch, so no field keeps an
-    object of its own; a token column stores each distinct str once, coded
-    in the smallest unsigned type that holds every code.  The float and id
-    columns are read-only, so a dataset holds them without a copy.
+    before the batch's row lists are freed.  The score column is parsed
+    there, one ``float`` map per batch; if ``float`` rejects a field, its
+    whole batch reads NaN, which fails the range check, so the caller
+    parses :meth:`reread` for the message.  Every other column is stored
+    or coded batch by batch, so no field keeps an object of its own; a
+    token column stores each distinct str once, coded in the smallest
+    unsigned type that holds every code.  The id and score columns are
+    read-only, so a dataset holds them without a copy.
 
     ``header`` is the first row (None if the text has none).  ``columns``
     is None when the stream fails: a row has another width, the text is
@@ -448,14 +470,11 @@ class CsvRows:
     :meth:`reread` row by row, which names the line.
     """
 
-    def __init__(self, source, width: int, floats: Sequence[int] = ()):
+    def __init__(self, source, width: int):
         self.header = self.columns = None
         tables = [{} for _ in range(width)]  # each token column's code of each distinct str
-        # each pass opens a regular file again; a pipe can be read only once
-        self._open = (partial(open, source, encoding="utf-8", newline="")
-                      if isinstance(source, (str, Path)) and Path(source).is_file()
-                      else partial(io.StringIO, read_text(source), newline=""))
-        columns = [np.empty(0, np.float64 if j in floats else np.uint8 if j else _ID())
+        self._open = text_opener(source)
+        columns = [np.empty(0, np.float64 if j == 1 else np.uint8 if j else _ID())
                    for j in range(width)]
         rows = 0
         try:
@@ -472,7 +491,7 @@ class CsvRows:
                     for j, column in enumerate(columns):
                         raw, end = [row[j] for row in chunk], rows + len(chunk)
                         column.resize(end, refcheck=False)  # in place: no view of it is left
-                        if j in floats:
+                        if j == 1:
                             _floats(raw, column[rows:end])
                         elif j:
                             columns[j] = _codes(raw, tables[j], column, rows)
@@ -483,7 +502,7 @@ class CsvRows:
         except (UnicodeDecodeError, csv.Error):
             return
         for j, column in enumerate(columns):
-            columns[j] = _frozen(column) if j in floats or not j else Tokens(
+            columns[j] = _frozen(column) if j < 2 else Tokens(
                 column, np.array(list(tables[j]), dtype=object))
         self.columns = columns
 
@@ -491,11 +510,11 @@ class CsvRows:
         return len(self.columns[0])
 
     def reread(self) -> TextIO:
-        """A new stream of the text (decoded whole first if the first pass
-        stopped early, so that a decode error anywhere raises InputError)."""
+        """A new stream of the text.  If the first pass stopped early, the
+        text is first read to its end in chunks (:func:`check_utf8`), so
+        that a byte anywhere that is not UTF-8 raises InputError."""
         if self.columns is None:
-            with self._open() as f:
-                read_text(f)
+            check_utf8(self._open)
         return self._open()
 
 
@@ -515,9 +534,10 @@ def parse_rows(source, schema: Schema) -> CsvRows:
     UTF-8), the text is streamed again and parsed row by row
     (:meth:`CsvRows.reread`), so the error is the one a whole-file read
     gives: a decode error anywhere wins, else :class:`MalformedRowError`
-    for the header or the first bad row, with its file line.
+    for the header or the first bad row, with its file line.  A path is
+    read in chunks for the decode check, not whole.
     """
-    rows = CsvRows(source, len(schema.header), floats=(1,))
+    rows = CsvRows(source, len(schema.header))
     if rows.columns is None or not _header_matches(rows.header, schema):
         _raise_first_error(rows, schema)
     return rows
@@ -549,7 +569,9 @@ def _raise_first_error(rows: CsvRows, schema: Schema, vocab: GroupVocabulary | N
     width or one ``csv`` rejects, then (given ``vocab``) the first row
     with a bad score, group token or label.  Row errors name the row's
     file line.  The columnar path found an error, so a clean pass means
-    the file changed after it was read.
+    the file changed after it was read; so does a byte that is no longer
+    UTF-8, for which :func:`check_utf8` names the byte in the text as it
+    now is.
     """
     expected = schema.header
     with rows.reread() as text:
@@ -578,9 +600,9 @@ def _raise_first_error(rows: CsvRows, schema: Schema, vocab: GroupVocabulary | N
                     _parse_label(row[-1])
                 except InputError as exc:
                     raise type(exc)(f"line {reader.line_num}: {exc}") from None
-        except (csv.Error, UnicodeDecodeError) as exc:
-            # a field over csv.field_size_limit(), a bare \r, or a byte that
-            # is not UTF-8 in a file changed since the first pass
+        except UnicodeDecodeError:  # the file changed since the first pass
+            check_utf8(rows._open)
+        except csv.Error as exc:  # a field over csv.field_size_limit(), or a bare \r
             raise MalformedRowError(f"line {reader.line_num}: {exc}") from None
     raise MalformedRowError("input changed while it was read")
 

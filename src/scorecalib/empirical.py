@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from . import dataset  # BATCH_ROWS and float_text, looked up at each call
-from .dataset import CsvRows, GroupId, ScoreDataset, _column, _frozen, _write_rows, text_writer
+from .dataset import GroupId, ScoreDataset, _column, _frozen, _write_rows, text_writer
 from .errors import (
     EmptyGroupError,
     EmptyInputError,
@@ -184,22 +184,44 @@ class StepCurve:
     def from_csv(cls, source) -> "StepCurve":
         """Read a curve that :meth:`to_csv` wrote (path, bytes or file object).
 
-        The file is streamed through :class:`~scorecalib.dataset.CsvRows`
-        in batches, which parses both columns as floats.  A file the
-        stream cannot take as it is (not UTF-8, a header other than
-        ``theta,value``, a row of other than two fields, no data rows) or
-        that reads a NaN (a ``nan`` field, or a batch holding a field
-        ``float`` rejects) is streamed again and parsed one row at a time:
-        that parse accepts rows with extra fields, and raises
-        :class:`MalformedCurveError` for a malformed one.
+        One stream (:func:`~scorecalib.dataset.text_opener`) goes through
+        ``csv.reader`` :data:`~scorecalib.dataset.BATCH_ROWS` rows at a time,
+        with cyclic GC paused: blank rows are dropped, extra fields ignored,
+        and each batch's thetas and values extend two ``array("d")``, each
+        converted to float64 and dropped before the other is.  Faults are
+        raised after the last row, in the order a whole-file parse meets
+        them: text that is not UTF-8 (InputError), a ``csv`` error, the
+        header, no data rows, a malformed row (:class:`MalformedCurveError`).
         """
-        rows = CsvRows(source, 2, floats=(0, 1))
-        if (rows.header == ["theta", "value"] and rows.columns and len(rows)
-                and not any(np.isnan(c).any() for c in rows.columns)):
-            thetas, values = rows.columns
-        else:
-            with rows.reread() as text:
-                thetas, values = _curve_fields(text)
+        open_text = dataset.text_opener(source)
+        columns, malformed = [array("d"), array("d")], False
+        with dataset._gc_paused(), open_text() as f:
+            reader = csv.reader(f)
+            rows = filter(None, reader)
+            try:
+                header = next(rows, None)
+                while chunk := list(islice(rows, dataset.BATCH_ROWS)):
+                    try:
+                        for j in (0, 1):  # no name is left bound to a column
+                            columns[j].extend(map(float, [row[j] for row in chunk]))
+                    except (ValueError, IndexError):
+                        malformed = True
+                    del chunk  # not alive while the next batch is read
+            except (csv.Error, UnicodeDecodeError) as exc:
+                # a bad byte anywhere wins: the rest of this stream is read, or,
+                # if it met one, a new stream from the start
+                dataset.check_utf8(open_text, None if isinstance(exc, UnicodeDecodeError) else f)
+                raise MalformedCurveError(f"curve CSV line {reader.line_num}: {exc}") from None
+        if header != ["theta", "value"]:
+            raise MalformedCurveError("curve CSV must start with header 'theta,value'")
+        if not (columns[0] or malformed):
+            raise MalformedCurveError("curve CSV has no data rows")
+        if malformed:
+            raise MalformedCurveError("curve CSV has a malformed row")
+        # each array("d") is dropped as soon as it is converted; read-only
+        # columns, so the curve holds its values without a copy
+        thetas = _frozen(np.array(columns.pop(0)))
+        values = _frozen(np.array(columns.pop(0)))
         if not (np.isfinite(thetas).all() and np.isfinite(values).all()):
             raise MalformedCurveError("curve CSV holds a NaN or infinite number")
         if thetas[0] != 0.0:
@@ -241,32 +263,6 @@ def curve_batches(curves: Sequence[StepCurve]):
         cuts = [int(np.searchsorted(bp, top, "right")) for bp in rest]
         yield [(bp[:n], c.values[k:k + n + 1]) for bp, c, k, n in zip(rest, curves, done, cuts)]
         done = [k + n for k, n in zip(done, cuts)]
-
-
-def _curve_fields(text) -> tuple[np.ndarray, np.ndarray]:
-    """Thetas and values of a curve CSV's text stream, parsed one row at a
-    time as it streams.  A fault is raised after the last row, as a parse
-    of the whole file meets them: a ``csv`` error, the header, no data
-    rows, a malformed row."""
-    reader = csv.reader(text)
-    rows, thetas, values, malformed = filter(None, reader), array("d"), array("d"), False
-    try:
-        header = next(rows, None)
-        for row in rows:
-            try:
-                thetas.append(float(row[0]))
-                values.append(float(row[1]))
-            except (ValueError, IndexError):
-                malformed = True
-    except (csv.Error, UnicodeDecodeError) as exc:  # bytes not UTF-8: the file changed
-        raise MalformedCurveError(f"curve CSV line {reader.line_num}: {exc}") from None
-    if header != ["theta", "value"]:
-        raise MalformedCurveError("curve CSV must start with header 'theta,value'")
-    if not (thetas or malformed):
-        raise MalformedCurveError("curve CSV has no data rows")
-    if malformed:
-        raise MalformedCurveError("curve CSV has a malformed row")
-    return np.array(thetas), np.array(values)
 
 
 def pr_curve(scores: Sequence[float]) -> StepCurve:

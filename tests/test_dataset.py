@@ -23,6 +23,7 @@ from scorecalib.dataset import (
 )
 from scorecalib.empirical import StepCurve, pr_curve
 from scorecalib.errors import (
+    InputError,
     LengthMismatchError,
     MalformedCurveError,
     MalformedRowError,
@@ -482,13 +483,14 @@ def test_load_with_blank_lines_peaks_within_its_columns_and_one_batch(tmp_path):
 
 def clean_and_bad(tmp_path, kind: str, n: int):
     """A clean pair or curve file of n data rows, a copy whose last field
-    is bad, and the loader and error class that read them."""
+    is bad (a pair file's last row gains a fifth field if ``kind`` is
+    "wide-pair"), and the loader and error class that read them."""
     clean, bad, rng = tmp_path / "clean.csv", tmp_path / "bad.csv", np.random.default_rng(n)
-    if kind == "pair":  # the last label is 1, and 1x in the copy
+    if kind.endswith("pair"):  # the last label is 1, and 1x (or 1,x) in the copy
         dump_dataset(ScoreDataset([f"p{i}" for i in range(n)], rng.random(n),
                                   np.arange(n) % 2 == 0, np.arange(n) % 2), clean)
         load, error, bad_end = (lambda path: load_dataset(path, Schema.PAIR_LEVEL, "minority"),
-                                MalformedRowError, b"1x\n")
+                                MalformedRowError, b"1,x\n" if kind == "wide-pair" else b"1x\n")
     else:  # a row for theta=0, then one per score; the last value is x in the copy
         pr_curve(rng.random(n - 1)).to_csv(clean)
         load, error, bad_end = StepCurve.from_csv, MalformedCurveError, b"x\n"
@@ -504,14 +506,19 @@ def _outcome(load, path):
         return exc
 
 
-@pytest.mark.parametrize("kind, n", [("pair", 100_000), ("curve", 50_000)])
+@pytest.mark.parametrize("kind, n", [("pair", 100_000), ("wide-pair", 200_000),
+                                     ("curve", 50_000)])
 def test_error_pass_peaks_within_one_batch_of_a_clean_read(tmp_path, kind, n):
     # the error pass streams the file again, row by row, so a bad last
     # field costs at most one batch of row lists over a clean read.
     # Measured on Python 3.11, numpy 2.4, with one batch at 1.8 MB: a 1e5-row
     # pair file peaks at 4.5 MB either way, where the whole text read again
     # into a StringIO peaked at 17.8 MB; a 2e5-row curve peaks at 5.11 MB
-    # clean and 6.63 MB bad, where a list of every row peaked at 83.81 MB
+    # clean and 6.63 MB bad, where a list of every row peaked at 83.81 MB.
+    # A wide last row stops the first pass early, so the error pass first
+    # reads the text to its end for a byte that is not UTF-8: in 64 KiB
+    # chunks it peaks at 7.54 MB for 2e5 rows, as the clean file does;
+    # decoded whole it peaked at 15.10 MB
     clean, bad, load, error = clean_and_bad(tmp_path, kind, n)
     peaks = []
     for path in (clean, bad):
@@ -526,11 +533,10 @@ def test_error_pass_peaks_within_one_batch_of_a_clean_read(tmp_path, kind, n):
     assert peaks[1] <= peaks[0] + one_batch_bytes(clean)
 
 
-@pytest.mark.parametrize("kind", ["pair", "curve"])
-def test_decode_error_in_a_file_changed_between_reads_is_an_input_error(tmp_path, kind):
+def test_decode_error_in_a_file_changed_between_reads_is_an_input_error(tmp_path):
     # the error pass streams the file again; a byte that is no longer UTF-8
-    # is then a malformed row, not a traceback
-    _, bad, load, error = clean_and_bad(tmp_path, kind, 3 * dataset.BATCH_ROWS)
+    # is then named as read_text names it, counted from the start of the file
+    _, bad, load, _ = clean_and_bad(tmp_path, "pair", 3 * dataset.BATCH_ROWS)
     data, reread = bad.read_bytes(), dataset.CsvRows.reread
 
     def changed(rows):
@@ -539,7 +545,16 @@ def test_decode_error_in_a_file_changed_between_reads_is_an_input_error(tmp_path
 
     with mock.patch.object(dataset.CsvRows, "reread", changed):
         result = _outcome(load, bad)
-    assert type(result) is error and "'utf-8' codec can't decode byte 0xe9" in str(result)
+    assert type(result) is InputError
+    assert f"'utf-8' codec can't decode byte 0xe9 in position {len(data) // 2}:" in str(result)
+
+
+def test_text_that_decodes_when_read_again_changed_while_it_was_read():
+    # a chunk met a byte that is not UTF-8, but the whole text read next decodes
+    streams = iter([io.TextIOWrapper(io.BytesIO(b"id\np\xe9\n"), encoding="utf-8"),
+                    io.StringIO("id\np\n")])
+    with pytest.raises(MalformedRowError, match="^input changed while it was read$"):
+        dataset.check_utf8(lambda: next(streams))
 
 
 @pytest.mark.parametrize("schema", list(Schema))
