@@ -142,8 +142,8 @@ def _load_input(s: dict, key: str) -> tuple[ScoreDataset, list]:
     ``calibrated.csv``."""
     if not s[key]:
         raise InputError(f"--{key} is required")
-    rows = parse_rows(s[key], s["schema"])
     vocab = GroupVocabulary(s["minority_token"], s["majority_token"])
+    rows = parse_rows(s[key], s["schema"], vocab)
     return dataset_from_rows(rows, s["schema"], vocab), rows.columns[2:]
 
 

@@ -279,9 +279,10 @@ def read_text(source) -> str:
 
 def text_opener(source):
     """A function that opens a new text stream of ``source`` at each call:
-    a path to a regular file is opened again, while bytes, file objects
-    and other paths (a pipe) are decoded to one string here, since they
-    cannot be read twice.  Both split lines alike (``newline=""``, as
+    a path to a regular file is opened again (a reader does so only to
+    name a byte that is not UTF-8, :func:`check_utf8`), while bytes, file
+    objects and other paths (a pipe) are decoded to one string here, since
+    they cannot be read twice.  Both split lines alike (``newline=""``, as
     ``csv`` asks): at LF, CRLF and a bare CR, but not inside a quoted field."""
     if isinstance(source, (str, Path)) and Path(source).is_file():
         return partial(open, source, encoding="utf-8", newline="")
@@ -289,11 +290,12 @@ def text_opener(source):
 
 
 def check_utf8(open_text, f: TextIO | None = None) -> None:
-    """Read ``f`` (a new stream of ``open_text`` if None) to its end, 64 Ki
-    characters at a time.  If a chunk is not UTF-8, raise the InputError of
-    :func:`read_text` for the whole text, which counts the byte's position
-    from the start (or, if that text now decodes, that it changed while it
-    was read)."""
+    """Read ``f``, the rest of a stream a reader stopped parsing at a fault
+    (a new stream of ``open_text`` if None), to its end, 64 Ki characters
+    at a time.  If a chunk is not UTF-8, raise the InputError of
+    :func:`read_text` for the whole text of a new stream, which counts the
+    byte's position from the start (or, if that text now decodes, that it
+    changed while it was read)."""
     try:
         with f or open_text() as f:
             while f.read(1 << 16):
@@ -421,19 +423,22 @@ def _gc_paused():
 
 def _floats(raw: list[str], out: np.ndarray) -> None:
     """One batch of a column through ``float`` into ``out``; all NaN if
-    ``float`` rejects any field (the row-by-row pass then names it)."""
+    ``float`` rejects any field (:func:`_row_fault` then names it)."""
     try:
         out[:] = np.fromiter(map(float, raw), np.float64, len(raw))
     except ValueError:
         out[:] = np.nan
 
 
-def _codes(raw: list[str], table: dict, column: np.ndarray, start: int) -> np.ndarray:
+def _codes(raw: list[str], table: dict, column: np.ndarray, start: int, check) -> np.ndarray:
     """One batch of a token column as codes into ``table``, which gains each
-    str it does not hold yet, written to ``column`` from ``start``; returns
-    the column, widened first if its unsigned type no longer holds every code."""
+    str it does not hold yet, once ``check`` has accepted it, written to
+    ``column`` from ``start``; returns the column, widened first if its
+    unsigned type no longer holds every code."""
     for token in dict.fromkeys(raw):
-        table.setdefault(token, len(table))
+        if token not in table:
+            check(token)
+            table[token] = len(table)
     if (code := np.min_scalar_type(len(table))) != column.dtype:
         column = column.astype(code)
     column[start:start + len(raw)] = np.fromiter(map(table.__getitem__, raw), code, len(raw))
@@ -441,66 +446,89 @@ def _codes(raw: list[str], table: dict, column: np.ndarray, start: int) -> np.nd
 
 
 class CsvRows:
-    """The rows of a CSV input after its first row, as ``width`` columns:
-    the first field as a numpy ``StringDType`` array, the score (the second
-    field) as a float64 array, and the others as :class:`Tokens`.
+    """The rows of a CSV input after its header, as one column per field
+    of ``schema``: the first field as a numpy ``StringDType`` array, the
+    score (the second field) as a float64 array, and the others as
+    :class:`Tokens`.
 
-    Each pass reads a stream from one :func:`text_opener`: a regular file
-    is opened again for the error pass, while bytes, file objects and
-    pipes are decoded to one string up front.
+    The text is read in one stream from :func:`text_opener`.  Each column
+    starts empty and is grown in place just before each batch fills it,
+    so memory follows the data rows read, not the line ends: a blank line
+    or a quoted line break takes none.  Rows are read through
+    ``csv.reader`` in batches of :data:`BATCH_ROWS` with cyclic GC
+    paused; each batch is checked for shape with one ``set(map(len,
+    ...))``, blank rows are dropped, and each column is filled with one
+    comprehension before the batch's row lists are freed.  The scores
+    are parsed there, one ``float`` map per batch, and range-checked;
+    every other column is stored or coded batch by batch, so no field
+    keeps an object of its own.  A token column stores each distinct str
+    once, coded in the smallest unsigned type that holds every code, and
+    checks it (by ``vocab``, or as a label) as it enters the table.  The
+    id and score columns are read-only, so a dataset holds them as they are.
 
-    Each column starts empty and is grown in place just before each batch
-    fills it, so memory follows the data rows read, not the line ends: a
-    blank line or a quoted line break takes none.  Rows are read through
-    ``csv.reader`` in batches of :data:`BATCH_ROWS` with cyclic GC paused;
-    each batch is checked for shape with one ``set(map(len, ...))``, blank
-    rows are dropped, and each column is filled with one comprehension
-    before the batch's row lists are freed.  The score column is parsed
-    there, one ``float`` map per batch; if ``float`` rejects a field, its
-    whole batch reads NaN, which fails the range check, so the caller
-    parses :meth:`reread` for the message.  Every other column is stored
-    or coded batch by batch, so no field keeps an object of its own; a
-    token column stores each distinct str once, coded in the smallest
-    unsigned type that holds every code.  The id and score columns are
-    read-only, so a dataset holds them without a copy.
-
-    ``header`` is the first row (None if the text has none).  ``columns``
-    is None when the stream fails: a row has another width, the text is
-    not UTF-8, or ``csv`` rejects it; the caller then parses
-    :meth:`reread` row by row, which names the line.
+    Only a batch that holds a fault is walked row by row
+    (:func:`_row_fault`).  Faults are raised after the last row, in the
+    order a whole-file parse meets them (see :func:`parse_rows`): after a
+    bad value, later batches are only checked for shape, and after a bad
+    header, width or ``csv`` row, the rest of the text only for UTF-8.
     """
 
-    def __init__(self, source, width: int):
-        self.header = self.columns = None
+    def __init__(self, source, schema: Schema, vocab: GroupVocabulary):
+        width = len(schema.header)
         tables = [{} for _ in range(width)]  # each token column's code of each distinct str
-        self._open = text_opener(source)
+        # the check of a str the first time it enters a token column's table
+        checks = [None, None, *[lambda t: vocab.resolve(t.strip())] * (width - 3), _parse_label]
+        open_text = text_opener(source)
         columns = [np.empty(0, np.float64 if j == 1 else np.uint8 if j else _ID())
                    for j in range(width)]
-        rows = 0
-        try:
-            with _gc_paused(), self._open() as f:
-                reader = csv.reader(f)
-                self.header = next(reader, None)
-                while chunk := list(islice(reader, BATCH_ROWS)):
+        # shape: the first bad header, width or csv row; fault: the first bad value
+        rows, chunk, line, shape, fault = 0, [], 0, None, None
+        with _gc_paused(), open_text() as f:
+            reader = csv.reader(f)
+            try:
+                header = next(reader, None)
+                if header is None:
+                    shape = MalformedRowError("empty file: header row required")
+                elif tuple(h.strip() for h in header) != schema.header:
+                    shape = MalformedRowError(
+                        f"expected header {','.join(schema.header)!r}, got {','.join(header)!r}")
+                while shape is None:
+                    chunk, line = [], reader.line_num
+                    chunk.extend(islice(reader, BATCH_ROWS))  # keeps the rows before a csv.Error
+                    if not chunk:
+                        break
                     widths = set(map(len, chunk))
-                    if 0 in widths:
-                        chunk = [row for row in chunk if row]
-                        widths.discard(0)
-                    if widths - {width}:
-                        return
-                    for j, column in enumerate(columns):
-                        raw, end = [row[j] for row in chunk], rows + len(chunk)
-                        column.resize(end, refcheck=False)  # in place: no view of it is left
-                        if j == 1:
-                            _floats(raw, column[rows:end])
-                        elif j:
-                            columns[j] = _codes(raw, tables[j], column, rows)
-                        else:
-                            column[rows:end] = raw
-                    rows += len(chunk)
-                    del chunk, raw  # not alive while the next batch is read
-        except (UnicodeDecodeError, csv.Error):
-            return
+                    data = [row for row in chunk if row] if 0 in widths else chunk
+                    if widths - {0, width}:
+                        shape = _row_fault(chunk, line, reader.line_num, width)
+                    elif fault is None and data:
+                        try:
+                            for j, column in enumerate(columns):
+                                raw, end = [row[j] for row in data], rows + len(data)
+                                column.resize(end, refcheck=False)  # in place: no view of it is left
+                                if j == 1:
+                                    _floats(raw, column[rows:end])
+                                    _check_score(column[rows:end].min())  # NaN fails too
+                                    _check_score(column[rows:end].max())
+                                elif j:
+                                    columns[j] = _codes(raw, tables[j], column, rows, checks[j])
+                                else:
+                                    column[rows:end] = raw
+                            rows += len(data)
+                        except InputError:
+                            fault = _row_fault(chunk, line, reader.line_num, width, vocab)
+                    chunk = data = raw = None  # not alive while the next batch is read
+            except UnicodeDecodeError:  # a bad byte anywhere wins: named from the start
+                check_utf8(open_text)
+                raise MalformedRowError("input changed while it was read") from None
+            except csv.Error as exc:  # a field over csv.field_size_limit(), or a bare \r
+                shape = _row_fault(chunk, line, reader.line_num, width) or MalformedRowError(
+                    f"line {reader.line_num}: {exc}")
+            if shape:
+                check_utf8(open_text, f)  # a bad byte in the rest of the text wins
+                raise shape
+        if fault:
+            raise fault
         for j, column in enumerate(columns):
             columns[j] = _frozen(column) if j < 2 else Tokens(
                 column, np.array(list(tables[j]), dtype=object))
@@ -509,38 +537,47 @@ class CsvRows:
     def __len__(self) -> int:
         return len(self.columns[0])
 
-    def reread(self) -> TextIO:
-        """A new stream of the text.  If the first pass stopped early, the
-        text is first read to its end in chunks (:func:`check_utf8`), so
-        that a byte anywhere that is not UTF-8 raises InputError."""
-        if self.columns is None:
-            check_utf8(self._open)
-        return self._open()
+
+def _row_fault(chunk: list, line: int, last: int, width: int, vocab=None):
+    """The error of the first bad row of a batch read after file line
+    ``line``: a row of another width, or, given ``vocab``, a bad score,
+    group token or label; None if there is none.  The error names the
+    row's file line: a row takes one line, plus one for each line end
+    inside its fields (CRLF counted once), capped at ``last``, the line
+    the reader reached after the batch (a quote left open at the end of
+    the text holds the last line's end too)."""
+    for row in chunk:
+        line += 1 + sum(f.count("\n") + f.count("\r") - f.count("\r\n") for f in row)
+        if not row:
+            continue
+        at = f"line {min(line, last)}: "
+        if len(row) != width:
+            return MalformedRowError(f"{at}expected {width} columns, got {len(row)}")
+        if vocab is not None:
+            try:
+                _parse_score(row[1])
+                for token in row[2:-1]:
+                    vocab.resolve(token.strip())
+                _parse_label(row[-1])
+            except InputError as exc:
+                return type(exc)(at + str(exc))
+    return None
 
 
-def _header_matches(header, schema: Schema) -> bool:
-    return header is not None and tuple(h.strip() for h in header) == schema.header
+def parse_rows(source, schema: Schema, vocab: GroupVocabulary) -> CsvRows:
+    """Read and check CSV rows in one stream (:class:`CsvRows`): the score
+    column as a float64 array, the ids as a numpy ``StringDType`` array,
+    every other field as :class:`Tokens`.
 
-
-def parse_rows(source, schema: Schema) -> CsvRows:
-    """Read and shape-check CSV rows: the score column as a float64 array,
-    the ids as a numpy ``StringDType`` array, every other field as
-    :class:`Tokens`.
-
-    Returns data rows only (header consumed; blank rows skipped).  The
-    file is streamed in batches (:class:`CsvRows`), so no row list, field
-    string or copy of the text outlives its batch.  When the stream
-    fails (a bad header, a row of the wrong width, text that is not
-    UTF-8), the text is streamed again and parsed row by row
-    (:meth:`CsvRows.reread`), so the error is the one a whole-file read
-    gives: a decode error anywhere wins, else :class:`MalformedRowError`
-    for the header or the first bad row, with its file line.  A path is
-    read in chunks for the decode check, not whole.
+    Returns data rows only (header consumed; blank rows skipped).  No row
+    list, field string or copy of the text outlives its batch.  A fault is
+    raised after the last row: text that is not UTF-8 anywhere wins (see
+    :func:`check_utf8`), else :class:`MalformedRowError` for the header or
+    the first row of another width or that ``csv`` rejects, else the first
+    bad score, group token (by ``vocab``) or label.  A row error names the
+    row's file line.  A path is opened again only to name a bad byte.
     """
-    rows = CsvRows(source, len(schema.header))
-    if rows.columns is None or not _header_matches(rows.header, schema):
-        _raise_first_error(rows, schema)
-    return rows
+    return CsvRows(source, schema, vocab)
 
 
 def _parse_score(text: str) -> float:
@@ -561,75 +598,22 @@ def _parse_label(text: str) -> int:
     return _LABELS[text]
 
 
-def _raise_first_error(rows: CsvRows, schema: Schema, vocab: GroupVocabulary | None = None):
-    """Stream the text again, parse it one row at a time and raise its first error.
-
-    The order is that of a whole-file read: a decode error anywhere, then
-    :class:`MalformedRowError` for the header or a row of the wrong
-    width or one ``csv`` rejects, then (given ``vocab``) the first row
-    with a bad score, group token or label.  Row errors name the row's
-    file line.  The columnar path found an error, so a clean pass means
-    the file changed after it was read; so does a byte that is no longer
-    UTF-8, for which :func:`check_utf8` names the byte in the text as it
-    now is.
-    """
-    expected = schema.header
-    with rows.reread() as text:
-        reader = csv.reader(text)
-        try:
-            header = next(reader, None)
-            if header is None:
-                raise MalformedRowError("empty file: header row required")
-            if not _header_matches(header, schema):
-                raise MalformedRowError(
-                    f"expected header {','.join(expected)!r}, got {','.join(header)!r}"
-                )
-            for row in reader:
-                if not row:
-                    continue
-                if len(row) != len(expected):
-                    raise MalformedRowError(
-                        f"line {reader.line_num}: expected {len(expected)} columns, got {len(row)}"
-                    )
-                if vocab is None:
-                    continue
-                try:
-                    _parse_score(row[1])
-                    for token in row[2:-1]:
-                        vocab.resolve(token.strip())
-                    _parse_label(row[-1])
-                except InputError as exc:
-                    raise type(exc)(f"line {reader.line_num}: {exc}") from None
-        except UnicodeDecodeError:  # the file changed since the first pass
-            check_utf8(rows._open)
-        except csv.Error as exc:  # a field over csv.field_size_limit(), or a bare \r
-            raise MalformedRowError(f"line {reader.line_num}: {exc}") from None
-    raise MalformedRowError("input changed while it was read")
-
-
 def dataset_from_rows(rows: CsvRows, schema: Schema, vocab: GroupVocabulary) -> ScoreDataset:
-    """Build the dataset from shape-checked rows, one column at a time.
+    """Build the dataset from rows :func:`parse_rows` checked with the same
+    ``vocab``, one column at a time.
 
-    The score column is the float64 array :func:`parse_rows` parsed (NaN
-    for a batch holding a field ``float`` rejects); the
-    :class:`ScoreDataset` constructor checks its range.  Group tokens
-    and labels are resolved once per entry of their column's table.  A
-    record-level pair is minority iff either of its records is.  If any check fails,
-    the rows are checked again one at a time (:func:`_raise_first_error`)
-    so that the error names the file line of the first bad row, as a
-    row-by-row parse would.
+    The score column is the float64 array :func:`parse_rows` parsed.
+    Group tokens and labels are resolved once per entry of their column's
+    table.  A record-level pair is minority iff either of its records is.
     """
     ids, scores, *group_columns, label_column = rows.columns
-    try:
-        minority = np.zeros(len(ids), dtype=bool)
-        for column in group_columns:
-            flags = [vocab.resolve(t.strip()) is GroupId.MINORITY for t in column.table]
-            minority |= np.array(flags, dtype=bool)[column.codes]
-        labels = np.array([_parse_label(t) for t in label_column.table], dtype=np.int8)
-        labels = labels[label_column.codes]
-        return object.__new__(ScoreDataset)._hold(ids, scores, _frozen(minority), _frozen(labels))
-    except InputError:
-        _raise_first_error(rows, schema, vocab)
+    minority = np.zeros(len(ids), dtype=bool)
+    for column in group_columns:
+        flags = [vocab.resolve(t.strip()) is GroupId.MINORITY for t in column.table]
+        minority |= np.array(flags, dtype=bool)[column.codes]
+    labels = np.array([_parse_label(t) for t in label_column.table], dtype=np.int8)
+    labels = labels[label_column.codes]
+    return object.__new__(ScoreDataset)._hold(ids, scores, _frozen(minority), _frozen(labels))
 
 
 def load_dataset(
@@ -640,7 +624,7 @@ def load_dataset(
 ) -> ScoreDataset:
     """Parse a CSV file (path, bytes, or file object) into a dataset."""
     vocab = GroupVocabulary(minority_token, majority_token)
-    return dataset_from_rows(parse_rows(source, schema), schema, vocab)
+    return dataset_from_rows(parse_rows(source, schema, vocab), schema, vocab)
 
 
 def dump_dataset(dataset: ScoreDataset, dest) -> None:

@@ -23,7 +23,6 @@ from scorecalib.dataset import (
 )
 from scorecalib.empirical import StepCurve, pr_curve
 from scorecalib.errors import (
-    InputError,
     LengthMismatchError,
     MalformedCurveError,
     MalformedRowError,
@@ -509,16 +508,14 @@ def _outcome(load, path):
 @pytest.mark.parametrize("kind, n", [("pair", 100_000), ("wide-pair", 200_000),
                                      ("curve", 50_000)])
 def test_error_pass_peaks_within_one_batch_of_a_clean_read(tmp_path, kind, n):
-    # the error pass streams the file again, row by row, so a bad last
-    # field costs at most one batch of row lists over a clean read.
-    # Measured on Python 3.11, numpy 2.4, with one batch at 1.8 MB: a 1e5-row
-    # pair file peaks at 4.5 MB either way, where the whole text read again
-    # into a StringIO peaked at 17.8 MB; a 2e5-row curve peaks at 5.11 MB
-    # clean and 6.63 MB bad, where a list of every row peaked at 83.81 MB.
-    # A wide last row stops the first pass early, so the error pass first
-    # reads the text to its end for a byte that is not UTF-8: in 64 KiB
-    # chunks it peaks at 7.54 MB for 2e5 rows, as the clean file does;
-    # decoded whole it peaked at 15.10 MB
+    # a bad file is read in the one stream a clean file is, and only the
+    # batch that holds the fault is walked row by row, so a bad last field
+    # costs at most one batch of row lists over a clean read.  Measured on
+    # Python 3.11, numpy 2.4: a 1e5-row pair file peaks at 4.97 MB either
+    # way, a 2e5-row one with a fifth field in its last row at 7.54 MB, and
+    # a 5e4-row curve at 2.78 MB.  A whole text read again into a StringIO
+    # peaked at 17.8 MB (1e5 pairs), a list of every row of a 2e5-row curve
+    # at 83.81 MB, and the wide row's text decoded whole at 15.10 MB
     clean, bad, load, error = clean_and_bad(tmp_path, kind, n)
     peaks = []
     for path in (clean, bad):
@@ -533,28 +530,23 @@ def test_error_pass_peaks_within_one_batch_of_a_clean_read(tmp_path, kind, n):
     assert peaks[1] <= peaks[0] + one_batch_bytes(clean)
 
 
-def test_decode_error_in_a_file_changed_between_reads_is_an_input_error(tmp_path):
-    # the error pass streams the file again; a byte that is no longer UTF-8
-    # is then named as read_text names it, counted from the start of the file
-    _, bad, load, _ = clean_and_bad(tmp_path, "pair", 3 * dataset.BATCH_ROWS)
-    data, reread = bad.read_bytes(), dataset.CsvRows.reread
-
-    def changed(rows):
-        bad.write_bytes(data[:len(data) // 2] + b"\xe9" + data[len(data) // 2:])
-        return reread(rows)
-
-    with mock.patch.object(dataset.CsvRows, "reread", changed):
-        result = _outcome(load, bad)
-    assert type(result) is InputError
-    assert f"'utf-8' codec can't decode byte 0xe9 in position {len(data) // 2}:" in str(result)
-
-
 def test_text_that_decodes_when_read_again_changed_while_it_was_read():
     # a chunk met a byte that is not UTF-8, but the whole text read next decodes
     streams = iter([io.TextIOWrapper(io.BytesIO(b"id\np\xe9\n"), encoding="utf-8"),
                     io.StringIO("id\np\n")])
     with pytest.raises(MalformedRowError, match="^input changed while it was read$"):
         dataset.check_utf8(lambda: next(streams))
+
+
+def test_text_that_decodes_when_opened_again_to_name_a_byte_changed_while_it_was_read():
+    # the stream met a byte that is not UTF-8, and the text opened again to
+    # name it decodes: no rows are returned from a stream that stopped early
+    bad, clean = b"id,score,group,label\np\xe9,0.5,a,1\n", "id,score,group,label\np,0.5,a,1\n"
+    streams = iter([io.TextIOWrapper(io.BytesIO(bad), encoding="utf-8", newline=""),
+                    io.StringIO(clean, newline="")])
+    with mock.patch.object(dataset, "text_opener", lambda source: lambda: next(streams)), \
+            pytest.raises(MalformedRowError, match="^input changed while it was read$"):
+        load_dataset(bad, Schema.PAIR_LEVEL, "a")
 
 
 @pytest.mark.parametrize("schema", list(Schema))
