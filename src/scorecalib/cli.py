@@ -142,9 +142,8 @@ def _load_input(s: dict, key: str) -> tuple[ScoreDataset, list]:
     ``calibrated.csv``."""
     if not s[key]:
         raise InputError(f"--{key} is required")
-    vocab = GroupVocabulary(s["minority_token"], s["majority_token"])
-    rows = parse_rows(s[key], s["schema"], vocab)
-    return dataset_from_rows(rows, s["schema"], vocab), rows.columns[2:]
+    rows = parse_rows(s[key], s["schema"], GroupVocabulary(s["minority_token"], s["majority_token"]))
+    return dataset_from_rows(rows), rows.columns[2:]
 
 
 def _safe_auc(d: ScoreDataset, group: GroupId | None = None):

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import dataset  # BATCH_ROWS, looked up at each call
 from .calibration import CalibModel, calibrate_scores, check_queries, model_to_dict
-from .dataset import GroupId, ScoreDataset, _frozen, read_text, write_json
+from .dataset import GroupId, ScoreDataset, _frozen, text_reader, write_json
 from .empirical import _group_lists, add_jitter, unit_scores
 from .errors import (
     EmptyGroupError,
@@ -336,7 +336,8 @@ def load_model(source) -> CalibModel | CondCalibModel:
     raises :class:`MalformedModelError`.
     """
     try:
-        data = json.loads(read_text(source))
+        with text_reader(source) as f:
+            data = json.load(f)
     except (InputError, ValueError, RecursionError) as exc:
         raise MalformedModelError(f"model file is not UTF-8 JSON: {exc}") from None
     if not isinstance(data, dict):

@@ -14,12 +14,12 @@ import gc
 import io
 import json
 import re
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from functools import partial
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -262,48 +262,53 @@ class GroupVocabulary:
         )
 
 
-def read_text(source) -> str:
-    """Text of a path, bytes, or a text or binary file object (UTF-8).
+class _CountedBytes(io.RawIOBase):
+    """A binary stream's bytes, with ``count``, the number handed out."""
 
-    A path is read with ``newline=""``, as ``csv`` asks, so a CR inside a
-    quoted field is kept."""
+    def __init__(self, stream):
+        self.stream, self.count = stream, 0
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        data = self.stream.read(len(buffer))
+        buffer[:len(data)] = data
+        self.count += len(data)
+        return len(data)
+
+
+@contextmanager
+def text_reader(source):
+    """``source`` as one text stream, read once and to its end: the bytes
+    of a path (opened once), bytes or a binary file object are decoded as
+    UTF-8 as they are read, split into lines as ``csv`` asks (``newline=""``),
+    and a text file object is read as it is.  A byte that is not UTF-8
+    raises :class:`InputError`, with the message decoding the whole text gives."""
+    # lines split at LF, CRLF and a bare CR, but not inside a quoted field.
+    # When the block ends without an error, the rest of the stream is read,
+    # so a bad byte anywhere wins.  A text file object's error keeps the
+    # position its own decoder gives
+    raw = None
     try:
-        if isinstance(source, (str, Path)):
-            with open(source, encoding="utf-8", newline="") as f:
-                return f.read()
-        data = source if isinstance(source, bytes) else source.read()
-        return data.decode("utf-8") if isinstance(data, bytes) else data
-    except UnicodeDecodeError as exc:
-        raise InputError(f"input is not UTF-8 text: {exc}") from None
-
-
-def text_opener(source):
-    """A function that opens a new text stream of ``source`` at each call:
-    a path to a regular file is opened again (a reader does so only to
-    name a byte that is not UTF-8, :func:`check_utf8`), while bytes, file
-    objects and other paths (a pipe) are decoded to one string here, since
-    they cannot be read twice.  Both split lines alike (``newline=""``, as
-    ``csv`` asks): at LF, CRLF and a bare CR, but not inside a quoted field."""
-    if isinstance(source, (str, Path)) and Path(source).is_file():
-        return partial(open, source, encoding="utf-8", newline="")
-    return partial(io.StringIO, read_text(source), newline="")
-
-
-def check_utf8(open_text, f: TextIO | None = None) -> None:
-    """Read ``f``, the rest of a stream a reader stopped parsing at a fault
-    (a new stream of ``open_text`` if None), to its end, 64 Ki characters
-    at a time.  If a chunk is not UTF-8, raise the InputError of
-    :func:`read_text` for the whole text of a new stream, which counts the
-    byte's position from the start (or, if that text now decodes, that it
-    changed while it was read)."""
-    try:
-        with f or open_text() as f:
-            while f.read(1 << 16):
+        with ExitStack() as stack:
+            if isinstance(source, (str, Path)):
+                source = stack.enter_context(open(source, "rb"))
+            elif isinstance(source, bytes):
+                source = io.BytesIO(source)
+            if isinstance(source.read(0), bytes):
+                raw = _CountedBytes(source)
+                source = stack.enter_context(io.TextIOWrapper(raw, encoding="utf-8", newline=""))
+            yield source
+            while source.read(1 << 16):
                 pass
-    except UnicodeDecodeError:
-        with open_text() as f:
-            read_text(f)
-        raise MalformedRowError("input changed while it was read") from None
+    except UnicodeDecodeError as exc:
+        # the decoder's exc.object is the bytes it held back and the last ones read
+        start = exc.start + (raw.count - len(exc.object) if raw else 0)
+        where = (f"byte 0x{exc.object[exc.start]:02x} in position {start}" if exc.end - exc.start == 1
+                 else f"bytes in position {start}-{start + exc.end - exc.start - 1}")
+        raise InputError(f"input is not UTF-8 text: '{exc.encoding}' codec can't decode "
+                         f"{where}: {exc.reason}") from None
 
 
 @contextmanager
@@ -430,14 +435,14 @@ def _floats(raw: list[str], out: np.ndarray) -> None:
         out[:] = np.nan
 
 
-def _codes(raw: list[str], table: dict, column: np.ndarray, start: int, check) -> np.ndarray:
+def _codes(raw: list[str], table: dict, values: list, column, start: int, check) -> np.ndarray:
     """One batch of a token column as codes into ``table``, which gains each
-    str it does not hold yet, once ``check`` has accepted it, written to
-    ``column`` from ``start``; returns the column, widened first if its
-    unsigned type no longer holds every code."""
+    str it does not hold yet, and ``values`` what ``check`` makes of it,
+    written to ``column`` from ``start``; returns the column, widened first
+    if its unsigned type no longer holds every code."""
     for token in dict.fromkeys(raw):
         if token not in table:
-            check(token)
+            values.append(check(token))
             table[token] = len(table)
     if (code := np.min_scalar_type(len(table))) != column.dtype:
         column = column.astype(code)
@@ -449,9 +454,10 @@ class CsvRows:
     """The rows of a CSV input after its header, as one column per field
     of ``schema``: the first field as a numpy ``StringDType`` array, the
     score (the second field) as a float64 array, and the others as
-    :class:`Tokens`.
+    :class:`Tokens`, whose table entries' checked values (a group token's
+    minority flag, a label's int) are in ``values``.
 
-    The text is read in one stream from :func:`text_opener`.  Each column
+    The text is read once, in one stream (:func:`text_reader`).  Each column
     starts empty and is grown in place just before each batch fills it,
     so memory follows the data rows read, not the line ends: a blank line
     or a quoted line break takes none.  Rows are read through
@@ -476,14 +482,15 @@ class CsvRows:
     def __init__(self, source, schema: Schema, vocab: GroupVocabulary):
         width = len(schema.header)
         tables = [{} for _ in range(width)]  # each token column's code of each distinct str
+        values = [[] for _ in range(width)]  # the value its check gave each table entry
         # the check of a str the first time it enters a token column's table
-        checks = [None, None, *[lambda t: vocab.resolve(t.strip())] * (width - 3), _parse_label]
-        open_text = text_opener(source)
+        checks = [None, None, *[lambda t: vocab.resolve(t.strip()) is GroupId.MINORITY] * (width - 3),
+                  _parse_label]
         columns = [np.empty(0, np.float64 if j == 1 else np.uint8 if j else _ID())
                    for j in range(width)]
         # shape: the first bad header, width or csv row; fault: the first bad value
         rows, chunk, line, shape, fault = 0, [], 0, None, None
-        with _gc_paused(), open_text() as f:
+        with _gc_paused(), text_reader(source) as f:
             reader = csv.reader(f)
             try:
                 header = next(reader, None)
@@ -511,28 +518,23 @@ class CsvRows:
                                     _check_score(column[rows:end].min())  # NaN fails too
                                     _check_score(column[rows:end].max())
                                 elif j:
-                                    columns[j] = _codes(raw, tables[j], column, rows, checks[j])
+                                    columns[j] = _codes(raw, tables[j], values[j], column, rows,
+                                                        checks[j])
                                 else:
                                     column[rows:end] = raw
                             rows += len(data)
                         except InputError:
                             fault = _row_fault(chunk, line, reader.line_num, width, vocab)
                     chunk = data = raw = None  # not alive while the next batch is read
-            except UnicodeDecodeError:  # a bad byte anywhere wins: named from the start
-                check_utf8(open_text)
-                raise MalformedRowError("input changed while it was read") from None
             except csv.Error as exc:  # a field over csv.field_size_limit(), or a bare \r
                 shape = _row_fault(chunk, line, reader.line_num, width) or MalformedRowError(
                     f"line {reader.line_num}: {exc}")
-            if shape:
-                check_utf8(open_text, f)  # a bad byte in the rest of the text wins
-                raise shape
-        if fault:
-            raise fault
+        if shape or fault:  # the rest of the stream decoded: a bad byte there wins
+            raise shape or fault
         for j, column in enumerate(columns):
             columns[j] = _frozen(column) if j < 2 else Tokens(
                 column, np.array(list(tables[j]), dtype=object))
-        self.columns = columns
+        self.columns, self.values = columns, values
 
     def __len__(self) -> int:
         return len(self.columns[0])
@@ -572,10 +574,10 @@ def parse_rows(source, schema: Schema, vocab: GroupVocabulary) -> CsvRows:
     Returns data rows only (header consumed; blank rows skipped).  No row
     list, field string or copy of the text outlives its batch.  A fault is
     raised after the last row: text that is not UTF-8 anywhere wins (see
-    :func:`check_utf8`), else :class:`MalformedRowError` for the header or
+    :func:`text_reader`), else :class:`MalformedRowError` for the header or
     the first row of another width or that ``csv`` rejects, else the first
     bad score, group token (by ``vocab``) or label.  A row error names the
-    row's file line.  A path is opened again only to name a bad byte.
+    row's file line.  No input is opened or read twice.
     """
     return CsvRows(source, schema, vocab)
 
@@ -598,21 +600,18 @@ def _parse_label(text: str) -> int:
     return _LABELS[text]
 
 
-def dataset_from_rows(rows: CsvRows, schema: Schema, vocab: GroupVocabulary) -> ScoreDataset:
-    """Build the dataset from rows :func:`parse_rows` checked with the same
-    ``vocab``, one column at a time.
-
-    The score column is the float64 array :func:`parse_rows` parsed.
-    Group tokens and labels are resolved once per entry of their column's
-    table.  A record-level pair is minority iff either of its records is.
+def dataset_from_rows(rows: CsvRows) -> ScoreDataset:
+    """Build the dataset from rows :func:`parse_rows` checked, one column
+    at a time, from the score array and each token column's checked
+    values (:class:`CsvRows`).  A record-level pair is minority iff either
+    of its records is.
     """
     ids, scores, *group_columns, label_column = rows.columns
+    *group_values, label_values = rows.values[2:]
     minority = np.zeros(len(ids), dtype=bool)
-    for column in group_columns:
-        flags = [vocab.resolve(t.strip()) is GroupId.MINORITY for t in column.table]
+    for column, flags in zip(group_columns, group_values):
         minority |= np.array(flags, dtype=bool)[column.codes]
-    labels = np.array([_parse_label(t) for t in label_column.table], dtype=np.int8)
-    labels = labels[label_column.codes]
+    labels = np.array(label_values, dtype=np.int8)[label_column.codes]
     return object.__new__(ScoreDataset)._hold(ids, scores, _frozen(minority), _frozen(labels))
 
 
@@ -623,8 +622,8 @@ def load_dataset(
     majority_token: str | None = None,
 ) -> ScoreDataset:
     """Parse a CSV file (path, bytes, or file object) into a dataset."""
-    vocab = GroupVocabulary(minority_token, majority_token)
-    return dataset_from_rows(parse_rows(source, schema, vocab), schema, vocab)
+    return dataset_from_rows(
+        parse_rows(source, schema, GroupVocabulary(minority_token, majority_token)))
 
 
 def dump_dataset(dataset: ScoreDataset, dest) -> None:

@@ -184,7 +184,8 @@ class StepCurve:
     def from_csv(cls, source) -> "StepCurve":
         """Read a curve that :meth:`to_csv` wrote (path, bytes or file object).
 
-        One stream (:func:`~scorecalib.dataset.text_opener`) goes through
+        The input is read once, in one stream
+        (:func:`~scorecalib.dataset.text_reader`) that goes through
         ``csv.reader`` :data:`~scorecalib.dataset.BATCH_ROWS` rows at a time,
         with cyclic GC paused: blank rows are dropped, extra fields ignored,
         and each batch's thetas and values extend two ``array("d")``, each
@@ -193,9 +194,8 @@ class StepCurve:
         them: text that is not UTF-8 (InputError), a ``csv`` error, the
         header, no data rows, a malformed row (:class:`MalformedCurveError`).
         """
-        open_text = dataset.text_opener(source)
-        columns, malformed = [array("d"), array("d")], False
-        with dataset._gc_paused(), open_text() as f:
+        columns, malformed, error = [array("d"), array("d")], False, None
+        with dataset._gc_paused(), dataset.text_reader(source) as f:
             reader = csv.reader(f)
             rows = filter(None, reader)
             try:
@@ -207,11 +207,10 @@ class StepCurve:
                     except (ValueError, IndexError):
                         malformed = True
                     del chunk  # not alive while the next batch is read
-            except (csv.Error, UnicodeDecodeError) as exc:
-                # a bad byte anywhere wins: the rest of this stream is read, or,
-                # if it met one, a new stream from the start
-                dataset.check_utf8(open_text, None if isinstance(exc, UnicodeDecodeError) else f)
-                raise MalformedCurveError(f"curve CSV line {reader.line_num}: {exc}") from None
+            except csv.Error as exc:  # raised once the rest of the stream is decoded
+                error = MalformedCurveError(f"curve CSV line {reader.line_num}: {exc}")
+        if error:
+            raise error
         if header != ["theta", "value"]:
             raise MalformedCurveError("curve CSV must start with header 'theta,value'")
         if not (columns[0] or malformed):

@@ -530,25 +530,6 @@ def test_error_pass_peaks_within_one_batch_of_a_clean_read(tmp_path, kind, n):
     assert peaks[1] <= peaks[0] + one_batch_bytes(clean)
 
 
-def test_text_that_decodes_when_read_again_changed_while_it_was_read():
-    # a chunk met a byte that is not UTF-8, but the whole text read next decodes
-    streams = iter([io.TextIOWrapper(io.BytesIO(b"id\np\xe9\n"), encoding="utf-8"),
-                    io.StringIO("id\np\n")])
-    with pytest.raises(MalformedRowError, match="^input changed while it was read$"):
-        dataset.check_utf8(lambda: next(streams))
-
-
-def test_text_that_decodes_when_opened_again_to_name_a_byte_changed_while_it_was_read():
-    # the stream met a byte that is not UTF-8, and the text opened again to
-    # name it decodes: no rows are returned from a stream that stopped early
-    bad, clean = b"id,score,group,label\np\xe9,0.5,a,1\n", "id,score,group,label\np,0.5,a,1\n"
-    streams = iter([io.TextIOWrapper(io.BytesIO(bad), encoding="utf-8", newline=""),
-                    io.StringIO(clean, newline="")])
-    with mock.patch.object(dataset, "text_opener", lambda source: lambda: next(streams)), \
-            pytest.raises(MalformedRowError, match="^input changed while it was read$"):
-        load_dataset(bad, Schema.PAIR_LEVEL, "a")
-
-
 @pytest.mark.parametrize("schema", list(Schema))
 @pytest.mark.parametrize("n", [10_000, 100_000])
 def test_loaded_dataset_holds_few_bytes_per_row(tmp_path, schema, n):

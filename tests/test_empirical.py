@@ -467,7 +467,7 @@ def test_step_curve_csv_malformed(text):
 
 def test_curve_field_larger_than_csv_limit_matches_oracle():
     # the oracle lets csv.Error out; the library names the line in a
-    # MalformedCurveError, raised by the whole-text parse after the stream gives up
+    # MalformedCurveError, raised once the rest of the stream is decoded
     data = b"theta,value\n0,1.0\n" + b"0" * (csv.field_size_limit() + 1) + b",0.5\n"
     with pytest.raises(csv.Error) as want:
         oracle.curve_from_csv(data)
