@@ -67,13 +67,13 @@ def _check_score(score: float, context: str = "") -> float:
     return score
 
 
-def _column(values, dtype) -> np.ndarray:
+def _column(values, dtype, copy=np.array) -> np.ndarray:
     """``values`` held as it is if it is a read-only ``dtype`` array that owns
-    its data (as the package's own arrays are), else a read-only private copy."""
+    its data (as the package's own arrays are), else a read-only ``copy``."""
     if (isinstance(values, np.ndarray) and values.dtype == dtype
             and values.flags.owndata and not values.flags.writeable):
         return values
-    return _frozen(np.array(values, dtype=dtype))
+    return _frozen(copy(values, dtype=dtype))
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -127,9 +127,10 @@ class ScoreDataset:
     missing) are read through :meth:`scores` and :meth:`labels`.
     ``labeled`` is true iff every pair carries a label; mixed labeling is
     permitted and simply yields an unlabeled dataset.  A column given as a
-    read-only array of its dtype that owns its data is held as it is (see
-    :func:`_column`), so a dataset from :meth:`with_scores` shares its
-    groups and labels with its source; any other column is copied.
+    read-only array of its dtype that owns its data (for ``ids``,
+    ``StringDType(coerce=False)``) is held as it is (see :func:`_column`),
+    so a dataset from :meth:`with_scores` shares its ids, groups and labels
+    with its source; any other column (or iterable of str) is copied.
     """
 
     ids: np.ndarray
@@ -142,15 +143,9 @@ class ScoreDataset:
         if isinstance(ids, (str, bytes)):
             raise TypeError(f"expected an iterable of str, got {type(ids).__name__}")
         try:
-            ids = np.fromiter(ids, _ID())  # a private copy of any iterable of str
+            ids = _column(ids, _ID(), np.fromiter)  # any other iterable of str is copied
         except ValueError as exc:  # an item not a str, or a lone surrogate (no UTF-8 form)
             raise TypeError(f"ids must be str: {exc}") from None
-        self._hold(ids, scores, is_minority, labels)
-
-    def _hold(self, ids: np.ndarray, scores, is_minority, labels) -> "ScoreDataset":
-        """Check and set the columns through :func:`_column`; ``ids``, built in
-        this module, is held as it is and made read-only here."""
-        _frozen(ids)
         is_minority = np.asarray(is_minority)
         if is_minority.size and is_minority.dtype != bool:
             raise TypeError(f"is_minority must hold bools, got dtype {is_minority.dtype}")
@@ -176,7 +171,6 @@ class ScoreDataset:
         for name, col in columns.items():
             object.__setattr__(self, name, col)
         object.__setattr__(self, "labeled", bool((columns["_labels"] >= 0).all()))
-        return self
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -218,17 +212,14 @@ class ScoreDataset:
 
     def subset(self, group: GroupId) -> "ScoreDataset":
         mask = self._mask(group)
-        return object.__new__(ScoreDataset)._hold(
-            *(_frozen(c[mask]) for c in (self.ids, self._scores, self.is_minority, self._labels))
-        )
+        return ScoreDataset(
+            *(_frozen(c[mask]) for c in (self.ids, self._scores, self.is_minority, self._labels)))
 
     def with_scores(self, new_scores: Sequence[float]) -> "ScoreDataset":
         """Same pairs (ids, groups, labels) with scores replaced."""
         if len(new_scores) != len(self):
             raise LengthMismatchError(f"{len(new_scores)} scores for {len(self)} pairs")
-        return object.__new__(ScoreDataset)._hold(
-            self.ids, new_scores, self.is_minority, self._labels
-        )
+        return ScoreDataset(self.ids, new_scores, self.is_minority, self._labels)
 
 
 class GroupVocabulary:
@@ -472,20 +463,22 @@ class CsvRows:
     checks it (by ``vocab``, or as a label) as it enters the table.  The
     id and score columns are read-only, so a dataset holds them as they are.
 
-    Only a batch that holds a fault is walked row by row
-    (:func:`_row_fault`).  Faults are raised after the last row, in the
-    order a whole-file parse meets them (see :func:`parse_rows`): after a
-    bad value, later batches are only checked for shape, and after a bad
-    header, width or ``csv`` row, the rest of the text only for UTF-8.
+    Only a batch that holds a fault is walked row by row, each field
+    through the same list of checks (:func:`_row_fault`).  Faults are
+    raised after the last row, in the order a whole-file parse meets them
+    (see :func:`parse_rows`): after a bad value, later batches are only
+    checked for shape, and after a bad header, width or ``csv`` row, the
+    rest of the text only for UTF-8.
     """
 
     def __init__(self, source, schema: Schema, vocab: GroupVocabulary):
         width = len(schema.header)
         tables = [{} for _ in range(width)]  # each token column's code of each distinct str
         values = [[] for _ in range(width)]  # the value its check gave each table entry
-        # the check of a str the first time it enters a token column's table
-        checks = [None, None, *[lambda t: vocab.resolve(t.strip()) is GroupId.MINORITY] * (width - 3),
-                  _parse_label]
+        # each field's check: a token column's as a str first enters its
+        # table, the score's only in a faulty batch's walk (:func:`_row_fault`)
+        checks = [None, _parse_score,
+                  *[lambda t: vocab.resolve(t.strip()) is GroupId.MINORITY] * (width - 3), _parse_label]
         columns = [np.empty(0, np.float64 if j == 1 else np.uint8 if j else _ID())
                    for j in range(width)]
         # shape: the first bad header, width or csv row; fault: the first bad value
@@ -524,7 +517,7 @@ class CsvRows:
                                     column[rows:end] = raw
                             rows += len(data)
                         except InputError:
-                            fault = _row_fault(chunk, line, reader.line_num, width, vocab)
+                            fault = _row_fault(chunk, line, reader.line_num, width, checks)
                     chunk = data = raw = None  # not alive while the next batch is read
             except csv.Error as exc:  # a field over csv.field_size_limit(), or a bare \r
                 shape = _row_fault(chunk, line, reader.line_num, width) or MalformedRowError(
@@ -540,10 +533,11 @@ class CsvRows:
         return len(self.columns[0])
 
 
-def _row_fault(chunk: list, line: int, last: int, width: int, vocab=None):
+def _row_fault(chunk: list, line: int, last: int, width: int, checks=None):
     """The error of the first bad row of a batch read after file line
-    ``line``: a row of another width, or, given ``vocab``, a bad score,
-    group token or label; None if there is none.  The error names the
+    ``line``: a row of another width, or, given ``checks`` (one check per
+    field, as :class:`CsvRows` runs them; the first, the id's, is none), a
+    field its check rejects; None if there is none.  The error names the
     row's file line: a row takes one line, plus one for each line end
     inside its fields (CRLF counted once), capped at ``last``, the line
     the reader reached after the batch (a quote left open at the end of
@@ -555,12 +549,10 @@ def _row_fault(chunk: list, line: int, last: int, width: int, vocab=None):
         at = f"line {min(line, last)}: "
         if len(row) != width:
             return MalformedRowError(f"{at}expected {width} columns, got {len(row)}")
-        if vocab is not None:
+        if checks is not None:
             try:
-                _parse_score(row[1])
-                for token in row[2:-1]:
-                    vocab.resolve(token.strip())
-                _parse_label(row[-1])
+                for check, field in zip(checks[1:], row[1:]):
+                    check(field)
             except InputError as exc:
                 return type(exc)(at + str(exc))
     return None
@@ -576,8 +568,9 @@ def parse_rows(source, schema: Schema, vocab: GroupVocabulary) -> CsvRows:
     raised after the last row: text that is not UTF-8 anywhere wins (see
     :func:`text_reader`), else :class:`MalformedRowError` for the header or
     the first row of another width or that ``csv`` rejects, else the first
-    bad score, group token (by ``vocab``) or label.  A row error names the
-    row's file line.  No input is opened or read twice.
+    bad score, group token (by ``vocab``) or label, as the one list of
+    field checks of :class:`CsvRows` finds it.  A row error names the row's
+    file line.  No input is opened or read twice.
     """
     return CsvRows(source, schema, vocab)
 
@@ -612,7 +605,7 @@ def dataset_from_rows(rows: CsvRows) -> ScoreDataset:
     for column, flags in zip(group_columns, group_values):
         minority |= np.array(flags, dtype=bool)[column.codes]
     labels = np.array(label_values, dtype=np.int8)[label_column.codes]
-    return object.__new__(ScoreDataset)._hold(ids, scores, _frozen(minority), _frozen(labels))
+    return ScoreDataset(ids, scores, _frozen(minority), _frozen(labels))
 
 
 def load_dataset(

@@ -9,7 +9,6 @@ distributions on [0, 1].
 from __future__ import annotations
 
 import csv
-from array import array
 from contextlib import ExitStack
 from dataclasses import dataclass
 from itertools import islice
@@ -188,13 +187,13 @@ class StepCurve:
         (:func:`~scorecalib.dataset.text_reader`) that goes through
         ``csv.reader`` :data:`~scorecalib.dataset.BATCH_ROWS` rows at a time,
         with cyclic GC paused: blank rows are dropped, extra fields ignored,
-        and each batch's thetas and values extend two ``array("d")``, each
-        converted to float64 and dropped before the other is.  Faults are
-        raised after the last row, in the order a whole-file parse meets
-        them: text that is not UTF-8 (InputError), a ``csv`` error, the
-        header, no data rows, a malformed row (:class:`MalformedCurveError`).
+        and two float64 columns grow in place, as ``CsvRows`` grows its
+        scores; the curve holds them without a copy.  Faults are raised
+        after the last row, in the order a whole-file parse meets them: text
+        that is not UTF-8 (InputError), a ``csv`` error, the header, no data
+        rows, a malformed row (:class:`MalformedCurveError`).
         """
-        columns, malformed, error = [array("d"), array("d")], False, None
+        thetas, values, n, malformed, error = np.empty(0), np.empty(0), 0, False, None
         with dataset._gc_paused(), dataset.text_reader(source) as f:
             reader = csv.reader(f)
             rows = filter(None, reader)
@@ -202,8 +201,11 @@ class StepCurve:
                 header = next(rows, None)
                 while chunk := list(islice(rows, dataset.BATCH_ROWS)):
                     try:
-                        for j in (0, 1):  # no name is left bound to a column
-                            columns[j].extend(map(float, [row[j] for row in chunk]))
+                        for j, column in enumerate((thetas, values)):
+                            column.resize(n + len(chunk), refcheck=False)  # in place: no view of it is left
+                            column[n:] = np.fromiter(map(float, [row[j] for row in chunk]),
+                                                     np.float64, len(chunk))
+                        n += len(chunk)
                     except (ValueError, IndexError):
                         malformed = True
                     del chunk  # not alive while the next batch is read
@@ -213,20 +215,20 @@ class StepCurve:
             raise error
         if header != ["theta", "value"]:
             raise MalformedCurveError("curve CSV must start with header 'theta,value'")
-        if not (columns[0] or malformed):
+        if not (n or malformed):
             raise MalformedCurveError("curve CSV has no data rows")
         if malformed:
             raise MalformedCurveError("curve CSV has a malformed row")
-        # each array("d") is dropped as soon as it is converted; read-only
-        # columns, so the curve holds its values without a copy
-        thetas = _frozen(np.array(columns.pop(0)))
-        values = _frozen(np.array(columns.pop(0)))
         if not (np.isfinite(thetas).all() and np.isfinite(values).all()):
             raise MalformedCurveError("curve CSV holds a NaN or infinite number")
         if thetas[0] != 0.0:
             raise MalformedCurveError("first curve row must be for theta=0")
+        # the breakpoints moved down in place; both columns read-only and
+        # owning their data, so the curve holds them without a copy
+        thetas[:-1] = thetas[1:]
+        thetas.resize(n - 1, refcheck=False)
         try:
-            return cls(thetas[1:], values)
+            return cls(_frozen(thetas), _frozen(values))
         except ValueError as exc:
             raise MalformedCurveError(str(exc)) from None
 

@@ -5,6 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from numpy.dtypes import StringDType
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -273,19 +274,28 @@ def test_with_scores_requires_one_score_per_pair():
 def test_writable_columns_are_copied_and_frozen_ones_held():
     # a column the caller can still write is copied, so writing it later
     # changes nothing; a read-only array of the column's dtype that owns its
-    # data is held as it is, as the arrays this package builds are
+    # data is held as it is, as the arrays this package builds are.  The ids
+    # follow the same rule, with StringDType(coerce=False) as their dtype
+    ids = np.array(["p1", "p2"], dtype=StringDType(coerce=False))
     scores, minority, labels = np.array([0.2, 0.9]), np.array([True, False]), np.array([1, 0], np.int8)
-    d = ScoreDataset(["p1", "p2"], scores, minority, labels)
-    scores[:], minority[:], labels[:] = 0.5, False, 0
+    d = ScoreDataset(ids, scores, minority, labels)
+    ids[:], scores[:], minority[:], labels[:] = "x", 0.5, False, 0
+    assert d.ids.tolist() == ["p1", "p2"] and d.ids is not ids and not d.ids.flags.writeable
     assert d.scores().tolist() == [0.2, 0.9] and d.is_minority.tolist() == [True, False]
     assert d.labels().tolist() == [1, 0]
-    for column in (scores, minority, labels):
+    for column in (ids, scores, minority, labels):
         column.setflags(write=False)
-    held = ScoreDataset(["p1", "p2"], scores, minority, labels)
+    held = ScoreDataset(ids, scores, minority, labels)
+    assert held.ids is ids
     assert held.scores() is scores and held.is_minority is minority and held.labels() is labels
     # a read-only view, or an array of another dtype, is still copied
     copied = ScoreDataset(["p1", "p2"], scores[:], minority, labels.astype(np.int64))
     assert copied.scores() is not scores and copied.labels() is not labels
+    # and so are ids from a coercing StringDType, a view or a list
+    for other in (np.array(["x", "x"], dtype=StringDType()), ids[:], ["x", "x"]):
+        copied = ScoreDataset(other, scores, minority, labels).ids
+        assert copied is not other and copied.tolist() == ["x", "x"]
+        assert copied.dtype == StringDType(coerce=False) and not copied.flags.writeable
 
 
 def test_with_scores_shares_groups_and_labels(monkeypatch):

@@ -797,12 +797,14 @@ def test_a_bad_file_is_parsed_once(tmp_path, kind):
         assert parsed == n + 1
 
 
-def test_clean_curve_peaks_within_its_floats_and_one_batch(tmp_path):
-    # each batch's floats go into two array("d"), each converted to float64
-    # and dropped before the other is.  Measured on Python 3.11, numpy 2.4,
-    # for 2e5 breakpoints: a 5.18 MB peak against a 6.05 MB bound; holding
-    # both arrays through the conversions peaked at 6.62 MB
-    n = 200_000
+@pytest.mark.parametrize("n", [200_000, 400_000])
+def test_clean_curve_peaks_within_its_floats_and_one_batch(tmp_path, n):
+    # each batch's floats go into two float64 columns grown in place, and
+    # the curve holds both, its breakpoints moved down over theta=0, with
+    # no copy.  Measured on Python 3.11, numpy 2.4: 5.21 MB at 2e5 (a
+    # batch sets the peak) and 8.35 MB at 4e5, against bounds of 6.05 and
+    # 9.26 MB; handing the curve a view of the thetas, which it copies,
+    # peaked at 10.02 MB at 4e5
     path = tmp_path / "curve.csv"
     clean_file(path, "curve", n)
     StepCurve.from_csv(path)  # untraced: one-time allocations

@@ -1,5 +1,6 @@
-"""Every name the benchmark's tracer wraps still exists, and a traced run
-records the ingest layer.
+"""Every name the benchmark's tracer wraps still exists, a traced run
+records the ingest layer, and the benchmark's commands reach every traced
+layer but those the CLI no longer calls.
 
 ``perfbench/traced.py`` puts a timing span around each ``(module, attr)``
 in its ``TARGETS``; a renamed or deleted function breaks every traced
@@ -22,18 +23,21 @@ import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-TRACED = ROOT / "perfbench" / "traced.py"
+PERFBENCH = ROOT / "perfbench"
+TRACED = PERFBENCH / "traced.py"
 SRC = ROOT / "src"
 
 
-def load_traced():
-    spec = importlib.util.spec_from_file_location("perfbench_traced", TRACED)
-    module = importlib.util.module_from_spec(spec)
+def load_perfbench(name: str):
+    """A module of ``perfbench/``, loaded by file path (and registered, as
+    its dataclasses need)."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-TARGETS = load_traced().TARGETS
+TARGETS = load_perfbench("traced").TARGETS
 
 
 @pytest.mark.parametrize(
@@ -49,13 +53,12 @@ def test_traced_target_resolves(module_name, attr):
         assert callable(getattr(module, attr))
 
 
-def run_traced(tmp_path, name, *argv) -> dict:
-    """Run one CLI command under ``traced.py`` in a child process; its spans."""
-    spans = tmp_path / f"{name}.json"
+def run_traced(spans, argv) -> dict:
+    """Run one CLI command under ``traced.py`` in a child process, its spans
+    written to ``spans``; the spans and counters."""
     env = {**os.environ, "PYTHONPATH": str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", "")}
     subprocess.run(
-        [sys.executable, str(TRACED), str(spans), *map(str, argv),
-         "--out-dir", str(tmp_path / name)],
+        [sys.executable, str(TRACED), str(spans), *map(str, argv)],
         check=True, env=env, capture_output=True, timeout=120,
     )
     return json.loads(spans.read_text(encoding="utf-8"))
@@ -81,8 +84,28 @@ def test_traced_run_records_ingest_spans_and_rows(tmp_path, schema):
         argv = ["measure", "--input", path, "--metric", "dp", "eod"]
     else:
         argv = ["calibrate", "--input", path, "--schema", "record", "--algorithm", "calib"]
-    trace = run_traced(tmp_path, schema, *argv)
+    trace = run_traced(tmp_path / f"{schema}.json", [*argv, "--out-dir", tmp_path / schema])
     names = Counter(span[0] for span in trace["spans"])
     assert names["dataset.parse_rows"] == 1
     assert names["dataset.dataset_from_rows"] == 1
     assert trace["counters"]["dataset.rows"] == n
+
+
+# the CLI no longer calls these, so each reads 0 in every benchmark trace
+UNCALLED = {"bias.score_bias", "bias.threshold_bias", "empirical.StepCurve.to_csv"}
+
+
+def test_benchmark_commands_reach_every_traced_layer_but_the_uncalled(tmp_path):
+    # each benchmark command, on its workload's inputs at the row floor, run
+    # under traced.py with the benchmark's own arguments: a layer the CLI
+    # stops calling shows here, not as a silent 0 in every trace
+    workloads = load_perfbench("workloads")
+    recorded = set()
+    for name, workload in workloads.WORKLOADS.items():
+        tables = workloads.write_inputs(workload, 5, tmp_path / name / "inputs", scale=0)
+        assert all(t.scores.size == workloads.MIN_ROWS for t in tables.values())
+        for cmd in workload.commands:
+            argv = workloads.argv(cmd, tables, tmp_path / name)
+            trace = run_traced(tmp_path / name / f"{cmd.name}.json", argv)
+            recorded |= {span[0] for span in trace["spans"]}
+    assert {target[2] for target in TARGETS} - recorded == UNCALLED
