@@ -71,12 +71,17 @@ def curve_bias(curves: dict[GroupId, StepCurve]) -> float:
     return integrate_abs_difference(curves[GroupId.MINORITY], curves[GroupId.MAJORITY])
 
 
-def curve_gaps(curves: dict[GroupId, StepCurve], thetas: Sequence[float]) -> np.ndarray:
-    """|minority - majority| of one curve pair at each threshold in [0, 1]."""
+def check_thetas(thetas: Sequence[float]) -> np.ndarray:
+    """The thresholds as a float array; one outside [0, 1] (or NaN) raises."""
     for theta in thetas:
         if not (0.0 <= theta <= 1.0):
             raise ThetaOutOfRangeError(f"theta {theta!r} outside [0, 1]")
-    at = np.array(thetas, dtype=float)
+    return np.array(thetas, dtype=float)
+
+
+def curve_gaps(curves: dict[GroupId, StepCurve], thetas: Sequence[float]) -> np.ndarray:
+    """|minority - majority| of one curve pair at each threshold in [0, 1]."""
+    at = check_thetas(thetas)
     return np.abs(curves[GroupId.MINORITY](at) - curves[GroupId.MAJORITY](at))
 
 

@@ -25,7 +25,7 @@ from contextlib import suppress
 from dataclasses import fields
 from pathlib import Path
 
-from .bias import BiasMetricKind, curve_bias, curve_gaps, group_curves, risk_estimate
+from .bias import BiasMetricKind, check_thetas, curve_bias, curve_gaps, group_curves, risk_estimate
 from .calibration import calibrate_dataset, fit
 from .conditional import DEFAULT_BANDWIDTH, cond_calibrate_dataset, fit_conditional, save_model
 from .dataset import (
@@ -137,13 +137,14 @@ def _beta(value) -> BetaParams:
 
 
 def _load_input(s: dict, key: str) -> tuple[ScoreDataset, list]:
-    """The dataset at the path option ``key`` and its raw group-token and
-    label columns as :class:`~scorecalib.dataset.Tokens`, echoed into
-    ``calibrated.csv``."""
+    """The dataset at the path option ``key``, without ids, and the columns
+    ``calibrated.csv`` echoes beside its scores: the ids, then the raw
+    group-token and label columns as :class:`~scorecalib.dataset.Tokens`."""
     if not s[key]:
         raise InputError(f"--{key} is required")
     rows = parse_rows(s[key], s["schema"], GroupVocabulary(s["minority_token"], s["majority_token"]))
-    return dataset_from_rows(rows), rows.columns[2:]
+    ids, rows.columns[0] = rows.columns[0], None
+    return dataset_from_rows(rows), [ids, *rows.columns[2:]]
 
 
 def _safe_auc(d: ScoreDataset, group: GroupId | None = None):
@@ -167,6 +168,20 @@ def _stage_metrics(out_dir: Path, kinds, thresholds, data: ScoreDataset, stage: 
         written.extend(same_group)
         write_curves(same_group)
     return numbers
+
+
+def _check_report(d: ScoreDataset, kinds, thresholds) -> None:
+    """Raise what :func:`_report_metrics` would raise on ``d``, in the order
+    it meets them, before a file is opened."""
+    # each curve's pairs are only counted; one that lacks some is built, to
+    # raise its own error
+    for part in dict.fromkeys(part for kind in kinds for part in kind.parts):
+        label = int(part is BiasMetricKind.EO)  # of an EO or FPR_GAP stratum
+        if not all(d.count(group) if part is BiasMetricKind.DP else
+                   d.labeled and (d._mask(group) & (d.labels() == label)).any()
+                   for group in GroupId):
+            group_curves(d, part)
+        check_thetas(thresholds)
 
 
 def _report_metrics(out_dir: Path, kinds, thresholds, stages: dict, run: dict,
@@ -247,7 +262,7 @@ def cmd_generate(s: dict, written: list) -> int:
 
 
 def cmd_measure(s: dict, written: list) -> int:
-    d, _ = _load_input(s, "input")
+    d = _load_input(s, "input")[0]  # the echoed columns are dropped at once
     out_dir = _out_dir(s)
 
     no_after = dict.fromkeys(("risk", "auc_before", "auc_after"))
@@ -266,22 +281,33 @@ def cmd_measure(s: dict, written: list) -> int:
 
 
 def cmd_calibrate(s: dict, written: list) -> int:
-    d, raw_columns = _load_input(s, "input")
+    # fit, model.json, apply, calibrated.csv, then the report: the model, the
+    # ids and the echoed columns are dropped once written, so the report
+    # stage holds only the scores, flags and labels of its stages
+    d, (ids, *raw_columns) = _load_input(s, "input")
     algorithm, sigma, seed, fit_sel = s["algorithm"], s["sigma"], s["seed"], s["fit"]
     out_dir = _out_dir(s)
     fit_set = d if fit_sel == "self" else _load_input(s, "fit")[0]
 
-    model, calibrated = None, d
+    model = apply = None
     if algorithm == "calib":
-        model = fit(fit_set, sigma, seed)
-        calibrated = calibrate_dataset(model, d)
+        model, apply = fit(fit_set, sigma, seed), calibrate_dataset
     elif algorithm == "ccalib":
-        model = fit_conditional(
-            fit_set, sigma, seed, s["gamma"], s["bandwidth"], s["use_true_labels"]
-        )
-        calibrated = cond_calibrate_dataset(model, d)
+        model, apply = fit_conditional(fit_set, sigma, seed, s["gamma"], s["bandwidth"],
+                                       s["use_true_labels"]), cond_calibrate_dataset
+    del fit_set
+    _check_report(d, s["metric"], s["thresholds"])
+    gamma, calibrated = getattr(model, "gamma", None), d
+    if model is not None:
+        save_model(model, _writing(written, out_dir / "model.json"))
+        calibrated = apply(model, d)
+    del model
 
     new_scores = calibrated.scores()
+    # emit the calibrated dataset in the input schema, original tokens kept
+    write_csv(_writing(written, out_dir / "calibrated.csv"), [s["schema"].header],
+              [ids, new_scores, *raw_columns])
+    del ids, raw_columns
     run = {
         "risk": risk_estimate(d.scores(), new_scores),
         "auc_before": _safe_auc(d),
@@ -290,12 +316,6 @@ def cmd_calibrate(s: dict, written: list) -> int:
     stages = {"before": d, "after": calibrated}
     entries = _report_metrics(out_dir, s["metric"], s["thresholds"], stages, run, written)
 
-    # emit the calibrated dataset in the input schema, original tokens kept
-    write_csv(_writing(written, out_dir / "calibrated.csv"), [s["schema"].header],
-              [d.ids, new_scores, *raw_columns])
-
-    auc_groups_before = _auc_by_group(d)
-    auc_groups_after = _auc_by_group(calibrated)
     payload = {
         "command": "calibrate",
         "algorithm": algorithm,
@@ -305,23 +325,17 @@ def cmd_calibrate(s: dict, written: list) -> int:
         "dataset": _dataset_summary(d),
         "metrics": entries,
         **run,
-        "auc_by_group_before": auc_groups_before,
-        "auc_by_group_after": auc_groups_after,
-        "gamma": getattr(model, "gamma", None),
+        "auc_by_group_before": _auc_by_group(d),
+        "auc_by_group_after": _auc_by_group(calibrated),
+        "gamma": gamma,
     }
     write_json(_writing(written, out_dir / "report.json"), payload)
-    if model is not None:
-        save_model(model, _writing(written, out_dir / "model.json"))
-    _print_summary(
-        entries, auc_groups_before, f"calibrated {len(d)} pairs with {algorithm}"
-    )
+    _print_summary(entries, payload["auc_by_group_before"],
+                   f"calibrated {len(d)} pairs with {algorithm}")
     print(f"  risk: {_pct(run['risk'])}")
-    if payload["auc_before"] is not None and payload["auc_after"] is not None:
-        delta = payload["auc_after"] - payload["auc_before"]
-        print(
-            f"  AUC: before {_pct(payload['auc_before'])}  after "
-            f"{_pct(payload['auc_after'])}  (delta {100 * delta:+.2f}pp)"
-        )
+    if run["auc_before"] is not None and run["auc_after"] is not None:
+        print(f"  AUC: before {_pct(run['auc_before'])}  after {_pct(run['auc_after'])}  "
+              f"(delta {100 * (run['auc_after'] - run['auc_before']):+.2f}pp)")
     return 0
 
 

@@ -122,9 +122,10 @@ class Tokens:
 class ScoreDataset:
     """Immutable, validated scored pairs held as read-only columns.
 
-    ``ids`` is a numpy ``StringDType`` array and ``is_minority`` a bool
-    array; scores (float64 in [0, 1]) and labels (int8: 0, 1, or -1 for
-    missing) are read through :meth:`scores` and :meth:`labels`.
+    ``ids`` is a numpy ``StringDType`` array, or None for pairs without ids
+    (no statistic reads one), and ``is_minority`` a bool array; scores
+    (float64 in [0, 1]) and labels (int8: 0, 1, or -1 for missing) are read
+    through :meth:`scores` and :meth:`labels`.
     ``labeled`` is true iff every pair carries a label; mixed labeling is
     permitted and simply yields an unlabeled dataset.  A column given as a
     read-only array of its dtype that owns its data (for ``ids``,
@@ -139,45 +140,49 @@ class ScoreDataset:
     _scores: np.ndarray
     _labels: np.ndarray
 
-    def __init__(self, ids: Iterable[str], scores, is_minority, labels=None):
+    def __init__(self, ids: Iterable[str] | None, scores, is_minority, labels=None):
         if isinstance(ids, (str, bytes)):
             raise TypeError(f"expected an iterable of str, got {type(ids).__name__}")
         try:
-            ids = _column(ids, _ID(), np.fromiter)  # any other iterable of str is copied
+            if ids is not None:  # any other iterable of str is copied
+                ids = _column(ids, _ID(), np.fromiter)
         except ValueError as exc:  # an item not a str, or a lone surrogate (no UTF-8 form)
             raise TypeError(f"ids must be str: {exc}") from None
         is_minority = np.asarray(is_minority)
         if is_minority.size and is_minority.dtype != bool:
             raise TypeError(f"is_minority must hold bools, got dtype {is_minority.dtype}")
-        raw_labels = np.asarray(labels) if labels is not None else _frozen(
-            np.full(len(ids), -1, np.int8))
-        # bool masks only: np.isin's table lookup takes 12 bytes a label
-        if not np.all((raw_labels == -1) | (raw_labels == 0) | (raw_labels == 1)):
+        scores = _column(scores, np.float64)
+        labels = np.asarray(labels) if labels is not None else _frozen(
+            np.full(len(scores), -1, np.int8))
+        # integer or bool labels are checked by their min and max, with no
+        # whole-length temporary; any others (0.5, NaN, None) item by item
+        if not (labels.min() >= -1 and labels.max() <= 1 if labels.dtype.kind in "biu" and labels.size
+                else np.all((labels == -1) | (labels == 0) | (labels == 1))):
             raise MalformedRowError("labels must be 0, 1 or -1 (missing)")
         columns = {
             "ids": ids,
             "is_minority": _column(is_minority, bool),
-            "_scores": _column(scores, np.float64),
-            "_labels": _column(raw_labels, np.int8),
+            "_scores": scores,
+            "_labels": _column(labels, np.int8),
         }
-        sizes = {len(col) for col in columns.values()}
+        sizes = {len(col) for col in columns.values() if col is not None}
         if len(sizes) > 1:
             raise LengthMismatchError(f"column lengths differ: {sorted(sizes)}")
-        scores = columns["_scores"]
-        bad = np.flatnonzero(~((scores >= 0.0) & (scores <= 1.0)))
-        if bad.size:
-            i = bad[0]
-            _check_score(scores[i], f" (pair {ids[i]!r})")
+        # min and max, not whole-length masks; only a failing column is walked
+        if scores.size and not (scores.min() >= 0.0 and scores.max() <= 1.0):  # NaN fails too
+            i = next(i for i, score in enumerate(scores.tolist()) if not 0.0 <= score <= 1.0)
+            _check_score(scores[i], f" (pair {ids[i]!r})" if ids is not None else f" (pair {i})")
         for name, col in columns.items():
             object.__setattr__(self, name, col)
-        object.__setattr__(self, "labeled", bool((columns["_labels"] >= 0).all()))
+        object.__setattr__(self, "labeled", bool(not len(scores) or columns["_labels"].min() >= 0))
 
     def __len__(self) -> int:
-        return len(self.ids)
+        return len(self._scores)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ScoreDataset):
             return NotImplemented
+        # ids of None equal None (a 0-d object array), and never an id array
         return all(
             np.array_equal(getattr(self, c), getattr(other, c))
             for c in ("ids", "_scores", "is_minority", "_labels")
@@ -212,8 +217,8 @@ class ScoreDataset:
 
     def subset(self, group: GroupId) -> "ScoreDataset":
         mask = self._mask(group)
-        return ScoreDataset(
-            *(_frozen(c[mask]) for c in (self.ids, self._scores, self.is_minority, self._labels)))
+        return ScoreDataset(*(c if c is None else _frozen(c[mask])
+                              for c in (self.ids, self._scores, self.is_minority, self._labels)))
 
     def with_scores(self, new_scores: Sequence[float]) -> "ScoreDataset":
         """Same pairs (ids, groups, labels) with scores replaced."""
@@ -313,7 +318,7 @@ def text_writer(dest):
         yield dest
 
 
-BATCH_ROWS = 8192  # rows read or written per batch; only one batch's rows or text are alive at a time
+BATCH_ROWS = 2048  # rows read or written per batch; only one batch's rows or text are alive at a time
 _QUOTED = (",", '"', "\r", "\n")
 
 
@@ -371,6 +376,18 @@ def _write_rows(f, batch: Sequence[Sequence[str]]) -> None:
     f.write("\n".join(map(",".join, zip(*batch))) + "\n")
 
 
+def _swap_arrays(value, depth: int, arrays: list):
+    """``value`` with each non-empty array put in ``arrays`` (with its indent) and named by index."""
+    # not nested in write_json: a nested function that calls itself is a
+    # reference cycle, which held ``arrays`` (a model's lists) until a GC ran
+    if isinstance(value, dict):
+        return {k: _swap_arrays(v, depth + 1, arrays) for k, v in value.items()}
+    if isinstance(value, np.ndarray) and value.size:
+        arrays.append((value, "\n" + "  " * (depth + 1)))
+        return f"\0{len(arrays) - 1}"  # json.dumps writes it as "\u0000<index>"
+    return value.tolist() if isinstance(value, np.ndarray) else value
+
+
 def write_json(dest, payload) -> None:
     """``payload`` as indented JSON with sorted keys and a final newline.
 
@@ -380,16 +397,7 @@ def write_json(dest, payload) -> None:
     once (:func:`float_text`).
     """
     arrays = []
-
-    def swap(value, depth):
-        if isinstance(value, dict):
-            return {k: swap(v, depth + 1) for k, v in value.items()}
-        if isinstance(value, np.ndarray) and value.size:
-            arrays.append((value, "\n" + "  " * (depth + 1)))
-            return f"\0{len(arrays) - 1}"  # json.dumps writes it as "\u0000<index>"
-        return value.tolist() if isinstance(value, np.ndarray) else value
-
-    skeleton = json.dumps(swap(payload, 0), indent=2, sort_keys=True)
+    skeleton = json.dumps(_swap_arrays(payload, 0, arrays), indent=2, sort_keys=True)
     # the JSON text before the first array, then each array's index and the text after it
     text, *rest = re.split(r'"\\u0000(\d+)"', skeleton)
     with text_writer(dest) as f:
@@ -559,19 +567,12 @@ def _row_fault(chunk: list, line: int, last: int, width: int, checks=None):
 
 
 def parse_rows(source, schema: Schema, vocab: GroupVocabulary) -> CsvRows:
-    """Read and check CSV rows in one stream (:class:`CsvRows`): the score
-    column as a float64 array, the ids as a numpy ``StringDType`` array,
-    every other field as :class:`Tokens`.
-
-    Returns data rows only (header consumed; blank rows skipped).  No row
-    list, field string or copy of the text outlives its batch.  A fault is
-    raised after the last row: text that is not UTF-8 anywhere wins (see
-    :func:`text_reader`), else :class:`MalformedRowError` for the header or
-    the first row of another width or that ``csv`` rejects, else the first
-    bad score, group token (by ``vocab``) or label, as the one list of
-    field checks of :class:`CsvRows` finds it.  A row error names the row's
-    file line.  No input is opened or read twice.
-    """
+    """The data rows of ``source`` (header consumed, blank rows skipped), read
+    and checked in one stream by :class:`CsvRows`.  A fault is raised after
+    the last row: text that is not UTF-8 anywhere wins (see :func:`text_reader`),
+    else :class:`MalformedRowError` for the header or the first row of another
+    width or that ``csv`` rejects, else the first bad score, group token (by
+    ``vocab``) or label.  A row error names the row's file line."""
     return CsvRows(source, schema, vocab)
 
 
@@ -597,11 +598,11 @@ def dataset_from_rows(rows: CsvRows) -> ScoreDataset:
     """Build the dataset from rows :func:`parse_rows` checked, one column
     at a time, from the score array and each token column's checked
     values (:class:`CsvRows`).  A record-level pair is minority iff either
-    of its records is.
+    of its records is.  An id column set to None gives pairs without ids.
     """
     ids, scores, *group_columns, label_column = rows.columns
     *group_values, label_values = rows.values[2:]
-    minority = np.zeros(len(ids), dtype=bool)
+    minority = np.zeros(len(scores), dtype=bool)
     for column, flags in zip(group_columns, group_values):
         minority |= np.array(flags, dtype=bool)[column.codes]
     labels = np.array(label_values, dtype=np.int8)[label_column.codes]
@@ -625,6 +626,8 @@ def dump_dataset(dataset: ScoreDataset, dest) -> None:
     Round-trips: re-loading with ``minority_token="minority"`` yields an
     identical dataset.  Scores are written at full (repr) precision.
     """
+    if dataset.ids is None:
+        raise ValueError("dataset has no ids to write")
     groups = np.array([g.value for g in _GROUP_OF], dtype=object)
     labels = np.array(["", "0", "1"], dtype=object)  # indexed by label + 1
     write_csv(dest, [PAIR_HEADER], [

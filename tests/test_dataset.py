@@ -6,7 +6,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from numpy.dtypes import StringDType
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scorecalib import calibration, conditional, dataset
@@ -332,6 +332,78 @@ def test_duplicate_ids_allowed():
     assert len(d) == 2
 
 
+def test_pairs_without_ids():
+    # ids=None: the pairs the CLI reports on, since no statistic reads an id
+    d = ScoreDataset(None, [0.9, 0.2, 0.4], [True, False, True], [1, 0, -1])
+    assert d.ids is None and len(d) == 3 and not d.labeled
+    part = d.subset(MIN)
+    assert part.ids is None and part.scores().tolist() == [0.9, 0.4]
+    assert part._labels.tolist() == [1, -1] and part.is_minority.all()
+    moved = d.with_scores([0.1, 0.2, 0.3])
+    assert moved.ids is None and moved.scores().tolist() == [0.1, 0.2, 0.3]
+    assert moved.is_minority is d.is_minority and moved._labels is d._labels
+    assert d == ScoreDataset(None, [0.9, 0.2, 0.4], [True, False, True], [1, 0, -1])
+    named = ScoreDataset(["p1", "p2", "p3"], d.scores(), d.is_minority, d._labels)
+    assert d != named and named != d and d != moved
+    assert len(ScoreDataset(None, [], [])) == 0
+    with pytest.raises(ValueError, match="^dataset has no ids to write$"):
+        dump_dataset(d, io.StringIO())
+    # a bad score is named by its index
+    with pytest.raises(ScoreOutOfRangeError, match=r"^score 1\.5 outside \[0, 1\] \(pair 1\)$"):
+        ScoreDataset(None, [0.5, 1.5], [True, False])
+    with pytest.raises(LengthMismatchError):
+        ScoreDataset(None, [0.5, 0.2], [True])
+
+
+# each dtype's labels, mostly -1, 0 and 1 so that the score check is
+# reached, else out of range, fractional, NaN, None or text
+NAN, INF = float("nan"), float("inf")
+LABEL_VALUES = {
+    np.int8: [-1, 0, 1] * 8 + [-3, -2, 2, 3], np.int64: [-1, 0, 1] * 8 + [-2, 2, 2**40],
+    np.uint8: [0, 1] * 8 + [2, 255], bool: [False, True],
+    np.float64: [-1.0, 0.0, -0.0, 1.0] * 6 + [0.5, -0.5, 2.0, NAN, INF],
+    object: [-1, 0, 1, True] * 6 + [None, 0.5, 2, "1"],
+}
+scores_or_not = st.one_of(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.sampled_from(
+    [0.0, -0.0, 1.0, -5e-324, 1.0000000000000002, NAN, INF, -INF, -2.0]))
+
+
+def labels_and_scores(n):
+    return st.tuples(st.one_of(*(st.lists(st.sampled_from(values), min_size=n, max_size=n).map(
+        lambda v, dtype=dtype: np.array(v, dtype)) for dtype, values in LABEL_VALUES.items())),
+        st.lists(scores_or_not, min_size=n, max_size=n).map(np.array))
+
+
+@settings(max_examples=400)
+@given(st.integers(0, 12).flatmap(labels_and_scores))
+@example((np.array([1.0, 0.5]), np.array([0.2, 0.3])))  # a fractional float label
+@example((np.array([0, 1], np.int8), np.array([0.2, NAN])))  # a NaN score
+@example((np.array([-1, 0], np.int8), np.array([-0.0, 1.0])))  # the range's ends
+@example((np.array([], np.int8), np.array([])))
+def test_validation_matches_whole_length_masks(case):
+    # the label and score checks read min and max, and walk the scores only
+    # when one fails; the oracle is the mask expressions they replaced
+    labels, scores = case
+    n = len(scores)
+    ids = [f"p{i}" for i in range(n)]
+    if not np.all((labels == -1) | (labels == 0) | (labels == 1)):
+        with pytest.raises(MalformedRowError, match=r"^labels must be 0, 1 or -1 \(missing\)$"):
+            ScoreDataset(ids, scores, np.ones(n, bool), labels)
+        return
+    bad = np.flatnonzero(~((scores >= 0.0) & (scores <= 1.0)))
+    for named, where in ((ids, repr(f"p{bad[0]}") if bad.size else None),
+                         (None, str(bad[0]) if bad.size else None)):
+        if bad.size:
+            message = f"score {float(scores[bad[0]])!r} outside [0, 1] (pair {where})"
+            with pytest.raises(ScoreOutOfRangeError) as exc:
+                ScoreDataset(named, scores, np.ones(n, bool), labels)
+            assert str(exc.value) == message
+        else:
+            d = ScoreDataset(named, scores, np.ones(n, bool), labels)
+            assert d.labeled == bool((labels.astype(np.int8) >= 0).all())
+            assert d._labels.tolist() == labels.astype(np.int8).tolist()
+
+
 pair_strategy = st.tuples(
     st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
     st.sampled_from(["a", "b"]),
@@ -472,9 +544,11 @@ def load_peak_over_held(path, n: int, line_end: str) -> tuple[int, int]:
 def test_load_peaks_within_its_columns_and_one_batch(tmp_path):
     # each column is grown in place as each batch fills it.  Measured on
     # Python 3.11, numpy 2.4, for this 2e5-row record file: the dataset
-    # holds 5.21 MB, one batch of csv row lists takes 2.89 MB, and the load
-    # peaks 3.15 MB above what it holds (1.3 B/row besides the batch: bool
-    # masks).  Per-batch arrays joined at the end peaked 5.77 MB above it
+    # holds 5.21 MB, one batch of 2048 csv row lists takes 0.73 MB, and the
+    # load peaks 0.95 MB above what it holds (1.1 B/row besides the batch:
+    # three token-code columns, which two 1-byte dataset columns replace;
+    # 8192-row batches with whole-length label and score masks: 2.89 and
+    # 3.15 MB).  Per-batch arrays joined at the end peaked 5.77 MB above it
     n = 200_000
     one_batch, over_held = load_peak_over_held(tmp_path / "records.csv", n, "\n")
     assert over_held <= one_batch + 3 * n
@@ -482,9 +556,10 @@ def test_load_peaks_within_its_columns_and_one_batch(tmp_path):
 
 def test_load_with_blank_lines_peaks_within_its_columns_and_one_batch(tmp_path):
     # a blank line after every record takes no room in the columns: the
-    # load peaks 1.76 MB above the dataset of this 2e5-row file, and one
-    # batch (4096 records, 4096 blank rows) takes 1.71 MB.  Columns sized
-    # by the file's line ends would peak 7.37 MB above it, past the bound
+    # load peaks 0.67 MB above the dataset of this 2e5-row file, and one
+    # batch (1024 records, 1024 blank rows) takes 0.43 MB.  Whole-length
+    # label and score masks (6 B a row) would peak 1.20 MB above it, and
+    # columns sized by the file's line ends 7.37 MB, both past the bound
     n = 200_000
     one_batch, over_held = load_peak_over_held(tmp_path / "records.csv", n, "\n\n")
     assert over_held <= one_batch + 3 * n
