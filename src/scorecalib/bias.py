@@ -49,21 +49,21 @@ class BiasMetricKind(enum.Enum):
         return (self,)
 
 
-def group_curves(d: ScoreDataset, kind: BiasMetricKind) -> dict[GroupId, StepCurve]:
-    """The two per-group metric curves for a non-composite kind."""
+def group_curve(d: ScoreDataset, kind: BiasMetricKind, group: GroupId) -> StepCurve:
+    """One group's metric curve for a non-composite kind."""
     if kind is BiasMetricKind.EOD:
         raise ValueError("EOD is composite; request EO and FPR_GAP curves")
-    curves = {}
-    for group in GroupId:
-        if kind is BiasMetricKind.DP:
-            scores = d.group_scores(group)
-            if scores.size == 0:
-                raise EmptyGroupError(f"no {group.value} pairs in dataset")
-            curves[group] = pr_curve(scores)
-        else:
-            label = 1 if kind is BiasMetricKind.EO else 0
-            curves[group] = conditional_curve(d, group, label)
-    return curves
+    if kind is not BiasMetricKind.DP:
+        return conditional_curve(d, group, 1 if kind is BiasMetricKind.EO else 0)
+    scores = d.group_scores(group)
+    if scores.size == 0:
+        raise EmptyGroupError(f"no {group.value} pairs in dataset")
+    return pr_curve(scores)
+
+
+def group_curves(d: ScoreDataset, kind: BiasMetricKind) -> dict[GroupId, StepCurve]:
+    """The two per-group metric curves for a non-composite kind."""
+    return {group: group_curve(d, kind, group) for group in GroupId}
 
 
 def curve_bias(curves: dict[GroupId, StepCurve]) -> float:

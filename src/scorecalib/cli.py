@@ -25,7 +25,8 @@ from contextlib import suppress
 from dataclasses import fields
 from pathlib import Path
 
-from .bias import BiasMetricKind, check_thetas, curve_bias, curve_gaps, group_curves, risk_estimate
+from .bias import (BiasMetricKind, check_thetas, curve_bias, curve_gaps, group_curve,
+                   group_curves, risk_estimate)
 from .calibration import calibrate_dataset, fit
 from .conditional import DEFAULT_BANDWIDTH, cond_calibrate_dataset, fit_conditional, save_model
 from .dataset import (
@@ -157,22 +158,26 @@ def _safe_auc(d: ScoreDataset, group: GroupId | None = None):
 def _stage_metrics(out_dir: Path, kinds, thresholds, data: ScoreDataset, stage: str,
                    written: list) -> dict:
     """Each curve part's bias and threshold gaps on one stage's dataset; writes
-    the stage's curves before it returns, one walk per group (:func:`write_curves`)."""
-    numbers, curves = {}, {}
-    for part in dict.fromkeys(part for kind in kinds for part in kind.parts):
+    the stage's curves before it returns, one walk per group (:func:`write_curves`).
+    Each curve is built twice, so one pair, or one group's curves, is alive at a time."""
+    parts = dict.fromkeys(part for kind in kinds for part in kind.parts)
+    numbers = {}
+    for part in parts:
         pair = group_curves(data, part)
         numbers[part] = curve_bias(pair), curve_gaps(pair, thresholds)
-        for group, curve in pair.items():
-            curves.setdefault(group, {})[out_dir / f"{part.value}_{group.value}_{stage}.csv"] = curve
-    for same_group in curves.values():
-        written.extend(same_group)
-        write_curves(same_group)
+        del pair  # not alive while the next pair is built
+    for group in GroupId:
+        curves = {out_dir / f"{part.value}_{group.value}_{stage}.csv": group_curve(data, part, group)
+                  for part in parts}
+        written.extend(curves)
+        write_curves(curves)
+        del curves  # not alive while the next group's are built
     return numbers
 
 
 def _check_report(d: ScoreDataset, kinds, thresholds) -> None:
     """Raise what :func:`_report_metrics` would raise on ``d``, in the order
-    it meets them, before a file is opened."""
+    it meets them, before a model is fitted or a file is opened."""
     # each curve's pairs are only counted; one that lacks some is built, to
     # raise its own error
     for part in dict.fromkeys(part for kind in kinds for part in kind.parts):
@@ -281,12 +286,14 @@ def cmd_measure(s: dict, written: list) -> int:
 
 
 def cmd_calibrate(s: dict, written: list) -> int:
-    # fit, model.json, apply, calibrated.csv, then the report: the model, the
-    # ids and the echoed columns are dropped once written, so the report
-    # stage holds only the scores, flags and labels of its stages
+    # check the metrics, fit, model.json, apply, calibrated.csv, then the
+    # report: the model, the ids and the echoed columns are dropped once
+    # written, so the report stage holds only the scores, flags and labels
+    # of its stages
     d, (ids, *raw_columns) = _load_input(s, "input")
     algorithm, sigma, seed, fit_sel = s["algorithm"], s["sigma"], s["seed"], s["fit"]
     out_dir = _out_dir(s)
+    _check_report(d, s["metric"], s["thresholds"])  # a metric error wins over a fit error
     fit_set = d if fit_sel == "self" else _load_input(s, "fit")[0]
 
     model = apply = None
@@ -296,7 +303,6 @@ def cmd_calibrate(s: dict, written: list) -> int:
         model, apply = fit_conditional(fit_set, sigma, seed, s["gamma"], s["bandwidth"],
                                        s["use_true_labels"]), cond_calibrate_dataset
     del fit_set
-    _check_report(d, s["metric"], s["thresholds"])
     gamma, calibrated = getattr(model, "gamma", None), d
     if model is not None:
         save_model(model, _writing(written, out_dir / "model.json"))

@@ -277,13 +277,18 @@ def pr_curve(scores: Sequence[float]) -> StepCurve:
     if arr.size == 0:
         raise EmptyInputError("cannot build a curve from an empty score list")
     asc, n = _sort_unit(arr), arr.size
-    ends = np.flatnonzero(np.append(asc[1:] != asc[:-1], True))
+    last = np.ones(n, bool)  # the last score of each run of equal scores
+    np.not_equal(asc[1:], asc[:-1], out=last[:-1])
     # value above each breakpoint = fraction strictly greater than it,
     # counted straight into float64 (exact below 2**53), then divided
-    values = np.full(ends.size + 1, float(n))
-    np.subtract(n - 1, ends, out=values[1:])
+    if last.all():  # no score repeats: the sorted copy is the breakpoints
+        values = np.arange(n, -1, -1, dtype=np.float64)
+    else:
+        ends = np.flatnonzero(last)
+        asc, values = asc[ends], np.full(ends.size + 1, float(n))
+        np.subtract(n - 1, ends, out=values[1:])
     values /= n
-    return StepCurve(_frozen(asc[ends]), _frozen(values))
+    return StepCurve(_frozen(asc), _frozen(values))
 
 
 def conditional_curve(d: ScoreDataset, group: GroupId, label: int) -> StepCurve:

@@ -753,6 +753,23 @@ def test_failed_metric_in_calibrate_writes_no_file(tmp_path, capsys, monkeypatch
     assert "label" in err
 
 
+@pytest.mark.parametrize("algorithm", ["calib", "ccalib"])
+def test_metric_check_precedes_the_fit(tmp_path, capsys, monkeypatch, algorithm):
+    # eo needs labels: the metrics are checked as soon as the input is read,
+    # so neither fit runs (ccalib would first find its gamma by mean shift)
+    fitted = []
+
+    def failing(*args, **kwargs):
+        fitted.append(args)
+        raise AssertionError("fitted")
+
+    for name in ("fit", "fit_conditional"):
+        monkeypatch.setattr(scorecalib.cli, name, failing)
+    err = calibrate_opening_nothing(tmp_path, monkeypatch, capsys, [algorithm], None,
+                                    "--metric", "eo")
+    assert "label" in err and fitted == []
+
+
 @pytest.mark.parametrize("flags, labels, error", [
     (["--metric", "dp", "fprgap"], [1] * 15, "no pairs with group=minority, label=0"),
     (["--thresholds", 0.5, 1.5], None, "theta 1.5 outside [0, 1]"),
@@ -765,6 +782,44 @@ def test_uncomputable_report_in_calibrate_opens_no_file(tmp_path, capsys, monkey
     assert error in err
 
 
+REPORT_PAIRS = 200_000
+
+
+def report_stage_memory(tmp_path, monkeypatch, command) -> tuple[int, int]:
+    """What ``command --metric dp eod`` on REPORT_PAIRS pairs with distinct
+    scores holds going into ``_report_metrics``, and the traced peak of that
+    call above it; measured on a second run in the process, so that one-time
+    allocations are not counted."""
+    n = REPORT_PAIRS
+    rng = np.random.default_rng(4)
+    scores = rng.random(n)
+    assert np.unique(scores).size == n
+    csv_path = tmp_path / "pairs.csv"
+    dataset.dump_dataset(ScoreDataset([f"p{i:07d}" for i in range(n)], scores,
+                                      rng.random(n) < 0.4, rng.integers(0, 2, n)), csv_path)
+    traced = []
+    report = scorecalib.cli._report_metrics
+
+    def recording(*args, **kwargs):
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = report(*args, **kwargs)
+        traced.append((held, tracemalloc.get_traced_memory()[1] - held))
+        return result
+
+    monkeypatch.setattr(scorecalib.cli, "_report_metrics", recording)
+    argv = [*(csv_path if arg == "FIT" else arg for arg in command), "--input", csv_path,
+            "--minority-token", "minority", "--metric", "dp", "eod", "--out-dir", tmp_path / "out"]
+    with redirect_stdout(io.StringIO()):
+        assert run(*argv) == 0  # untraced
+        tracemalloc.start()
+        try:
+            assert run(*argv) == 0
+        finally:
+            tracemalloc.stop()
+    return traced[-1]
+
+
 @pytest.mark.parametrize("command", [
     ["measure"],
     ["calibrate", "--algorithm", "calib"],
@@ -774,40 +829,35 @@ def test_report_stage_holds_only_its_columns(tmp_path, monkeypatch, command):
     # going into the report stage, a run holds each stage's scores (8 B a
     # pair) and the flags and labels they share (2 B), plus O(BATCH_ROWS):
     # no id, raw token column, model or fit set.  Measured on Python 3.11,
-    # numpy 2.4: measure holds 2.05 MB going in and both calibrate cases
-    # 3.66 MB, against bounds of 2.13 and 3.73 MB; with the ids, token
+    # numpy 2.4: measure holds 2.04 MB going in and both calibrate cases
+    # 3.65 MB, against bounds of 2.13 and 3.73 MB; with the ids, token
     # columns, model and fit set still held, 5.65, 8.85 and 14.05 MB
-    n = 200_000
-    rng = np.random.default_rng(4)
-    csv_path = tmp_path / "pairs.csv"
-    dataset.dump_dataset(ScoreDataset([f"p{i:07d}" for i in range(n)], rng.random(n),
-                                      rng.random(n) < 0.4, rng.integers(0, 2, n)), csv_path)
-    held = []
-    report = scorecalib.cli._report_metrics
-
-    def recording(*args, **kwargs):
-        held.append(tracemalloc.get_traced_memory()[0])
-        return report(*args, **kwargs)
-
-    monkeypatch.setattr(scorecalib.cli, "_report_metrics", recording)
-    argv = [*(csv_path if arg == "FIT" else arg for arg in command), "--input", csv_path,
-            "--minority-token", "minority", "--metric", "dp", "eod", "--out-dir", tmp_path / "out"]
-    with redirect_stdout(io.StringIO()):
-        assert run(*argv) == 0  # untraced: one-time allocations are not counted
-        tracemalloc.start()
-        try:
-            assert run(*argv) == 0
-        finally:
-            tracemalloc.stop()
+    held = report_stage_memory(tmp_path, monkeypatch, command)[0]
     stages = 2 if command[0] == "calibrate" else 1
-    assert held[-1] <= n * (8 * stages + 2) + 64 * dataset.BATCH_ROWS
+    assert held <= REPORT_PAIRS * (8 * stages + 2) + 64 * dataset.BATCH_ROWS
+
+
+def test_report_stage_peaks_within_one_curve_pair(tmp_path, monkeypatch):
+    # the numbers are read off one curve pair at a time, and the curves are
+    # written one group's at a time: above what it holds going in, the
+    # report stage peaks at one dp curve pair (16 B a pair: a breakpoint and
+    # a value per distinct score) and the integral's terms (8 B), plus
+    # O(BATCH_ROWS) for the walks.  Measured on Python 3.11, numpy 2.4:
+    # 4.92 MB (24.6 B a pair) against a bound of 5.62 MB; holding the
+    # stage's six curves until they were written, 7.91 MB (39.5 B a pair)
+    rise = report_stage_memory(tmp_path, monkeypatch, ["measure"])[1]
+    assert rise <= REPORT_PAIRS * 24 + 400 * dataset.BATCH_ROWS
 
 
 def test_report_holds_one_stage_of_curves(tmp_path):
     # each stage's curves are written and dropped before the next stage's
     # are built: at --sigma 0 both stages have a breakpoint per pair, and
     # holding both would add a whole stage's curve bytes (1.6 MB here) to
-    # the peak, against 305 bytes a batch row for the walk's rows and text
+    # the peak, against 400 bytes a batch row for the walk's rows and text.
+    # Measured on Python 3.11, numpy 2.4: the peak is 1.63 MB, 14 bytes a
+    # batch row above one stage's curve bytes, as one curve pair or one
+    # group's curves is alive at a time (2.27 MB, 326 bytes a batch row,
+    # while a stage's six curves were held together)
     n = 50_000
     rng = np.random.default_rng(7)
     d = ScoreDataset([f"p{i}" for i in range(n)], rng.random(n), rng.random(n) < 0.4,
@@ -834,7 +884,7 @@ ALL_METRICS = ["dp", "eo", "fprgap", "eod"]
 LABELS = [1, 1, 1, 1, 1, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0]
 
 
-def test_calibrate_builds_each_curve_pair_once(tmp_path, monkeypatch):
+def test_calibrate_reads_each_curve_pair_once_and_builds_each_curve_twice(tmp_path, monkeypatch):
     counts = {"curves": Counter(), "auc": 0, "risk": 0, "subset": 0,
               "pr_curve": 0, "sort": 0, "unique": 0}
     group_curves, auc, risk_estimate = (
@@ -888,19 +938,21 @@ def test_calibrate_builds_each_curve_pair_once(tmp_path, monkeypatch):
         "--metric", *ALL_METRICS, "--out-dir", tmp_path / "out",
     )
     assert code == 0
-    # dp, eo and fprgap curves (eod reuses the last two), before and after
+    # the numbers come from one pair of dp, eo and fprgap curves (eod reuses
+    # the last two) per stage, before and after
     assert len(counts["curves"]) == 6 and set(counts["curves"].values()) == {1}
     # overall and per-group AUC, before and after; one risk
     assert counts["auc"] == 6
     assert counts["risk"] == 1
-    # each group's curve of each pair: one sort and no np.unique apiece
-    assert counts["pr_curve"] == counts["sort"] == 12 and counts["unique"] == 0
+    # each group's curve of each pair is built twice, once for the numbers
+    # and once to be written: one sort and no np.unique apiece
+    assert counts["pr_curve"] == counts["sort"] == 24 and counts["unique"] == 0
     code = run(
         "measure", "--input", csv_path, "--minority-token", "a",
         "--metric", *ALL_METRICS, "--out-dir", tmp_path / "measured",
     )
     assert code == 0
-    assert counts["pr_curve"] == counts["sort"] == 18 and counts["unique"] == 0
+    assert counts["pr_curve"] == counts["sort"] == 36 and counts["unique"] == 0
     # the per-group AUCs read the dataset's own columns: no subset copies its ids
     assert counts["subset"] == 0
 

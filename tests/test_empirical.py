@@ -16,6 +16,7 @@ from scorecalib.dataset import GroupId, ScoreDataset
 from scorecalib.empirical import (
     CalibModel,
     _group_lists,
+    _sort_unit,
     StepCurve,
     add_jitter,
     auc,
@@ -342,6 +343,39 @@ def test_curves_and_group_aucs_equal_oracles(d):
     for group in (MIN, MAJ):
         want = _outcome(oracle_auc, d.subset(group)) if d.labeled else UnlabeledDatasetError
         assert _outcome(auc, d, group) == want
+
+
+def parent_pr_curve(scores) -> StepCurve:
+    """``pr_curve`` before its no-tie path: every curve gathered its
+    breakpoints at the ends of the runs of a tie mask joined by ``np.append``."""
+    arr = unit_scores(scores, "scores")
+    if arr.size == 0:
+        raise EmptyInputError("cannot build a curve from an empty score list")
+    asc, n = _sort_unit(arr), arr.size
+    ends = np.flatnonzero(np.append(asc[1:] != asc[:-1], True))
+    values = np.full(ends.size + 1, float(n))
+    np.subtract(n - 1, ends, out=values[1:])
+    values /= n
+    return StepCurve(asc[ends], values)
+
+
+@given(st.one_of(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=40,
+                          unique=True),  # no ties: 0.0 and -0.0 are equal, so one zero at most
+                 st.lists(pool_scores, min_size=1, max_size=40)))
+@example([-0.0, 0.0, -0.0, 0.5, 0.5])  # a zero run of both signs, and a tie
+@example([-0.0, -0.0, 0.25])  # a zero run of -0.0 alone
+@example([0.0, 0.0, 1.0])  # a zero run of 0.0 alone, and a score of 1.0
+@example([1.0])
+@example([-0.0])
+@example([0.3])
+@example([0.7] * 5)  # all equal
+@example([1.0, 1.0])
+def test_pr_curve_equals_parent_bit_for_bit(scores):
+    got, want = pr_curve(scores), parent_pr_curve(scores)
+    for name in ("breakpoints", "values"):
+        assert getattr(got, name).view(np.uint64).tolist() == \
+            getattr(want, name).view(np.uint64).tolist()
+        assert not getattr(got, name).flags.writeable
 
 
 def test_conditional_curve_degenerate_stratum():
